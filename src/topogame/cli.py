@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Optional
 
 from . import lab
@@ -23,10 +21,8 @@ from .games import (
     ALICE,
     BOB,
     GAME_BUILDERS,
+    Solver,
     Transcript,
-    _advance,
-    _initial_state,
-    _terminal_bob_wins,
     optimal_move,
     solve,
 )
@@ -76,11 +72,11 @@ def _parse_space_source(source: str):
         )
         try:
             n = int(parts["n"])
+            i = int(parts["i"]) if "i" in parts else None
         except (KeyError, ValueError):
             raise FormatError(f"bad enumerator spec {source!r}") from None
         spaces = list(enumerate_topologies(n))
-        if "i" in parts:
-            i = int(parts["i"])
+        if i is not None:
             if not 0 <= i < len(spaces):
                 raise FormatError(f"index {i} out of range for n={n}")
             return [(f"n{n}#{i}", spaces[i])]
@@ -128,38 +124,22 @@ def _corpus(n_max: int) -> Iterable[tuple[str, FiniteSpace]]:
 def cmd_check(args) -> int:
     suites = list(_SUITE_CHECKS) if args.suite == "all" else [args.suite]
     spaces = list(_corpus(args.nmax))
-    workers = max(1, int(os.environ.get("TOPOGAME_THREADS", "1")))
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     all_pass = True
     try:
         for suite in suites:
             check = _SUITE_CHECKS[suite]
-
-            def run(item):
-                space_id, space = item
-                report = dict(check(space))
-                report["space_id"] = space_id
-                return {
-                    "space_id": report["space_id"],
-                    "check": report["check"],
-                    "horizon": report["horizon"],
-                    "facts": report["facts"],
-                    "pass": report["pass"],
-                }
-
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    reports = list(pool.map(run, spaces))
-            else:
-                reports = [run(item) for item in spaces]
-            for report in reports:
+            witnessed = False
+            for space_id, space in spaces:
+                # each row goes out as its space finishes, so a slow space shows by name
+                report = {"space_id": space_id, **check(space)}
                 all_pass = all_pass and report["pass"]
                 out.write(dumps_stable(report) + "\n")
+                out.flush()
+                if suite == "zerodim":
+                    facts = report["facts"]
+                    witnessed = witnessed or (facts["diverged"] and not facts["zero_dimensional"])
             if suite == "zerodim":
-                witnessed = any(
-                    r["facts"]["diverged"] and not r["facts"]["zero_dimensional"]
-                    for r in reports
-                )
                 summary = {
                     "space_id": "corpus",
                     "check": "zerodim-witness",
@@ -211,9 +191,8 @@ def cmd_play(args) -> int:
     game = GAME_BUILDERS[args.game](space, args.horizon)
     menus = game.menus.menus
     human = args.role
-    state = _initial_state(game)
-    bob_hist: tuple = ()
-    alice_hist: tuple = ()
+    solver = Solver(game)
+    covered = 0
     rounds = []
     for rnd in range(game.horizon if menus else 0):
         if human == ALICE:
@@ -222,10 +201,9 @@ def cmd_play(args) -> int:
                 print(f"  [{mi}] {[points_of(m) for m in menu]}")
             mi = _prompt_move("your menu index> ", list(range(len(menus))))
         else:
-            mi = optimal_move(game, bob_hist, alice_hist, rnd)
+            mi = optimal_move(solver, covered, rnd)
             print(f"round {rnd}: solver (alice) plays menu {mi}: "
                   f"{[points_of(m) for m in menus[mi]]}")
-        alice_hist = alice_hist + (mi,)
         menu = menus[mi]
         if human == BOB:
             print(f"round {rnd}: pick a member of menu {mi}:")
@@ -234,12 +212,11 @@ def cmd_play(args) -> int:
             j = _prompt_move("your member index> ", list(range(len(menu))))
             b = menu[j]
         else:
-            b = optimal_move(game, bob_hist, alice_hist, rnd, menu_index=mi)
+            b = optimal_move(solver, covered, rnd, menu_index=mi)
             print(f"round {rnd}: solver (bob) selects {points_of(b)}")
-        bob_hist = bob_hist + (b,)
-        state = _advance(game, state, b)
+        covered |= b
         rounds.append((mi, b))
-    outcome = BOB if _terminal_bob_wins(game, state) else ALICE
+    outcome = BOB if game.bob_wins(covered) else ALICE
     transcript = Transcript(rounds=tuple(rounds), outcome=outcome)
     print(f"winner: {outcome}")
     if args.save:

@@ -2,21 +2,21 @@
 
 A game round: Alice picks one menu from the menu family (her move is the
 menu's index), Bob picks one member of that menu (his move is the member's
-bitmask). After `horizon` rounds Bob's selections are tested against the
-target; with `negated` set, Bob wins exactly when the selections fail it.
+bitmask). After `horizon` rounds Bob wins when his selections cover the
+space; with `negated` set, Bob wins exactly when they fail to cover it.
 
-The main solver does backward induction on the abstract state
-(covered-mask, round) for cover targets, or (selection-set, round) for
-explicit-family targets. Restricted strategy classes (predetermined Alice,
-Markov Bob) are decided by a knowledge-set search: the restricted player
-pre-commits, so the opponent's reachable states are tracked as a set.
+The state of a play is the mask of points Bob's selections have covered.
+The main solver does backward induction on (covered mask, round).
+Restricted strategy classes (predetermined Alice, Markov Bob) are decided
+by one knowledge-set search: the restricted player commits to a move per
+round, so the masks the opponent can reach are tracked as a set.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .covers import (
     MenuFamily,
@@ -24,8 +24,8 @@ from .covers import (
     point_base_family,
     quasi_component_family,
 )
-from .errors import CapExceeded, EmptySpace, IllegalMove
-from .topology import FiniteSpace, quasi_components
+from .errors import CapExceeded, IllegalMove
+from .topology import FiniteSpace
 
 ALICE = "alice"
 BOB = "bob"
@@ -37,32 +37,11 @@ PRE = "pre"
 STATE_CAP = 10**7
 WITNESS_CAP = 200_000  # max history-keyed table entries before witness is skipped
 
-COVER_TARGET = "cover"
-FAMILY_TARGET = "family"
-
-
-@dataclass(frozen=True)
-class TargetPredicate:
-    """Bob's goal: either "the selections cover the space" or membership of
-    the selection set in an explicit family."""
-
-    form: str  # COVER_TARGET | FAMILY_TARGET
-    family: frozenset[frozenset[int]] = frozenset()
-
-    def satisfied(self, space: FiniteSpace, selections: frozenset[int]) -> bool:
-        if self.form == COVER_TARGET:
-            acc = 0
-            for s in selections:
-                acc |= s
-            return acc == space.full
-        return selections in self.family
-
 
 @dataclass(frozen=True)
 class GameSpec:
     space: FiniteSpace
     menus: MenuFamily
-    target: TargetPredicate
     negated: bool
     horizon: int
 
@@ -72,8 +51,9 @@ class GameSpec:
         if any(not menu for menu in self.menus.menus):
             raise ValueError("every menu must be nonempty")
 
-    def bob_wins_outcome(self, selections: frozenset[int]) -> bool:
-        return self.target.satisfied(self.space, selections) != self.negated
+    def bob_wins(self, covered: int) -> bool:
+        """Outcome of a finished play whose selections cover `covered`."""
+        return (covered == self.space.full) != self.negated
 
 
 @dataclass(frozen=True)
@@ -122,7 +102,6 @@ def make_rothberger(space: FiniteSpace, horizon: int, cap: int = 10**6) -> GameS
     return GameSpec(
         space=space,
         menus=cover_menu_family(space, "open", cap),
-        target=TargetPredicate(COVER_TARGET),
         negated=False,
         horizon=horizon,
     )
@@ -133,7 +112,6 @@ def make_mildly_rothberger(space: FiniteSpace, horizon: int, cap: int = 10**6) -
     return GameSpec(
         space=space,
         menus=cover_menu_family(space, "clopen", cap),
-        target=TargetPredicate(COVER_TARGET),
         negated=False,
         horizon=horizon,
     )
@@ -145,7 +123,6 @@ def make_point_open(space: FiniteSpace, horizon: int) -> GameSpec:
     return GameSpec(
         space=space,
         menus=point_base_family(space, "open"),
-        target=TargetPredicate(COVER_TARGET),
         negated=True,
         horizon=horizon,
     )
@@ -157,7 +134,6 @@ def make_point_clopen(space: FiniteSpace, horizon: int) -> GameSpec:
     return GameSpec(
         space=space,
         menus=point_base_family(space, "clopen"),
-        target=TargetPredicate(COVER_TARGET),
         negated=True,
         horizon=horizon,
     )
@@ -169,7 +145,6 @@ def make_quasi_component_clopen(space: FiniteSpace, horizon: int) -> GameSpec:
     return GameSpec(
         space=space,
         menus=quasi_component_family(space),
-        target=TargetPredicate(COVER_TARGET),
         negated=True,
         horizon=horizon,
     )
@@ -194,54 +169,33 @@ def saturating_horizon(space: FiniteSpace) -> int:
 # abstract-state solver
 
 
-def _initial_state(game: GameSpec):
-    return 0 if game.target.form == COVER_TARGET else frozenset()
+class Solver:
+    """Memoized game value of (covered mask, round) under optimal play."""
 
-
-def _advance(game: GameSpec, state, move_mask: int):
-    if game.target.form == COVER_TARGET:
-        return state | move_mask
-    return state | {move_mask}
-
-
-def _terminal_bob_wins(game: GameSpec, state) -> bool:
-    if game.target.form == COVER_TARGET:
-        return (state == game.space.full) != game.negated
-    return game.bob_wins_outcome(state)
-
-
-class _Solver:
     def __init__(self, game: GameSpec, reverse: bool = False, state_cap: int = STATE_CAP):
         self.game = game
         self.reverse = reverse
         self.state_cap = state_cap
         self.memo: dict = {}
 
-    def value(self, state, rnd: int) -> str:
+    def value(self, covered: int, rnd: int) -> str:
         game = self.game
-        if rnd >= game.horizon or not game.menus.menus:
-            return BOB if _terminal_bob_wins(game, state) else ALICE
-        if game.target.form == COVER_TARGET and state == game.space.full:
-            # union can only grow; the outcome is already decided
-            return ALICE if game.negated else BOB
-        key = (state, rnd)
+        # the covered mask can only grow, so a full one decides the play
+        if rnd >= game.horizon or not game.menus.menus or covered == game.space.full:
+            return BOB if game.bob_wins(covered) else ALICE
+        key = (covered, rnd)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
         if len(self.memo) > self.state_cap:
             raise CapExceeded(f"solver state cap {self.state_cap} exceeded")
         menus = game.menus.menus
-        order = range(len(menus) - 1, -1, -1) if self.reverse else range(len(menus))
         result = BOB
-        for mi in order:
-            menu = menus[mi] if not self.reverse else menus[mi]
-            members = reversed(menu) if self.reverse else menu
-            alice_wins_menu = True
-            for b in members:
-                if self.value(_advance(game, state, b), rnd + 1) == BOB:
-                    alice_wins_menu = False
+        for menu in reversed(menus) if self.reverse else menus:
+            for b in reversed(menu) if self.reverse else menu:
+                if self.value(covered | b, rnd + 1) == BOB:
                     break
-            if alice_wins_menu:
+            else:
                 result = ALICE
                 break
         self.memo[key] = result
@@ -256,15 +210,15 @@ def solve(
 ) -> Verdict:
     """Exact game value under optimal play, with a witness strategy for the
     winner when the history tree is small enough to tabulate."""
-    solver = _Solver(game, reverse=reverse, state_cap=state_cap)
-    winner = solver.value(_initial_state(game), 0)
+    solver = Solver(game, reverse=reverse, state_cap=state_cap)
+    winner = solver.value(0, 0)
     witness = None
     if want_witness:
         witness = _extract_witness(game, solver, winner)
     return Verdict(winner=winner, witness=witness, horizon=game.horizon, stats=len(solver.memo))
 
 
-def _extract_witness(game: GameSpec, solver: _Solver, winner: str) -> Optional[Strategy]:
+def _extract_witness(game: GameSpec, solver: Solver, winner: str) -> Optional[Strategy]:
     """History-keyed table for the winner; least optimal move everywhere,
     branching over every legal line of the loser. Returns None when the
     table would exceed WITNESS_CAP entries."""
@@ -278,12 +232,12 @@ def _extract_witness(game: GameSpec, solver: _Solver, winner: str) -> Optional[S
 
     if winner == ALICE:
 
-        def walk(state, rnd, bob_moves: tuple) -> bool:
+        def walk(covered: int, rnd: int, bob_moves: tuple) -> bool:
             if rnd >= game.horizon:
                 return True
             choice = None
             for mi, menu in enumerate(menus):
-                if all(solver.value(_advance(game, state, b), rnd + 1) == ALICE for b in menu):
+                if all(solver.value(covered | b, rnd + 1) == ALICE for b in menu):
                     choice = mi
                     break
             if choice is None:
@@ -293,20 +247,19 @@ def _extract_witness(game: GameSpec, solver: _Solver, winner: str) -> Optional[S
             if overflow():
                 return False
             for b in menus[choice]:
-                if not walk(_advance(game, state, b), rnd + 1, bob_moves + (b,)):
+                if not walk(covered | b, rnd + 1, bob_moves + (b,)):
                     return False
             return True
 
-        ok = walk(_initial_state(game), 0, ())
     else:
 
-        def walk(state, rnd, alice_moves: tuple) -> bool:
+        def walk(covered: int, rnd: int, alice_moves: tuple) -> bool:
             if rnd >= game.horizon:
                 return True
             for mi, menu in enumerate(menus):
                 choice = None
                 for b in menu:
-                    if solver.value(_advance(game, state, b), rnd + 1) == BOB:
+                    if solver.value(covered | b, rnd + 1) == BOB:
                         choice = b
                         break
                 if choice is None:
@@ -315,12 +268,11 @@ def _extract_witness(game: GameSpec, solver: _Solver, winner: str) -> Optional[S
                 table[ctx] = choice
                 if overflow():
                     return False
-                if not walk(_advance(game, state, choice), rnd + 1, ctx):
+                if not walk(covered | choice, rnd + 1, ctx):
                     return False
             return True
 
-        ok = walk(_initial_state(game), 0, ())
-    if not ok:
+    if not walk(0, 0, ()):
         return None
     return Strategy(player=winner, klass=FULL, table=table)
 
@@ -332,11 +284,9 @@ def _extract_witness(game: GameSpec, solver: _Solver, winner: str) -> Optional[S
 def _reduce_states(game: GameSpec, states: frozenset, favor_bob: bool) -> frozenset:
     """Drop dominated covered-masks from a knowledge set.
 
-    For cover targets Bob's goal is monotone in the covered mask (antitone
-    when negated); only the extremes on the relevant side matter.
+    Bob's goal is monotone in the covered mask (antitone when negated);
+    only the extremes on the relevant side matter.
     """
-    if game.target.form != COVER_TARGET:
-        return states
     keep_max = favor_bob != game.negated
     out = []
     for s in states:
@@ -350,112 +300,72 @@ def _reduce_states(game: GameSpec, states: frozenset, favor_bob: bool) -> frozen
     return frozenset(out)
 
 
-def predetermined_alice_search(game: GameSpec) -> tuple[bool, Optional[list[int]]]:
-    """Does Alice have a winning strategy that only looks at the round
-    number? Bob plays with full information against the fixed menu list."""
-    menus = game.menus.menus
-    if not menus:
-        winner = BOB if _terminal_bob_wins(game, _initial_state(game)) else ALICE
-        return winner == ALICE, ([] if winner == ALICE else None)
+def _committed_search(
+    game: GameSpec, player: str, options: Callable[[], Iterable]
+) -> Optional[list]:
+    """Does `player` win by committing to one move per round, blind to the
+    opponent's replies, against an opponent with full information?
+
+    options() lists the player's moves for a round as (move, masks) pairs,
+    where masks are the selections the opponent can answer the move with.
+    The search tracks the set of covered masks the opponent can reach; the
+    player wins when every final mask is a win for them. Returns the
+    winning move of each round, or None when there is no winning commitment.
+    """
+    goal = player == BOB  # the committing player wins when bob_wins(final) == goal
+    if game.horizon == 0 or not game.menus.menus:
+        return [] if game.bob_wins(0) == goal else None
     memo: dict = {}
 
-    def wins(states: frozenset, rnd: int) -> Optional[int]:
-        # returns a winning menu index for this round, or None
-        if rnd >= game.horizon:
-            return None
+    def wins(states: frozenset, rnd: int):
+        # returns (winning move, next knowledge set) for this round, or None
         key = (states, rnd)
         if key in memo:
             return memo[key]
         result = None
-        for mi, menu in enumerate(menus):
-            nxt = frozenset(_advance(game, s, b) for s in states for b in menu)
-            nxt = _reduce_states(game, nxt, favor_bob=True)
+        for move, masks in options():
+            nxt = frozenset({s | b for s in states for b in masks})
+            nxt = _reduce_states(game, nxt, favor_bob=not goal)
             if rnd + 1 >= game.horizon:
-                good = not any(_terminal_bob_wins(game, s) for s in nxt)
+                good = all(game.bob_wins(s) == goal for s in nxt)
             else:
                 good = wins(nxt, rnd + 1) is not None
             if good:
-                result = mi
+                result = (move, nxt)
                 break
         memo[key] = result
         return result
 
-    start = frozenset([_initial_state(game)])
-    if game.horizon == 0:
-        won = not _terminal_bob_wins(game, _initial_state(game))
-        return won, ([] if won else None)
-    first = wins(start, 0)
-    if first is None:
-        return False, None
     # unroll the recorded choices into the move list
     seq = []
-    states, rnd = start, 0
-    while rnd < game.horizon:
-        mi = wins(states, rnd)
-        assert mi is not None
-        seq.append(mi)
-        states = _reduce_states(
-            game,
-            frozenset(_advance(game, s, b) for s in states for b in menus[mi]),
-            favor_bob=True,
-        )
-        rnd += 1
-    return True, seq
+    states = frozenset([0])
+    for rnd in range(game.horizon):
+        found = wins(states, rnd)
+        if found is None:
+            return None
+        move, states = found
+        seq.append(move)
+    return seq
+
+
+def predetermined_alice_search(game: GameSpec) -> tuple[bool, Optional[list[int]]]:
+    """Does Alice have a winning strategy that only looks at the round
+    number? Bob plays with full information against the fixed menu list."""
+    seq = _committed_search(game, ALICE, lambda: enumerate(game.menus.menus))
+    return seq is not None, seq
 
 
 def markov_bob_search(game: GameSpec) -> tuple[bool, Optional[dict]]:
     """Does Bob have a winning strategy that only looks at Alice's current
     move and the round number? Alice plays with full information against
     the committed table."""
-    menus = game.menus.menus
-    if not menus:
-        winner = BOB if _terminal_bob_wins(game, _initial_state(game)) else ALICE
-        return winner == BOB, ({} if winner == BOB else None)
-    memo: dict = {}
-
-    def wins(states: frozenset, rnd: int) -> Optional[tuple[int, ...]]:
-        # returns a winning per-menu choice vector for this round, or None
-        if rnd >= game.horizon:
-            return None
-        key = (states, rnd)
-        if key in memo:
-            return memo[key]
-        result = None
-        for vector in itertools.product(*menus):
-            nxt = frozenset(
-                _advance(game, s, vector[mi]) for s in states for mi in range(len(menus))
-            )
-            nxt = _reduce_states(game, nxt, favor_bob=False)
-            if rnd + 1 >= game.horizon:
-                good = all(_terminal_bob_wins(game, s) for s in nxt)
-            else:
-                good = wins(nxt, rnd + 1) is not None
-            if good:
-                result = vector
-                break
-        memo[key] = result
-        return result
-
-    start = frozenset([_initial_state(game)])
-    if game.horizon == 0:
-        won = _terminal_bob_wins(game, _initial_state(game))
-        return won, ({} if won else None)
-    if wins(start, 0) is None:
+    # a round's move is a choice vector: one member of every menu
+    seq = _committed_search(
+        game, BOB, lambda: ((v, v) for v in itertools.product(*game.menus.menus))
+    )
+    if seq is None:
         return False, None
-    table: dict = {}
-    states, rnd = start, 0
-    while rnd < game.horizon:
-        vector = wins(states, rnd)
-        assert vector is not None
-        for mi in range(len(menus)):
-            table[(mi, rnd)] = vector[mi]
-        states = _reduce_states(
-            game,
-            frozenset(_advance(game, s, vector[mi]) for s in states for mi in range(len(menus))),
-            favor_bob=False,
-        )
-        rnd += 1
-    return True, table
+    return True, {(mi, rnd): b for rnd, vector in enumerate(seq) for mi, b in enumerate(vector)}
 
 
 def solve_restricted(game: GameSpec, alice_class: str = FULL, bob_class: str = FULL) -> Verdict:
@@ -482,10 +392,6 @@ def solve_restricted(game: GameSpec, alice_class: str = FULL, bob_class: str = F
     raise ValueError(f"unsupported class pair ({alice_class}, {bob_class})")
 
 
-def alice_wins(game: GameSpec) -> bool:
-    return solve(game, want_witness=False).winner == ALICE
-
-
 def alice_pre_wins(game: GameSpec) -> bool:
     return predetermined_alice_search(game)[0]
 
@@ -500,24 +406,13 @@ def min_win_horizon(
     """Least horizon k <= cap at which the named player wins; horizon
     monotonicity of cover games keeps the win stable for larger k."""
     for k in range(cap + 1):
-        game = game_at(k)
-        if game.target.form != COVER_TARGET:
-            raise ValueError("min_win_horizon requires a cover target")
-        if solve(game, want_witness=False).winner == player:
+        if solve(game_at(k), want_witness=False).winner == player:
             return k
     return None
 
 
 # ---------------------------------------------------------------------------
 # playout and verification
-
-
-def alice_context(bob_moves: tuple) -> tuple:
-    return bob_moves
-
-
-def bob_context(alice_moves: tuple) -> tuple:
-    return alice_moves
 
 
 def _lookup_alice(s: Strategy, bob_moves: tuple, rnd: int) -> int:
@@ -538,8 +433,7 @@ def playout(game: GameSpec, alice: Strategy, bob: Strategy) -> Transcript:
     rounds = []
     bob_moves: tuple = ()
     alice_moves: tuple = ()
-    selections: frozenset = frozenset()
-    state = _initial_state(game)
+    covered = 0
     for rnd in range(game.horizon if menus else 0):
         mi = _lookup_alice(alice, bob_moves, rnd)
         if not 0 <= mi < len(menus):
@@ -549,9 +443,9 @@ def playout(game: GameSpec, alice: Strategy, bob: Strategy) -> Transcript:
         if b not in menus[mi]:
             raise IllegalMove(alice_moves, b)
         bob_moves = bob_moves + (b,)
-        state = _advance(game, state, b)
+        covered |= b
         rounds.append((mi, b))
-    outcome = BOB if _terminal_bob_wins(game, state) else ALICE
+    outcome = BOB if game.bob_wins(covered) else ALICE
     return Transcript(rounds=tuple(rounds), outcome=outcome)
 
 
@@ -560,15 +454,12 @@ def verify_winning(game: GameSpec, s: Strategy, state_cap: int = STATE_CAP) -> b
     menus = game.menus.menus
     counter = [0]
 
-    def check(state, rnd, alice_moves: tuple, bob_moves: tuple) -> bool:
+    def check(covered: int, rnd: int, alice_moves: tuple, bob_moves: tuple) -> bool:
         counter[0] += 1
         if counter[0] > state_cap:
             raise CapExceeded(f"verification cap {state_cap} exceeded")
-        if rnd >= game.horizon or not menus:
-            winner = BOB if _terminal_bob_wins(game, state) else ALICE
-            return winner == s.player
-        if game.target.form == COVER_TARGET and state == game.space.full:
-            winner = ALICE if game.negated else BOB
+        if rnd >= game.horizon or not menus or covered == game.space.full:
+            winner = BOB if game.bob_wins(covered) else ALICE
             return winner == s.player
         if s.player == ALICE:
             try:
@@ -578,7 +469,7 @@ def verify_winning(game: GameSpec, s: Strategy, state_cap: int = STATE_CAP) -> b
             if not 0 <= mi < len(menus):
                 return False
             return all(
-                check(_advance(game, state, b), rnd + 1, alice_moves + (mi,), bob_moves + (b,))
+                check(covered | b, rnd + 1, alice_moves + (mi,), bob_moves + (b,))
                 for b in menus[mi]
             )
         for mi, menu in enumerate(menus):
@@ -589,33 +480,29 @@ def verify_winning(game: GameSpec, s: Strategy, state_cap: int = STATE_CAP) -> b
                 return False
             if b not in menu:
                 return False
-            if not check(_advance(game, state, b), rnd + 1, ctx, bob_moves + (b,)):
+            if not check(covered | b, rnd + 1, ctx, bob_moves + (b,)):
                 return False
         return True
 
-    return check(_initial_state(game), 0, (), ())
+    return check(0, 0, (), ())
 
 
-def optimal_move(game: GameSpec, history_bob: tuple, history_alice: tuple, rnd: int, menu_index: Optional[int] = None):
-    """Best move for the player to act, given the play so far.
+def optimal_move(solver: Solver, covered: int, rnd: int, menu_index: Optional[int] = None):
+    """Best move for the player to act in round `rnd` with `covered` covered.
 
     With menu_index None it is Alice's turn (returns a menu index);
     otherwise Bob answers from that menu (returns a mask). Prefers a
     winning move, least in move order; falls back to the least legal move.
     """
-    solver = _Solver(game)
-    state = _initial_state(game)
-    for b in history_bob:
-        state = _advance(game, state, b)
-    menus = game.menus.menus
+    menus = solver.game.menus.menus
     if menu_index is None:
         for mi, menu in enumerate(menus):
-            if all(solver.value(_advance(game, state, b), rnd + 1) == ALICE for b in menu):
+            if all(solver.value(covered | b, rnd + 1) == ALICE for b in menu):
                 return mi
         return 0
     menu = menus[menu_index]
     for b in menu:
-        if solver.value(_advance(game, state, b), rnd + 1) == BOB:
+        if solver.value(covered | b, rnd + 1) == BOB:
             return b
     return menu[0]
 
@@ -633,14 +520,14 @@ def _selection_principle(game: GameSpec) -> bool:
     satisfying Bob's goal."""
     menus = game.menus.menus
     if not menus or game.horizon == 0:
-        return _terminal_bob_wins(game, _initial_state(game))
+        return game.bob_wins(0)
     for seq in itertools.product(range(len(menus)), repeat=game.horizon):
         ok = False
         for picks in itertools.product(*(menus[mi] for mi in seq)):
-            state = _initial_state(game)
+            covered = 0
             for b in picks:
-                state = _advance(game, state, b)
-            if _terminal_bob_wins(game, state):
+                covered |= b
+            if game.bob_wins(covered):
                 ok = True
                 break
         if not ok:

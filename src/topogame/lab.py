@@ -456,12 +456,12 @@ def check_extraction(space: FiniteSpace) -> dict:
     ok = True
     seqs = {bi: [blocks[bi]] for bi in range(nblocks)}
     if verdict.winner == ALICE and verdict.witness is not None:
-        result = extract_qs_tree(space, verdict.witness, seqs, nblocks)
+        result = extract_qs_tree(space, verdict.witness, seqs, kstar)
         facts["covers"] = result.covers
         ok = ok and result.covers
     if nblocks >= 2:
         planted = _constant_block_strategy(space, kstar)
-        result = extract_qs_tree(space, planted, seqs, nblocks)
+        result = extract_qs_tree(space, planted, seqs, kstar)
         facts["planted_covers"] = result.covers
         ok = ok and not result.covers and result.counterexample is not None
         if result.counterexample is not None:

@@ -89,8 +89,12 @@ def strategy_from_json(obj: Any) -> Strategy:
         raise FormatError("strategy needs 'player', 'class' and 'entries'") from exc
     if player not in (ALICE, BOB) or klass not in (FULL, MARKOV, PRE):
         raise FormatError(f"bad player/class pair {player!r}/{klass!r}")
+    if not isinstance(entries, list):
+        raise FormatError("strategy 'entries' must be a list")
     table = {}
     for entry in entries:
+        if not isinstance(entry, dict) or "context" not in entry or "move" not in entry:
+            raise FormatError(f"strategy entry {entry!r} needs 'context' and 'move'")
         ctx = _context_from_json(player, klass, entry["context"])
         table[ctx] = _move_from_json(player, entry["move"])
     return Strategy(player=player, klass=klass, table=table)

@@ -124,12 +124,14 @@ def _union(masks) -> int:
 
 def history_tree_winner(game: GameSpec) -> str:
     """Game value with no state abstraction: plain recursion on the full
-    move history, target evaluated on the selection set at the leaves."""
+    move history, Bob's goal (the selections cover the space, negated for
+    the point games) evaluated on the selections at the leaves."""
     menus = game.menus.menus
 
     def value(selections: tuple, rnd: int) -> str:
         if rnd >= game.horizon or not menus:
-            return "bob" if game.bob_wins_outcome(frozenset(selections)) else "alice"
+            covers = _union(selections) == game.space.full
+            return "bob" if covers != game.negated else "alice"
         for menu in menus:
             if all(value(selections + (b,), rnd + 1) == "alice" for b in menu):
                 return "alice"

@@ -105,14 +105,14 @@ class TestAcceptance:
         ok = all(check_b3(sp)["pass"] for _, sp in corpus3)
         _report(7, "quasi-component Markov strategy wins at #blocks", ok)
 
-    def test_08_tree_extraction(self, corpus3):
+    def test_08_tree_extraction(self, corpus3, corpus4):
         ok = True
-        for _, sp in corpus3:
+        for _, sp in corpus3 + corpus4:
             report = check_extraction(sp)
             ok = ok and report["pass"]
             if len(report["facts"]) > 1 and "planted_covers" in report["facts"]:
                 ok = ok and report["facts"]["planted_counterexample_valid"]
-        _report(8, "clopen tree extraction with counterexample branch", ok)
+        _report(8, "clopen tree extraction with counterexample branch (389 spaces)", ok)
 
     def test_09_determinacy_and_class_chain(self, corpus3):
         ok = True

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -48,6 +49,11 @@ class TestAnalyze:
     def test_bad_enum_spec(self, capsys):
         code, _, err = run(capsys, "analyze", "enum:k=3")
         assert code == 2
+
+    def test_non_integer_enum_index(self, capsys):
+        code, _, err = run(capsys, "analyze", "enum:n=3:i=x")
+        assert code == 2
+        assert "error:" in err
 
     def test_enum_index_out_of_range(self, capsys):
         code, _, err = run(capsys, "analyze", "enum:n=2:i=99")
@@ -145,11 +151,15 @@ class TestCheck:
         assert run(capsys, "check", "minhorizon", "--nmax", "3", "--out", str(out_b))[0] == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    def test_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("TOPOGAME_THREADS", "4")
-        code, out, _ = run(capsys, "check", "duality", "--nmax", "3")
-        assert code == 0
-        assert len(out.splitlines()) == 34
+    def test_all_n3_output_is_pinned(self, capsys, tmp_path):
+        # the byte-identity contract: any change to a verdict, a fact, the
+        # row order or the JSON layout of `check all --nmax 3` shows here
+        out = tmp_path / "all3.jsonl"
+        assert run(capsys, "check", "all", "--nmax", "3", "--out", str(out))[0] == 0
+        assert len(out.read_bytes().splitlines()) == 239
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "3d3b611087855687efac2b35c10d394ffbd21b6cf2bb75d8d558aa8878596ddd"
+        )
 
     def test_unknown_suite(self):
         with pytest.raises(SystemExit) as exc:
@@ -196,6 +206,26 @@ class TestTranslate:
             "1",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("entries", [[{}], "x"])
+    def test_malformed_strategy_entries(self, capsys, tmp_path, space_file, entries):
+        strat_path = tmp_path / "strategy.json"
+        strat_path.write_text(
+            json.dumps({"player": "alice", "class": "full", "entries": entries})
+        )
+        code, _, err = run(
+            capsys,
+            "translate",
+            str(strat_path),
+            "--direction",
+            "alice-pc-to-qc",
+            "--space",
+            space_file,
+            "--horizon",
+            "1",
+        )
+        assert code == 2
+        assert "error:" in err
 
 
 class TestPlay:

@@ -9,11 +9,8 @@ from topogame.games import (
     FULL,
     MARKOV,
     PRE,
-    COVER_TARGET,
-    FAMILY_TARGET,
     GameSpec,
     Strategy,
-    TargetPredicate,
     alice_pre_wins,
     bob_markov_wins,
     bridge_s1,
@@ -157,8 +154,8 @@ class TestMenuBasisInvariance:
                     [frozenset(m) for m in full_fam.menus],
                 )
                 for k in range(sp.n + 1):
-                    g_full = GameSpec(sp, full_fam, TargetPredicate(COVER_TARGET), False, k)
-                    g_red = GameSpec(sp, red_fam, TargetPredicate(COVER_TARGET), False, k)
+                    g_full = GameSpec(sp, full_fam, False, k)
+                    g_red = GameSpec(sp, red_fam, False, k)
                     assert (
                         solve(g_full, want_witness=False).winner
                         == solve(g_red, want_witness=False).winner
@@ -243,16 +240,6 @@ class TestHistoryTreeOracle:
                 for k in range(4):
                     game = make(sp, k)
                     assert solve(game, want_witness=False).winner == history_tree_winner(game)
-
-    def test_explicit_family_target(self):
-        # Bob wins iff his selection set is exactly {{0}, {1}}
-        d2 = discrete_space(2)
-        fam = MenuFamily(menus=((0b01, 0b10),), label="custom")
-        target = TargetPredicate(FAMILY_TARGET, frozenset({frozenset({0b01, 0b10})}))
-        for negated in (False, True):
-            for k in range(4):
-                game = GameSpec(d2, fam, target, negated, k)
-                assert solve(game, want_witness=False).winner == history_tree_winner(game)
 
 
 class TestSaturation:

@@ -8,9 +8,7 @@ from topogame.errors import FormatError, MissingEmptyOrFull
 from topogame.games import (
     ALICE,
     BOB,
-    COVER_TARGET,
     GameSpec,
-    TargetPredicate,
     make_mildly_rothberger,
     solve,
     solve_restricted,
@@ -64,7 +62,7 @@ class TestMenuFamilyFormat:
             "menus": [[[0, 1, 2]], [[0], [1, 2]]],
         }
         space, fam = menu_family_from_json(obj)
-        game = GameSpec(space, fam, TargetPredicate(COVER_TARGET), False, 2)
+        game = GameSpec(space, fam, False, 2)
         assert solve(game, want_witness=False).winner == BOB
 
     def test_rejects_non_clopen_member(self, sierpinski):
