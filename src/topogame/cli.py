@@ -16,7 +16,7 @@ import sys
 from typing import Iterable, Optional
 
 from . import lab
-from .errors import CapExceeded, FormatError, IllegalMove, TopologyError
+from .errors import CapExceeded, FormatError, IllegalMove, IllegalSourceStrategy, TopologyError
 from .games import (
     ALICE,
     BOB,
@@ -270,7 +270,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if hasattr(args, "horizon") and (args.horizon < 0 or args.horizon > 64):
             parser.error("horizon must be between 0 and 64")
         return args.func(args)
-    except (FormatError, TopologyError, FileNotFoundError, IllegalMove) as exc:
+    except (FormatError, TopologyError, FileNotFoundError, IllegalMove, IllegalSourceStrategy) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceeded as exc:

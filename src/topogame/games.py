@@ -7,18 +7,28 @@ space; with `negated` set, Bob wins exactly when they fail to cover it.
 
 The state of a play is the mask of points Bob's selections have covered.
 The main solver does backward induction on (covered mask, round).
-Restricted strategy classes (predetermined Alice, Markov Bob) are decided
-by one knowledge-set search: the restricted player commits to a move per
-round, so the masks the opponent can reach are tracked as a set.
+
+Restricted strategy classes:
+  Predetermined Alice: a knowledge-set search. She commits to a menu per
+    round, so the masks Bob can reach are tracked as a set.
+  Markov Bob, cover target: closed form. He wins at horizon k iff the
+    points split into at most k groups, each inside a member of every menu.
+  Markov Bob, negated target: the same knowledge-set search over choice
+    vectors (one member per menu), with each menu first cut to its
+    subset-minimal members.
+Verification of a predetermined Alice or a Markov Bob is memoized on
+(covered mask, round), since their moves depend on nothing else.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .covers import (
+    DEFAULT_CAP,
     MenuFamily,
     cover_menu_family,
     point_base_family,
@@ -358,14 +368,83 @@ def predetermined_alice_search(game: GameSpec) -> tuple[bool, Optional[list[int]
 def markov_bob_search(game: GameSpec) -> tuple[bool, Optional[dict]]:
     """Does Bob have a winning strategy that only looks at Alice's current
     move and the round number? Alice plays with full information against
-    the committed table."""
+    the committed table, which maps (menu index, round) to a member."""
+    if game.horizon == 0 or not game.menus.menus:
+        return (True, {}) if game.bob_wins(0) else (False, None)
+    if not game.negated:
+        return _markov_bob_cover(game)
+    # Bob wants to avoid covering, and a smaller selection never helps Alice,
+    # so only the subset-minimal members of each menu are worth committing to
+    menus = []
+    for menu in game.menus.menus:
+        minimal = _reduce_states(game, frozenset(menu), favor_bob=True)
+        menus.append(tuple(b for b in menu if b in minimal))
+    vectors = math.prod(len(menu) for menu in menus)
+    if vectors > DEFAULT_CAP:
+        raise CapExceeded(f"more than {DEFAULT_CAP} Markov choice vectors per round")
     # a round's move is a choice vector: one member of every menu
-    seq = _committed_search(
-        game, BOB, lambda: ((v, v) for v in itertools.product(*game.menus.menus))
-    )
+    seq = _committed_search(game, BOB, lambda: ((v, v) for v in itertools.product(*menus)))
     if seq is None:
         return False, None
     return True, {(mi, rnd): b for rnd, vector in enumerate(seq) for mi, b in enumerate(vector)}
+
+
+def _markov_bob_cover(game: GameSpec) -> tuple[bool, Optional[dict]]:
+    """Markov Bob for a cover target, in closed form.
+
+    Against a table b, Alice keeps a point x uncovered iff in every round
+    some menu's pick misses x. So Bob wins iff the groups G_i = the
+    intersection over menus m of b(m, i) cover the space. Each G_i is good:
+    every menu has a member containing it. Conversely, good groups that
+    cover the space give a table. Good sets are closed under subsets, so
+    Bob wins at horizon k iff the points split into at most k good groups.
+    """
+    menus = game.menus.menus
+    full = game.space.full
+    # bitsets over masks: bit g of below[b] is set iff g is a subset of b,
+    # and bit g of good iff every menu has a member containing g
+    below = [1]
+    for b in range(1, full + 1):
+        low = b & -b
+        # a subset of b omits its lowest point, or is such a subset plus it
+        below.append(below[b ^ low] | below[b ^ low] << low)
+    good = -1
+    for menu in menus:
+        reach = 0
+        for b in menu:
+            reach |= below[b]
+        good &= reach
+    memo: dict = {0: ()}
+
+    def split(mask: int) -> Optional[tuple]:
+        # fewest good groups that partition mask, the group holding its
+        # lowest point first; None when no partition exists
+        if mask not in memo:
+            best = None
+            if good >> mask & 1:
+                best = (mask,)
+            else:
+                low = mask & -mask
+                rest = sub = mask ^ low
+                while sub:
+                    sub = (sub - 1) & rest
+                    g = sub | low  # a proper subset of mask holding its lowest point
+                    if good >> g & 1:
+                        tail = split(mask ^ g)
+                        if tail is not None and (best is None or len(tail) + 1 < len(best)):
+                            best = (g,) + tail
+            memo[mask] = best
+        return memo[mask]
+
+    groups = split(full)
+    if groups is None or len(groups) > game.horizon:
+        return False, None
+    table = {}
+    for rnd in range(game.horizon):
+        g = groups[rnd] if rnd < len(groups) else 0
+        for mi, menu in enumerate(menus):
+            table[(mi, rnd)] = next(b for b in menu if b & g == g)
+    return True, table
 
 
 def solve_restricted(game: GameSpec, alice_class: str = FULL, bob_class: str = FULL) -> Verdict:
@@ -450,11 +529,23 @@ def playout(game: GameSpec, alice: Strategy, bob: Strategy) -> Transcript:
 
 
 def verify_winning(game: GameSpec, s: Strategy, state_cap: int = STATE_CAP) -> bool:
-    """Exhaustively play s against every legal opponent line."""
+    """Exhaustively play s against every legal opponent line.
+
+    A predetermined Alice or a Markov Bob moves on the round and Alice's
+    current menu alone, so for them the outcome below a position depends
+    only on (covered mask, round) and is memoized on it.
+    """
     menus = game.menus.menus
     counter = [0]
+    memo: dict = {}
 
-    def check(covered: int, rnd: int, alice_moves: tuple, bob_moves: tuple) -> bool:
+    def memoized(covered: int, rnd: int, alice_moves: tuple, bob_moves: tuple) -> bool:
+        key = (covered, rnd)
+        if key not in memo:
+            memo[key] = explore(covered, rnd, alice_moves, bob_moves)
+        return memo[key]
+
+    def explore(covered: int, rnd: int, alice_moves: tuple, bob_moves: tuple) -> bool:
         counter[0] += 1
         if counter[0] > state_cap:
             raise CapExceeded(f"verification cap {state_cap} exceeded")
@@ -484,6 +575,8 @@ def verify_winning(game: GameSpec, s: Strategy, state_cap: int = STATE_CAP) -> b
                 return False
         return True
 
+    positional = (s.player, s.klass) in ((ALICE, PRE), (BOB, MARKOV))
+    check = memoized if positional else explore
     return check(0, 0, (), ())
 
 

@@ -4,6 +4,7 @@ Spaces:      {"n": int, "opens": [[points ascending], ...]}
 Menu files:  {"space": {...}, "kind": "open"|"clopen"|"custom", "menus": [[[points], ...], ...]}
 Strategies:  {"player": "alice"|"bob", "class": "full"|"markov"|"pre",
               "entries": [{"context": ..., "move": ...}]}
+             (Alice plays "full" or "pre", Bob "full" or "markov")
 All output uses stable key order; batch reports are JSON lines.
 """
 
@@ -87,7 +88,7 @@ def strategy_from_json(obj: Any) -> Strategy:
         entries = obj["entries"]
     except (TypeError, KeyError) as exc:
         raise FormatError("strategy needs 'player', 'class' and 'entries'") from exc
-    if player not in (ALICE, BOB) or klass not in (FULL, MARKOV, PRE):
+    if (player, klass) not in ((ALICE, FULL), (ALICE, PRE), (BOB, FULL), (BOB, MARKOV)):
         raise FormatError(f"bad player/class pair {player!r}/{klass!r}")
     if not isinstance(entries, list):
         raise FormatError("strategy 'entries' must be a list")
@@ -122,13 +123,15 @@ def _context_from_json(player: str, klass: str, raw):
             raise FormatError("predetermined context must be a round number")
         return raw
     if klass == MARKOV:
-        if not (isinstance(raw, list) and len(raw) == 2):
+        if not (isinstance(raw, list) and len(raw) == 2 and all(isinstance(x, int) for x in raw)):
             raise FormatError("markov context must be [alice move, round]")
         return (raw[0], raw[1])
     if not isinstance(raw, list):
         raise FormatError("full-history context must be a list")
     if player == ALICE:
         return tuple(_mask_from_points(entry) for entry in raw)
+    if not all(isinstance(mi, int) for mi in raw):
+        raise FormatError("bob full-history context must be a list of menu indices")
     return tuple(raw)
 
 

@@ -138,3 +138,44 @@ def history_tree_winner(game: GameSpec) -> str:
         return "bob"
 
     return value((), 0)
+
+
+def markov_bob_oracle(game: GameSpec):
+    """Markov Bob by knowledge-set search over every choice vector.
+
+    In each round Bob commits to a choice vector (one member of every
+    menu, none pruned), and the search tracks the set of covered masks
+    Alice can steer the play into. Returns (won, {(menu index, round):
+    member}) like `markov_bob_search`, with None in place of a lost table.
+    """
+    menus = game.menus.menus
+    full = game.space.full
+
+    def bob_wins(covered: int) -> bool:
+        return (covered == full) != game.negated
+
+    if game.horizon == 0 or not menus:
+        return (True, {}) if bob_wins(0) else (False, None)
+    vectors = list(itertools.product(*menus))
+    memo: dict = {}
+
+    def plan(states: frozenset, rnd: int):
+        # winning vectors for rounds rnd.. from this knowledge set, or None
+        key = (states, rnd)
+        if key not in memo:
+            memo[key] = None
+            for vector in vectors:
+                nxt = frozenset(s | b for s in states for b in vector)
+                if rnd + 1 == game.horizon:
+                    rest = () if all(bob_wins(s) for s in nxt) else None
+                else:
+                    rest = plan(nxt, rnd + 1)
+                if rest is not None:
+                    memo[key] = (vector,) + rest
+                    break
+        return memo[key]
+
+    seq = plan(frozenset([0]), 0)
+    if seq is None:
+        return False, None
+    return True, {(mi, rnd): b for rnd, vector in enumerate(seq) for mi, b in enumerate(vector)}

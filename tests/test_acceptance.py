@@ -69,18 +69,18 @@ class TestAcceptance:
         elapsed = time.monotonic() - start
         _report(2, "minimal-horizon law (389 spaces)", ok and elapsed < 600)
 
-    def test_03_duality(self, corpus3):
-        ok = all(check_duality(sp)["pass"] for _, sp in corpus3)
-        _report(3, "clopen-cover vs point-clopen duality", ok)
+    def test_03_duality(self, corpus3, corpus4):
+        ok = all(check_duality(sp)["pass"] for _, sp in corpus3 + corpus4)
+        _report(3, "clopen-cover vs point-clopen duality (389 spaces)", ok)
 
-    def test_04_pc_qc_winner_equality(self, corpus3):
-        ok = all(check_pc_qc_equivalence(sp)["pass"] for _, sp in corpus3)
-        _report(4, "point game equals block game in all classes", ok)
+    def test_04_pc_qc_winner_equality(self, corpus3, corpus4):
+        ok = all(check_pc_qc_equivalence(sp)["pass"] for _, sp in corpus3 + corpus4)
+        _report(4, "point game equals block game in all classes (389 spaces)", ok)
 
-    def test_05_translation_preservation(self, corpus3):
+    def test_05_translation_preservation(self, corpus3, corpus4):
         total = 0
         preserved = 0
-        for _, sp in corpus3:
+        for _, sp in corpus3 + corpus4:
             for row in check_b1_translations(sp)["facts"]["translations"]:
                 total += 1
                 preserved += row["input_winning"] and row["preserved"]
@@ -101,9 +101,9 @@ class TestAcceptance:
         ok = ok and row["rothberger"] == ALICE and row["mildly_rothberger"] == BOB
         _report(6, f"zero-dimensional equivalence ({checked} spaces) with witness", ok)
 
-    def test_07_markov_block_strategy(self, corpus3):
-        ok = all(check_b3(sp)["pass"] for _, sp in corpus3)
-        _report(7, "quasi-component Markov strategy wins at #blocks", ok)
+    def test_07_markov_block_strategy(self, corpus3, corpus4):
+        ok = all(check_b3(sp)["pass"] for _, sp in corpus3 + corpus4)
+        _report(7, "quasi-component Markov strategy wins at #blocks (389 spaces)", ok)
 
     def test_08_tree_extraction(self, corpus3, corpus4):
         ok = True
@@ -114,9 +114,9 @@ class TestAcceptance:
                 ok = ok and report["facts"]["planted_counterexample_valid"]
         _report(8, "clopen tree extraction with counterexample branch (389 spaces)", ok)
 
-    def test_09_determinacy_and_class_chain(self, corpus3):
+    def test_09_determinacy_and_class_chain(self, corpus3, corpus4):
         ok = True
-        for _, sp in corpus3:
+        for _, sp in corpus3 + corpus4:
             for make in ALL_GAMES:
                 for k in range(sp.n + 1):
                     game = make(sp, k)
@@ -127,7 +127,7 @@ class TestAcceptance:
                         ok = ok and winner == BOB
                     if alice_pre_wins(game):
                         ok = ok and winner == ALICE
-        _report(9, "determinacy and strategy-class chain", ok)
+        _report(9, "determinacy and strategy-class chain (389 spaces)", ok)
 
     def test_10_solver_oracle_equivalence(self):
         spaces = [validate_topology([0], 0)]

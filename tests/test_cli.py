@@ -120,6 +120,13 @@ class TestCheck:
             set(r) == {"space_id", "check", "horizon", "facts", "pass"} for r in lines
         )
 
+    def test_duality_n4_passes(self, capsys):
+        code, out, _ = run(capsys, "check", "duality", "--nmax", "4")
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert len(rows) == 389
+        assert all(r["pass"] for r in rows)
+
     def test_all_suites_n2(self, capsys):
         code, out, _ = run(capsys, "check", "all", "--nmax", "2")
         rows = [json.loads(line) for line in out.splitlines()]
@@ -206,6 +213,26 @@ class TestTranslate:
             "1",
         )
         assert code == 2
+
+    def test_strategy_of_the_wrong_player(self, capsys, tmp_path, space_file, two_block3):
+        # an Alice strategy handed to a Bob direction is a usage error
+        v = solve(make_point_clopen(two_block3, 2))
+        assert v.winner == "alice"
+        strat_path = tmp_path / "strategy.json"
+        strat_path.write_text(json.dumps(strategy_to_json(v.witness)))
+        code, _, err = run(
+            capsys,
+            "translate",
+            str(strat_path),
+            "--direction",
+            "bob-pc-to-qc",
+            "--space",
+            space_file,
+            "--horizon",
+            "2",
+        )
+        assert code == 2
+        assert "error:" in err
 
     @pytest.mark.parametrize("entries", [[{}], "x"])
     def test_malformed_strategy_entries(self, capsys, tmp_path, space_file, entries):

@@ -1,8 +1,10 @@
+import time
+
 import pytest
 
-from oracles import history_tree_winner
-from topogame.covers import MenuFamily, all_covers, reduced_covers
-from topogame.errors import IllegalMove
+from oracles import history_tree_winner, markov_bob_oracle
+from topogame.covers import DEFAULT_CAP, MenuFamily, all_covers, reduced_covers
+from topogame.errors import CapExceeded, IllegalMove
 from topogame.games import (
     ALICE,
     BOB,
@@ -19,6 +21,7 @@ from topogame.games import (
     make_point_open,
     make_quasi_component_clopen,
     make_rothberger,
+    markov_bob_search,
     min_win_horizon,
     playout,
     saturating_horizon,
@@ -129,6 +132,37 @@ class TestRestrictedClasses:
                         assert winner == BOB
                     if alice_pre_wins(game):
                         assert winner == ALICE
+
+    def test_markov_bob_matches_oracle(self, corpus3):
+        for _, sp in corpus3:
+            for make in ALL_GAMES:
+                for k in range(sp.n + 1):
+                    game = make(sp, k)
+                    won, table = markov_bob_search(game)
+                    assert won == markov_bob_oracle(game)[0], (sp, make.__name__, k)
+                    if won:
+                        witness = Strategy(player=BOB, klass=MARKOV, table=table)
+                        assert verify_winning(game, witness), (sp, make.__name__, k)
+
+    @pytest.mark.parametrize("k, bob_wins", [(3, False), (4, True)])
+    def test_markov_bob_discrete4(self, k, bob_wins):
+        # 49 clopen covers: an unpruned search would face 4.2e18 choice vectors
+        game = make_mildly_rothberger(discrete_space(4), k)
+        start = time.monotonic()
+        won, table = markov_bob_search(game)
+        assert time.monotonic() - start < 1.0
+        assert won == bob_wins
+        if won:
+            assert verify_winning(game, Strategy(player=BOB, klass=MARKOV, table=table))
+
+    def test_markov_bob_choice_vector_cap(self):
+        # every two-point set is minimal, so pruning keeps all 6 per menu
+        d4 = discrete_space(4)
+        pairs = tuple(m for m in range(16) if bin(m).count("1") == 2)
+        menus = MenuFamily(menus=(pairs,) * 8, label="custom")
+        assert len(pairs) ** 8 > DEFAULT_CAP
+        with pytest.raises(CapExceeded):
+            markov_bob_search(GameSpec(d4, menus, True, 1))
 
     def test_both_restricted_rejected(self, two_block3):
         with pytest.raises(ValueError):

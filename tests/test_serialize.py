@@ -118,6 +118,23 @@ class TestStrategyFormat:
         with pytest.raises(FormatError):
             strategy_from_json({"player": "alice", "class": "psychic", "entries": []})
 
+    @pytest.mark.parametrize("player, klass", [("alice", "markov"), ("bob", "pre")])
+    def test_rejects_class_of_the_other_player(self, player, klass):
+        # verification memoizes only predetermined Alice and Markov Bob; the
+        # crossed pairs would be looked up as full-history tables
+        with pytest.raises(FormatError):
+            strategy_from_json({"player": player, "class": klass, "entries": []})
+
+    @pytest.mark.parametrize("klass", ["markov", "full"])
+    def test_rejects_non_integer_bob_context(self, klass):
+        obj = {
+            "player": "bob",
+            "class": klass,
+            "entries": [{"context": [[0], [1]], "move": [0]}],
+        }
+        with pytest.raises(FormatError):
+            strategy_from_json(obj)
+
 
 class TestStableOutput:
     def test_verdict_byte_identical(self, two_block3):
