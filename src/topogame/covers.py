@@ -2,6 +2,18 @@
 
 Covers are tuples of bitmasks sorted ascending; a cover family is compared
 elementwise as frozensets of masks.
+
+An irredundant cover (every member owns a point no other member covers) is
+a minimal cover, that is, a minimal hitting set of the hypergraph whose
+edges are {members containing x} for the points x. They are enumerated by
+the minimal-transversal backtracking of Murakami & Uno (MMCS, "Efficient
+algorithms for dualizing large-scale hypergraphs", 2014): branch on the
+members holding the uncovered point with the fewest candidate holders,
+drop each member from the candidates once its branch is done, and prune a
+branch as soon as some chosen member has no private point left. Each
+minimal cover is reached exactly once.
+
+Covers and menu families are cached per space; both are immutable.
 """
 
 from __future__ import annotations
@@ -9,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import CapExceeded, EmptySpace
 from .topology import FiniteSpace, clopen_algebra, quasi_components
@@ -45,39 +57,46 @@ def _kind_sets(space: FiniteSpace, kind: str) -> list[int]:
     return [m for m in pool if m != 0]
 
 
-def _is_cover(members: Sequence[int], full: int) -> bool:
-    acc = 0
-    for m in members:
-        acc |= m
-    return acc == full
-
-
-def _is_irredundant(members: Sequence[int]) -> bool:
-    # every member owns a point no other member covers
-    for i, m in enumerate(members):
-        rest = 0
-        for j, other in enumerate(members):
-            if j != i:
-                rest |= other
-        if not m & ~rest:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def _reduced_covers_cached(space: FiniteSpace, kind: str, cap: int) -> tuple[Cover, ...]:
-    pool = sorted(_kind_sets(space, kind))
-    full = space.full
-    found: list[tuple[int, ...]] = []
     if space.n == 0:
         return (Cover(members=(), kind=kind),)
-    # an irredundant cover has at most n members (each owns a private point)
-    for r in range(1, space.n + 1):
-        for combo in itertools.combinations(pool, r):
-            if _is_cover(combo, full) and _is_irredundant(combo):
-                found.append(combo)
-                if len(found) > cap:
-                    raise CapExceeded(f"more than {cap} irredundant covers")
+    pool = sorted(_kind_sets(space, kind))
+    full = space.full
+    points = range(space.n)
+    holders = [0] * space.n  # holders[x]: bitset of the pool indices whose member holds x
+    for i, m in enumerate(pool):
+        for x in points:
+            if m >> x & 1:
+                holders[x] |= 1 << i
+    found: list[tuple[int, ...]] = []
+
+    def grow(chosen: list, private: list, covered: int, cand: int) -> None:
+        # private[j]: the points chosen[j] alone covers; cand: pool indices
+        # still allowed below this node
+        if covered == full:
+            found.append(tuple(sorted(chosen)))
+            if len(found) > cap:
+                raise CapExceeded(f"more than {cap} irredundant covers")
+            return
+        branch = None
+        for x in points:
+            if not covered >> x & 1:
+                here = holders[x] & cand
+                if branch is None or here.bit_count() < branch.bit_count():
+                    branch = here
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            # every cover below this branch uses this member, so the later
+            # branches must not: each cover is generated exactly once
+            cand ^= low
+            m = pool[low.bit_length() - 1]
+            left = [p & ~m for p in private]
+            if all(left):
+                grow(chosen + [m], left + [m & ~covered], covered | m, cand)
+
+    grow([], [], 0, (1 << len(pool)) - 1)
     found.sort(key=lambda c: (len(c), c))
     return tuple(Cover(members=c, kind=kind) for c in found)
 
@@ -87,23 +106,7 @@ def reduced_covers(space: FiniteSpace, kind: str, cap: int = DEFAULT_CAP) -> lis
     return list(_reduced_covers_cached(space, kind, cap))
 
 
-def all_covers(space: FiniteSpace, kind: str, cap: int = DEFAULT_CAP) -> list[Cover]:
-    """All deduplicated covers of the given kind (exponential; keep n small)."""
-    pool = sorted(_kind_sets(space, kind))
-    full = space.full
-    if space.n == 0:
-        return [Cover(members=(), kind=kind)]
-    found = []
-    for r in range(1, len(pool) + 1):
-        for combo in itertools.combinations(pool, r):
-            if _is_cover(combo, full):
-                found.append(combo)
-                if len(found) > cap:
-                    raise CapExceeded(f"more than {cap} covers")
-    found.sort(key=lambda c: (len(c), c))
-    return [Cover(members=c, kind=kind) for c in found]
-
-
+@lru_cache(maxsize=None)
 def cover_menu_family(space: FiniteSpace, kind: str, cap: int = DEFAULT_CAP) -> MenuFamily:
     """Irredundant covers packaged as menus; the empty-space cover is dropped
     (Alice then has no move and the game ends immediately)."""
@@ -112,6 +115,7 @@ def cover_menu_family(space: FiniteSpace, kind: str, cap: int = DEFAULT_CAP) -> 
     return MenuFamily(menus=menus, label=label)
 
 
+@lru_cache(maxsize=None)
 def point_base_family(space: FiniteSpace, kind: str) -> MenuFamily:
     """One menu per point: all nonempty opens (or clopens) containing it."""
     if space.n == 0:
@@ -125,6 +129,7 @@ def point_base_family(space: FiniteSpace, kind: str) -> MenuFamily:
     return MenuFamily(menus=tuple(menus), label=label)
 
 
+@lru_cache(maxsize=None)
 def quasi_component_family(space: FiniteSpace) -> MenuFamily:
     """One menu per quasi-component block: all clopen supersets of it."""
     if space.n == 0:

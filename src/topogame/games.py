@@ -8,6 +8,13 @@ space; with `negated` set, Bob wins exactly when they fail to cover it.
 The state of a play is the mask of points Bob's selections have covered.
 The main solver does backward induction on (covered mask, round).
 
+A witness is a table keyed by the full history of the loser's moves. The
+winner's move at a node depends only on its (covered mask, round), so it
+is chosen once per position, least in move order. The table size is then
+counted on positions, and a table above WITNESS_CAP entries is skipped
+before any entry is built; otherwise the history tree is walked depth
+first with the chosen moves.
+
 Restricted strategy classes:
   Predetermined Alice: a knowledge-set search. She commits to a menu per
     round, so the masks Bob can reach are tracked as a set.
@@ -25,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .covers import (
@@ -184,31 +192,50 @@ class Solver:
 
     def __init__(self, game: GameSpec, reverse: bool = False, state_cap: int = STATE_CAP):
         self.game = game
-        self.reverse = reverse
         self.state_cap = state_cap
         self.memo: dict = {}
+        # the move order the search tries, fixed once for every position
+        menus = game.menus.menus
+        self.menus = tuple(menu[::-1] for menu in menus[::-1]) if reverse else menus
+        self.full = game.space.full
+        self.horizon = game.horizon
+        # the winner of a play whose covered mask is full, and of a
+        # finished play whose mask is not (GameSpec.bob_wins, inlined)
+        self.full_winner, self.short_winner = (ALICE, BOB) if game.negated else (BOB, ALICE)
 
     def value(self, covered: int, rnd: int) -> str:
-        game = self.game
+        full = self.full
         # the covered mask can only grow, so a full one decides the play
-        if rnd >= game.horizon or not game.menus.menus or covered == game.space.full:
-            return BOB if game.bob_wins(covered) else ALICE
+        if covered == full:
+            return self.full_winner
+        if rnd >= self.horizon or not self.menus:
+            return self.short_winner
+        memo = self.memo
         key = (covered, rnd)
-        hit = self.memo.get(key)
+        hit = memo.get(key)
         if hit is not None:
             return hit
-        if len(self.memo) > self.state_cap:
+        if len(memo) > self.state_cap:
             raise CapExceeded(f"solver state cap {self.state_cap} exceeded")
-        menus = game.menus.menus
+        value = self.value
+        full_winner = self.full_winner
+        rnd += 1
+        # children that are finished plays are decided here, without a call
+        last_winner = self.short_winner if rnd >= self.horizon else None
         result = BOB
-        for menu in reversed(menus) if self.reverse else menus:
-            for b in reversed(menu) if self.reverse else menu:
-                if self.value(covered | b, rnd + 1) == BOB:
+        for menu in self.menus:
+            for b in menu:
+                child = covered | b
+                if child == full:
+                    v = full_winner
+                else:
+                    v = last_winner or memo.get((child, rnd)) or value(child, rnd)
+                if v == BOB:
                     break
             else:
                 result = ALICE
                 break
-        self.memo[key] = result
+        memo[key] = result
         return result
 
 
@@ -231,59 +258,56 @@ def solve(
 def _extract_witness(game: GameSpec, solver: Solver, winner: str) -> Optional[Strategy]:
     """History-keyed table for the winner; least optimal move everywhere,
     branching over every legal line of the loser. Returns None when the
-    table would exceed WITNESS_CAP entries."""
-    table: dict = {}
+    table would exceed WITNESS_CAP entries.
+
+    The winner's move depends only on (covered mask, round), so it is
+    chosen once per position, and the table size is counted on positions
+    before any entry is built. The table is then filled depth first.
+    """
     menus = game.menus.menus
     if not menus:
         return Strategy(player=winner, klass=FULL, table={})
+    horizon = game.horizon
+    alice = winner == ALICE
+    # Alice's table is keyed by Bob's replies; equal replies share a key
+    replies = [tuple(dict.fromkeys(menu)) for menu in menus]
+    moves: dict = {}  # (covered, rnd) -> Alice's menu index, or Bob's pick per menu
+    sizes: dict = {}  # (covered, rnd) -> table entries at and below the position
 
-    def overflow() -> bool:
-        return len(table) > WITNESS_CAP
+    def size(covered: int, rnd: int) -> int:
+        if rnd >= horizon:
+            return 0
+        key = (covered, rnd)
+        if key not in sizes:
+            if alice:
+                mi = moves[key] = optimal_move(solver, covered, rnd)
+                sizes[key] = 1 + sum(size(covered | b, rnd + 1) for b in replies[mi])
+            else:
+                picks = moves[key] = tuple(
+                    optimal_move(solver, covered, rnd, mi) for mi in range(len(menus))
+                )
+                sizes[key] = sum(1 + size(covered | b, rnd + 1) for b in picks)
+        return sizes[key]
 
-    if winner == ALICE:
-
-        def walk(covered: int, rnd: int, bob_moves: tuple) -> bool:
-            if rnd >= game.horizon:
-                return True
-            choice = None
-            for mi, menu in enumerate(menus):
-                if all(solver.value(covered | b, rnd + 1) == ALICE for b in menu):
-                    choice = mi
-                    break
-            if choice is None:
-                # decided position (e.g. already saturated); any move keeps the win
-                choice = 0
-            table[bob_moves] = choice
-            if overflow():
-                return False
-            for b in menus[choice]:
-                if not walk(covered | b, rnd + 1, bob_moves + (b,)):
-                    return False
-            return True
-
-    else:
-
-        def walk(covered: int, rnd: int, alice_moves: tuple) -> bool:
-            if rnd >= game.horizon:
-                return True
-            for mi, menu in enumerate(menus):
-                choice = None
-                for b in menu:
-                    if solver.value(covered | b, rnd + 1) == BOB:
-                        choice = b
-                        break
-                if choice is None:
-                    choice = menu[0]
-                ctx = alice_moves + (mi,)
-                table[ctx] = choice
-                if overflow():
-                    return False
-                if not walk(covered | choice, rnd + 1, ctx):
-                    return False
-            return True
-
-    if not walk(0, 0, ()):
+    if size(0, 0) > WITNESS_CAP:
         return None
+    table: dict = {}
+
+    def walk(covered: int, rnd: int, history: tuple) -> None:
+        if rnd >= horizon:
+            return
+        move = moves[(covered, rnd)]
+        if alice:
+            table[history] = move
+            for b in replies[move]:
+                walk(covered | b, rnd + 1, history + (b,))
+        else:
+            for mi, b in enumerate(move):
+                ctx = history + (mi,)
+                table[ctx] = b
+                walk(covered | b, rnd + 1, ctx)
+
+    walk(0, 0, ())
     return Strategy(player=winner, klass=FULL, table=table)
 
 
@@ -373,12 +397,7 @@ def markov_bob_search(game: GameSpec) -> tuple[bool, Optional[dict]]:
         return (True, {}) if game.bob_wins(0) else (False, None)
     if not game.negated:
         return _markov_bob_cover(game)
-    # Bob wants to avoid covering, and a smaller selection never helps Alice,
-    # so only the subset-minimal members of each menu are worth committing to
-    menus = []
-    for menu in game.menus.menus:
-        minimal = _reduce_states(game, frozenset(menu), favor_bob=True)
-        menus.append(tuple(b for b in menu if b in minimal))
+    menus = _minimal_members(game.menus.menus)
     vectors = math.prod(len(menu) for menu in menus)
     if vectors > DEFAULT_CAP:
         raise CapExceeded(f"more than {DEFAULT_CAP} Markov choice vectors per round")
@@ -387,6 +406,16 @@ def markov_bob_search(game: GameSpec) -> tuple[bool, Optional[dict]]:
     if seq is None:
         return False, None
     return True, {(mi, rnd): b for rnd, vector in enumerate(seq) for mi, b in enumerate(vector)}
+
+
+@lru_cache(maxsize=None)
+def _minimal_members(menus: tuple) -> tuple:
+    """Each menu cut to its subset-minimal members, in menu order. Bob wants
+    to avoid covering, and a smaller selection never helps Alice, so only
+    these are worth committing to."""
+    return tuple(
+        tuple(b for b in menu if not any(t != b and t | b == b for t in menu)) for menu in menus
+    )
 
 
 def _markov_bob_cover(game: GameSpec) -> tuple[bool, Optional[dict]]:

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import itertools
 
+from topogame.covers import DEFAULT_CAP, Cover
+from topogame.errors import CapExceeded
 from topogame.games import GameSpec
-from topogame.topology import FiniteSpace, full_mask
+from topogame.topology import FiniteSpace, clopen_algebra, full_mask
 
 
 def topologies_via_preorders(n: int) -> set[tuple[int, ...]]:
@@ -78,8 +80,6 @@ def components_by_split_search(space: FiniteSpace) -> list[int]:
 
 def clopen_atoms(space: FiniteSpace) -> list[int]:
     """Minimal nonzero elements of the clopen algebra."""
-    from topogame.topology import clopen_algebra
-
     sets = [c for c in clopen_algebra(space).sets if c]
     atoms = [c for c in sets if not any(o and o != c and o & c == o for o in sets)]
     return sorted(atoms, key=lambda b: b & -b)
@@ -87,8 +87,6 @@ def clopen_atoms(space: FiniteSpace) -> list[int]:
 
 def zero_dimensional_by_definition(space: FiniteSpace) -> bool:
     """Every open set is a union of clopen sets."""
-    from topogame.topology import clopen_algebra
-
     clopens = clopen_algebra(space).sets
     for u in space.opens:
         acc = 0
@@ -100,10 +98,44 @@ def zero_dimensional_by_definition(space: FiniteSpace) -> bool:
     return True
 
 
+def _cover_pool(space: FiniteSpace, kind: str) -> list[int]:
+    sets = space.opens if kind == "open" else clopen_algebra(space).sets
+    return sorted(m for m in sets if m)
+
+
+def all_covers(space: FiniteSpace, kind: str, cap: int = DEFAULT_CAP) -> list[Cover]:
+    """All deduplicated covers of the given kind (exponential; keep n small)."""
+    pool = _cover_pool(space, kind)
+    if space.n == 0:
+        return [Cover(members=(), kind=kind)]
+    found = []
+    for r in range(1, len(pool) + 1):
+        for combo in itertools.combinations(pool, r):
+            if _union(combo) == space.full:
+                found.append(combo)
+                if len(found) > cap:
+                    raise CapExceeded(f"more than {cap} covers")
+    found.sort(key=lambda c: (len(c), c))
+    return [Cover(members=c, kind=kind) for c in found]
+
+
+def irredundant_covers_by_scan(space: FiniteSpace, kind: str) -> list[tuple[int, ...]]:
+    """Irredundant covers by scanning every family of at most n members
+    (each member of an irredundant cover owns a private point)."""
+    if space.n == 0:
+        return [()]
+    found = []
+    for r in range(1, space.n + 1):
+        for combo in itertools.combinations(_cover_pool(space, kind), r):
+            if _union(combo) == space.full and all(
+                m & ~_union(combo[:i] + combo[i + 1 :]) for i, m in enumerate(combo)
+            ):
+                found.append(combo)
+    return sorted(found, key=lambda c: (len(c), c))
+
+
 def irredundant_covers_by_subset_test(space: FiniteSpace, kind: str) -> list[tuple[int, ...]]:
     """Irredundant covers filtered from all covers by the removability test."""
-    from topogame.covers import all_covers
-
     covers = [c.members for c in all_covers(space, kind)]
     out = []
     for members in covers:

@@ -1,13 +1,13 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import irredundant_covers_by_subset_test
+from oracles import all_covers, irredundant_covers_by_scan, irredundant_covers_by_subset_test
 from topogame.covers import (
     MenuFamily,
-    all_covers,
     choice_ranges,
     is_reflection,
     is_selection_basis,
@@ -55,6 +55,47 @@ class TestReducedCovers:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             reduced_covers(discrete_space(3), "open", cap=2)
+
+
+class TestCoverEnumeration:
+    """The transversal search against the scan of every small family."""
+
+    @pytest.mark.parametrize("kind", ["open", "clopen"])
+    def test_matches_scan_n4(self, corpus3, corpus4, kind):
+        for _, sp in corpus3 + corpus4:
+            ours = [c.members for c in reduced_covers(sp, kind)]
+            assert ours == irredundant_covers_by_scan(sp, kind)
+
+    @pytest.mark.parametrize("kind", ["open", "clopen"])
+    def test_matches_scan_discrete5(self, kind):
+        sp = discrete_space(5)
+        ours = [c.members for c in reduced_covers(sp, kind)]
+        assert len(ours) == 462
+        assert ours == irredundant_covers_by_scan(sp, kind)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_scan_random5(self, seed):
+        sp = _random_alexandrov(random.Random(seed), 5)
+        for kind in ("open", "clopen"):
+            ours = [c.members for c in reduced_covers(sp, kind)]
+            assert ours == irredundant_covers_by_scan(sp, kind)
+
+
+def _random_alexandrov(rng: random.Random, n: int):
+    """Up-sets of a random preorder on n points; the density is drawn per
+    space, so both sparse (many opens) and dense preorders occur."""
+    p = rng.random() / 2
+    up = [1 << x for x in range(n)]  # up[x]: the points above x
+    for x in range(n):
+        for y in range(n):
+            if x != y and rng.random() < p:
+                up[x] |= 1 << y
+    for k in range(n):  # transitive closure (Warshall)
+        for x in range(n):
+            if up[x] >> k & 1:
+                up[x] |= up[k]
+    opens = [m for m in range(1 << n) if all(up[x] | m == m for x in range(n) if m >> x & 1)]
+    return validate_topology(opens, n)
 
 
 class TestPointBases:

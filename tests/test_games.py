@@ -1,16 +1,18 @@
+import hashlib
 import time
 
 import pytest
 
-from oracles import history_tree_winner, markov_bob_oracle
-from topogame.covers import DEFAULT_CAP, MenuFamily, all_covers, reduced_covers
-from topogame.errors import CapExceeded, IllegalMove
+from oracles import all_covers, history_tree_winner, markov_bob_oracle
+from topogame.covers import DEFAULT_CAP, MenuFamily, reduced_covers
+from topogame.errors import CapExceeded, EmptySpace, IllegalMove
 from topogame.games import (
     ALICE,
     BOB,
     FULL,
     MARKOV,
     PRE,
+    GAME_BUILDERS,
     GameSpec,
     Strategy,
     alice_pre_wins,
@@ -29,7 +31,8 @@ from topogame.games import (
     solve_restricted,
     verify_winning,
 )
-from topogame.topology import discrete_space, validate_topology
+from topogame.serialize import dumps_stable, verdict_to_json
+from topogame.topology import discrete_space, enumerate_topologies, validate_topology
 
 ALL_GAMES = [
     make_rothberger,
@@ -284,3 +287,40 @@ class TestSaturation:
                 w = solve(make(sp, kstar), want_witness=False).winner
                 assert solve(make(sp, kstar + 1), want_witness=False).winner == w
                 assert solve(make(sp, kstar + 2), want_witness=False).winner == w
+
+
+def _verdict_lines(space, horizons) -> list[str]:
+    lines = []
+    for name in sorted(GAME_BUILDERS):
+        for k in horizons:
+            try:
+                game = GAME_BUILDERS[name](space, k)
+            except EmptySpace:
+                continue
+            lines.append(dumps_stable(verdict_to_json(solve(game))) + "\n")
+    return lines
+
+
+def _sha256(lines: list[str]) -> str:
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+class TestPinnedVerdicts:
+    """Winners, state counts and witness tables, byte for byte: any change
+    to the solver's traversal or to witness extraction shows here."""
+
+    def test_every_game_and_horizon_n3(self):
+        lines = []
+        for n in range(4):
+            for sp in enumerate_topologies(n):
+                lines += _verdict_lines(sp, range(n + 1))
+        assert len(lines) == 652
+        assert _sha256(lines) == "220ca824e982aa0fea28b53672fddd42afcfe9d1a99f103717ec9028838a5d6d"
+
+    def test_first_two_n4_spaces_at_horizon_4(self, corpus4):
+        lines = _verdict_lines(corpus4[0][1], [4]) + _verdict_lines(corpus4[1][1], [4])
+        assert len(lines) == 10
+        assert _sha256(lines) == "9b99a9ef56a81686e3843c507fa4ca10d658567c75899fa276892363c819a4d8"
+
+    def test_witness_over_cap_is_skipped(self):
+        assert solve(make_rothberger(discrete_space(4), 4)).witness is None
