@@ -3,17 +3,13 @@
 Covers are tuples of bitmasks sorted ascending; a cover family is compared
 elementwise as frozensets of masks.
 
-An irredundant cover (every member owns a point no other member covers) is
-a minimal cover, that is, a minimal hitting set of the hypergraph whose
-edges are {members containing x} for the points x. They are enumerated by
-the minimal-transversal backtracking of Murakami & Uno (MMCS, "Efficient
-algorithms for dualizing large-scale hypergraphs", 2014): branch on the
-members holding the uncovered point with the fewest candidate holders,
-drop each member from the candidates once its branch is done, and prune a
-branch as soon as some chosen member has no private point left. Each
-minimal cover is reached exactly once.
-
-Covers and menu families are cached per space; both are immutable.
+An irredundant cover is a minimal hitting set of the sets {members holding
+x}, x a point. They are enumerated by the minimal-transversal search MMCS
+(Murakami & Uno, Discrete Appl. Math. 2014): branch on the holders of the
+uncovered point with the fewest candidate holders, drop each holder from
+the candidates once its branch is done (so each cover is found once), and
+prune as soon as a chosen member has no private point left. Covers and
+menu families are cached per space; both are immutable.
 """
 
 from __future__ import annotations

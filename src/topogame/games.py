@@ -8,12 +8,10 @@ space; with `negated` set, Bob wins exactly when they fail to cover it.
 The state of a play is the mask of points Bob's selections have covered.
 The main solver does backward induction on (covered mask, round).
 
-A witness is a table keyed by the full history of the loser's moves. The
-winner's move at a node depends only on its (covered mask, round), so it
-is chosen once per position, least in move order. The table size is then
-counted on positions, and a table above WITNESS_CAP entries is skipped
-before any entry is built; otherwise the history tree is walked depth
-first with the chosen moves.
+A witness is a table keyed by the history of the loser's moves. The
+winner's least optimal move depends only on (covered mask, round), so it is
+chosen once per position; the table is counted on positions, skipped above
+WITNESS_CAP entries, and otherwise filled depth first with those moves.
 
 Restricted strategy classes:
   Predetermined Alice: a knowledge-set search. She commits to a menu per
@@ -258,12 +256,7 @@ def solve(
 def _extract_witness(game: GameSpec, solver: Solver, winner: str) -> Optional[Strategy]:
     """History-keyed table for the winner; least optimal move everywhere,
     branching over every legal line of the loser. Returns None when the
-    table would exceed WITNESS_CAP entries.
-
-    The winner's move depends only on (covered mask, round), so it is
-    chosen once per position, and the table size is counted on positions
-    before any entry is built. The table is then filled depth first.
-    """
+    table would exceed WITNESS_CAP entries."""
     menus = game.menus.menus
     if not menus:
         return Strategy(player=winner, klass=FULL, table={})
@@ -628,30 +621,3 @@ def optimal_move(solver: Solver, covered: int, rnd: int, menu_index: Optional[in
             return b
     return menu[0]
 
-
-def bridge_s1(game_at: Callable[[int], GameSpec], cap: int) -> tuple[bool, bool]:
-    """Independent comparison of "Alice has no predetermined win at any
-    horizon <= cap" with the direct finite selection-principle check."""
-    no_pre = all(not alice_pre_wins(game_at(k)) for k in range(cap + 1))
-    principle = all(_selection_principle(game_at(k)) for k in range(cap + 1))
-    return no_pre, principle
-
-
-def _selection_principle(game: GameSpec) -> bool:
-    """Direct check: every length-k sequence of menus admits a selection
-    satisfying Bob's goal."""
-    menus = game.menus.menus
-    if not menus or game.horizon == 0:
-        return game.bob_wins(0)
-    for seq in itertools.product(range(len(menus)), repeat=game.horizon):
-        ok = False
-        for picks in itertools.product(*(menus[mi] for mi in seq)):
-            covered = 0
-            for b in picks:
-                covered |= b
-            if game.bob_wins(covered):
-                ok = True
-                break
-        if not ok:
-            return False
-    return True

@@ -124,9 +124,10 @@ def irredundant_covers_by_scan(space: FiniteSpace, kind: str) -> list[tuple[int,
     (each member of an irredundant cover owns a private point)."""
     if space.n == 0:
         return [()]
+    pool = _cover_pool(space, kind)
     found = []
     for r in range(1, space.n + 1):
-        for combo in itertools.combinations(_cover_pool(space, kind), r):
+        for combo in itertools.combinations(pool, r):
             if _union(combo) == space.full and all(
                 m & ~_union(combo[:i] + combo[i + 1 :]) for i, m in enumerate(combo)
             ):
@@ -170,6 +171,18 @@ def history_tree_winner(game: GameSpec) -> str:
         return "bob"
 
     return value((), 0)
+
+
+def selection_principle(game: GameSpec) -> bool:
+    """The finite selection principle, checked directly: every length-k
+    sequence of menus admits a selection satisfying Bob's goal."""
+    menus = game.menus.menus
+    if not menus or game.horizon == 0:
+        return game.bob_wins(0)
+    return all(
+        any(game.bob_wins(_union(picks)) for picks in itertools.product(*(menus[mi] for mi in seq)))
+        for seq in itertools.product(range(len(menus)), repeat=game.horizon)
+    )
 
 
 def markov_bob_oracle(game: GameSpec):

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from oracles import all_covers, history_tree_winner, markov_bob_oracle
+from oracles import all_covers, history_tree_winner, markov_bob_oracle, selection_principle
 from topogame.covers import DEFAULT_CAP, MenuFamily, reduced_covers
 from topogame.errors import CapExceeded, EmptySpace, IllegalMove
 from topogame.games import (
@@ -17,7 +17,6 @@ from topogame.games import (
     Strategy,
     alice_pre_wins,
     bob_markov_wins,
-    bridge_s1,
     make_mildly_rothberger,
     make_point_clopen,
     make_point_open,
@@ -205,7 +204,8 @@ class TestS1Bridge:
             if sp.n > 2:
                 continue
             for make in (make_rothberger, make_mildly_rothberger):
-                no_pre, principle = bridge_s1(lambda k: make(sp, k), sp.n)
+                no_pre = all(not alice_pre_wins(make(sp, k)) for k in range(sp.n + 1))
+                principle = all(selection_principle(make(sp, k)) for k in range(sp.n + 1))
                 assert no_pre == principle
 
 
