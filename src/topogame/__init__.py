@@ -6,8 +6,6 @@ theorem checks over all labeled topologies up to four points."""
 from .covers import (
     Cover,
     MenuFamily,
-    is_reflection,
-    is_selection_basis,
     point_base_family,
     reduced_covers,
 )
@@ -21,11 +19,11 @@ from .games import (
     make_point_open,
     make_quasi_component_clopen,
     make_rothberger,
-    min_win_horizon,
     playout,
     solve,
     solve_restricted,
     verify_winning,
+    winners,
 )
 from .lab import (
     ExtractionResult,
@@ -64,15 +62,12 @@ __all__ = [
     "components",
     "enumerate_topologies",
     "extract_qs_tree",
-    "is_reflection",
-    "is_selection_basis",
     "is_zero_dimensional",
     "make_mildly_rothberger",
     "make_point_clopen",
     "make_point_open",
     "make_quasi_component_clopen",
     "make_rothberger",
-    "min_win_horizon",
     "minimal_open_nbhd",
     "playout",
     "point_base_family",
@@ -83,6 +78,7 @@ __all__ = [
     "translate_b1",
     "validate_topology",
     "verify_winning",
+    "winners",
 ]
 
 __version__ = "0.1.0"

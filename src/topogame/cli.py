@@ -16,7 +16,14 @@ import sys
 from typing import Iterable, Optional
 
 from . import lab
-from .errors import CapExceeded, FormatError, IllegalMove, IllegalSourceStrategy, TopologyError
+from .errors import (
+    CapExceeded,
+    EmptySpace,
+    FormatError,
+    IllegalMove,
+    IllegalSourceStrategy,
+    TopologyError,
+)
 from .games import (
     ALICE,
     BOB,
@@ -201,7 +208,7 @@ def cmd_play(args) -> int:
                 print(f"  [{mi}] {[points_of(m) for m in menu]}")
             mi = _prompt_move("your menu index> ", list(range(len(menus))))
         else:
-            mi = optimal_move(solver, covered, rnd)
+            mi = optimal_move(solver, covered, game.horizon - rnd)
             print(f"round {rnd}: solver (alice) plays menu {mi}: "
                   f"{[points_of(m) for m in menus[mi]]}")
         menu = menus[mi]
@@ -212,7 +219,7 @@ def cmd_play(args) -> int:
             j = _prompt_move("your member index> ", list(range(len(menu))))
             b = menu[j]
         else:
-            b = optimal_move(solver, covered, rnd, menu_index=mi)
+            b = optimal_move(solver, covered, game.horizon - rnd, menu_index=mi)
             print(f"round {rnd}: solver (bob) selects {points_of(b)}")
         covered |= b
         rounds.append((mi, b))
@@ -270,7 +277,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         if hasattr(args, "horizon") and (args.horizon < 0 or args.horizon > 64):
             parser.error("horizon must be between 0 and 64")
         return args.func(args)
-    except (FormatError, TopologyError, FileNotFoundError, IllegalMove, IllegalSourceStrategy) as exc:
+    except (
+        EmptySpace,
+        FormatError,
+        TopologyError,
+        FileNotFoundError,
+        IllegalMove,
+        IllegalSourceStrategy,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceeded as exc:

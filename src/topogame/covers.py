@@ -1,4 +1,4 @@
-"""Cover families and the reflection / selection-basis relations.
+"""Cover enumeration and the menu families the games are played on.
 
 Covers are tuples of bitmasks sorted ascending; a cover family is compared
 elementwise as frozensets of masks.
@@ -14,10 +14,8 @@ menu families are cached per space; both are immutable.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 from .errors import CapExceeded, EmptySpace
 from .topology import FiniteSpace, clopen_algebra, quasi_components
@@ -41,6 +39,10 @@ class MenuFamily:
 
     menus: tuple[Menu, ...]
     label: str  # "O" | "C_O" | "P_X" | "C_X" | "Q_X" | "custom"
+
+    def __post_init__(self):
+        if not all(self.menus):
+            raise ValueError("every menu must be nonempty")
 
 
 def _kind_sets(space: FiniteSpace, kind: str) -> list[int]:
@@ -103,11 +105,11 @@ def reduced_covers(space: FiniteSpace, kind: str, cap: int = DEFAULT_CAP) -> lis
 
 
 @lru_cache(maxsize=None)
-def cover_menu_family(space: FiniteSpace, kind: str, cap: int = DEFAULT_CAP) -> MenuFamily:
+def cover_menu_family(space: FiniteSpace, kind: str) -> MenuFamily:
     """Irredundant covers packaged as menus; the empty-space cover is dropped
     (Alice then has no move and the game ends immediately)."""
     label = "O" if kind == "open" else "C_O"
-    menus = tuple(c.members for c in reduced_covers(space, kind, cap) if c.members)
+    menus = tuple(c.members for c in reduced_covers(space, kind) if c.members)
     return MenuFamily(menus=menus, label=label)
 
 
@@ -135,40 +137,3 @@ def quasi_component_family(space: FiniteSpace) -> MenuFamily:
     menus = tuple(tuple(c for c in clopens if c & block == block) for block in blocks)
     return MenuFamily(menus=menus, label="Q_X")
 
-
-def choice_ranges(family: MenuFamily, cap: int = DEFAULT_CAP) -> set[frozenset[int]]:
-    """Ranges of all choice functions: one selected member per menu."""
-    size = 1
-    for menu in family.menus:
-        size *= len(menu)
-        if size > cap:
-            raise CapExceeded(f"more than {cap} choice functions")
-    ranges = set()
-    for pick in itertools.product(*family.menus):
-        ranges.add(frozenset(pick))
-    return ranges
-
-
-def _as_sets(family: Iterable) -> set[frozenset[int]]:
-    out = set()
-    for cover in family:
-        members = cover.members if isinstance(cover, Cover) else cover
-        out.add(frozenset(members))
-    return out
-
-
-def is_selection_basis(candidate: Iterable, target: Iterable) -> bool:
-    """Coinitial-under-subset check: candidate within target, and every
-    target cover has a subset-cover in candidate."""
-    cand = _as_sets(candidate)
-    targ = _as_sets(target)
-    if not cand <= targ:
-        return False
-    return all(any(x <= y for x in cand) for y in targ)
-
-
-def is_reflection(family: MenuFamily, target: Iterable, cap: int = DEFAULT_CAP) -> bool:
-    """True iff the choice-function ranges of the family form a selection
-    basis for the target cover family."""
-    ranges = choice_ranges(family, cap)
-    return is_selection_basis(ranges, target)

@@ -6,12 +6,14 @@ bitmask). After `horizon` rounds Bob wins when his selections cover the
 space; with `negated` set, Bob wins exactly when they fail to cover it.
 
 The state of a play is the mask of points Bob's selections have covered.
-The main solver does backward induction on (covered mask, round).
+The main solver does backward induction on (covered mask, rounds left). A
+position's value does not depend on the horizon, so one solver answers
+every horizon of a game (`winners`).
 
 A witness is a table keyed by the history of the loser's moves. The
-winner's least optimal move depends only on (covered mask, round), so it is
-chosen once per position; the table is counted on positions, skipped above
-WITNESS_CAP entries, and otherwise filled depth first with those moves.
+winner's least optimal move depends only on (covered mask, rounds left), so
+it is chosen once per position; the table is counted on positions, skipped
+above WITNESS_CAP entries, and otherwise filled depth first with those moves.
 
 Restricted strategy classes:
   Predetermined Alice: a knowledge-set search. She commits to a menu per
@@ -64,8 +66,6 @@ class GameSpec:
     def __post_init__(self):
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
-        if any(not menu for menu in self.menus.menus):
-            raise ValueError("every menu must be nonempty")
 
     def bob_wins(self, covered: int) -> bool:
         """Outcome of a finished play whose selections cover `covered`."""
@@ -113,21 +113,21 @@ class Transcript:
 # game constructors
 
 
-def make_rothberger(space: FiniteSpace, horizon: int, cap: int = 10**6) -> GameSpec:
+def make_rothberger(space: FiniteSpace, horizon: int) -> GameSpec:
     """Alice plays open covers, Bob selects members, Bob wins iff they cover."""
     return GameSpec(
         space=space,
-        menus=cover_menu_family(space, "open", cap),
+        menus=cover_menu_family(space, "open"),
         negated=False,
         horizon=horizon,
     )
 
 
-def make_mildly_rothberger(space: FiniteSpace, horizon: int, cap: int = 10**6) -> GameSpec:
+def make_mildly_rothberger(space: FiniteSpace, horizon: int) -> GameSpec:
     """Clopen-cover variant of the Rothberger game."""
     return GameSpec(
         space=space,
-        menus=cover_menu_family(space, "clopen", cap),
+        menus=cover_menu_family(space, "clopen"),
         negated=False,
         horizon=horizon,
     )
@@ -186,40 +186,39 @@ def saturating_horizon(space: FiniteSpace) -> int:
 
 
 class Solver:
-    """Memoized game value of (covered mask, round) under optimal play."""
+    """Memoized game value of (covered mask, rounds left) under optimal play.
 
-    def __init__(self, game: GameSpec, reverse: bool = False, state_cap: int = STATE_CAP):
-        self.game = game
-        self.state_cap = state_cap
+    The value does not depend on the game's horizon, only on its menus and
+    its target, so one solver answers every horizon.
+    """
+
+    def __init__(self, game: GameSpec):
         self.memo: dict = {}
-        # the move order the search tries, fixed once for every position
-        menus = game.menus.menus
-        self.menus = tuple(menu[::-1] for menu in menus[::-1]) if reverse else menus
+        self.menus = game.menus.menus
         self.full = game.space.full
-        self.horizon = game.horizon
         # the winner of a play whose covered mask is full, and of a
         # finished play whose mask is not (GameSpec.bob_wins, inlined)
         self.full_winner, self.short_winner = (ALICE, BOB) if game.negated else (BOB, ALICE)
 
-    def value(self, covered: int, rnd: int) -> str:
+    def value(self, covered: int, left: int) -> str:
         full = self.full
         # the covered mask can only grow, so a full one decides the play
         if covered == full:
             return self.full_winner
-        if rnd >= self.horizon or not self.menus:
+        if left <= 0 or not self.menus:
             return self.short_winner
         memo = self.memo
-        key = (covered, rnd)
+        key = (covered, left)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        if len(memo) > self.state_cap:
-            raise CapExceeded(f"solver state cap {self.state_cap} exceeded")
+        if len(memo) > STATE_CAP:
+            raise CapExceeded(f"solver state cap {STATE_CAP} exceeded")
         value = self.value
         full_winner = self.full_winner
-        rnd += 1
+        left -= 1
         # children that are finished plays are decided here, without a call
-        last_winner = self.short_winner if rnd >= self.horizon else None
+        last_winner = self.short_winner if left <= 0 else None
         result = BOB
         for menu in self.menus:
             for b in menu:
@@ -227,7 +226,7 @@ class Solver:
                 if child == full:
                     v = full_winner
                 else:
-                    v = last_winner or memo.get((child, rnd)) or value(child, rnd)
+                    v = last_winner or memo.get((child, left)) or value(child, left)
                 if v == BOB:
                     break
             else:
@@ -237,20 +236,21 @@ class Solver:
         return result
 
 
-def solve(
-    game: GameSpec,
-    want_witness: bool = True,
-    reverse: bool = False,
-    state_cap: int = STATE_CAP,
-) -> Verdict:
+def solve(game: GameSpec, want_witness: bool = True) -> Verdict:
     """Exact game value under optimal play, with a witness strategy for the
     winner when the history tree is small enough to tabulate."""
-    solver = Solver(game, reverse=reverse, state_cap=state_cap)
-    winner = solver.value(0, 0)
+    solver = Solver(game)
+    winner = solver.value(0, game.horizon)
     witness = None
     if want_witness:
         witness = _extract_witness(game, solver, winner)
     return Verdict(winner=winner, witness=witness, horizon=game.horizon, stats=len(solver.memo))
+
+
+def winners(game: GameSpec) -> list[str]:
+    """The winner at each horizon 0..game.horizon, from one solver."""
+    solver = Solver(game)
+    return [solver.value(0, k) for k in range(game.horizon + 1)]
 
 
 def _extract_witness(game: GameSpec, solver: Solver, winner: str) -> Optional[Strategy]:
@@ -264,43 +264,43 @@ def _extract_witness(game: GameSpec, solver: Solver, winner: str) -> Optional[St
     alice = winner == ALICE
     # Alice's table is keyed by Bob's replies; equal replies share a key
     replies = [tuple(dict.fromkeys(menu)) for menu in menus]
-    moves: dict = {}  # (covered, rnd) -> Alice's menu index, or Bob's pick per menu
-    sizes: dict = {}  # (covered, rnd) -> table entries at and below the position
+    moves: dict = {}  # (covered, left) -> Alice's menu index, or Bob's pick per menu
+    sizes: dict = {}  # (covered, left) -> table entries at and below the position
 
-    def size(covered: int, rnd: int) -> int:
-        if rnd >= horizon:
+    def size(covered: int, left: int) -> int:
+        if left <= 0:
             return 0
-        key = (covered, rnd)
+        key = (covered, left)
         if key not in sizes:
             if alice:
-                mi = moves[key] = optimal_move(solver, covered, rnd)
-                sizes[key] = 1 + sum(size(covered | b, rnd + 1) for b in replies[mi])
+                mi = moves[key] = optimal_move(solver, covered, left)
+                sizes[key] = 1 + sum(size(covered | b, left - 1) for b in replies[mi])
             else:
                 picks = moves[key] = tuple(
-                    optimal_move(solver, covered, rnd, mi) for mi in range(len(menus))
+                    optimal_move(solver, covered, left, mi) for mi in range(len(menus))
                 )
-                sizes[key] = sum(1 + size(covered | b, rnd + 1) for b in picks)
+                sizes[key] = sum(1 + size(covered | b, left - 1) for b in picks)
         return sizes[key]
 
-    if size(0, 0) > WITNESS_CAP:
+    if size(0, horizon) > WITNESS_CAP:
         return None
     table: dict = {}
 
-    def walk(covered: int, rnd: int, history: tuple) -> None:
-        if rnd >= horizon:
+    def walk(covered: int, left: int, history: tuple) -> None:
+        if left <= 0:
             return
-        move = moves[(covered, rnd)]
+        move = moves[(covered, left)]
         if alice:
             table[history] = move
             for b in replies[move]:
-                walk(covered | b, rnd + 1, history + (b,))
+                walk(covered | b, left - 1, history + (b,))
         else:
             for mi, b in enumerate(move):
                 ctx = history + (mi,)
                 table[ctx] = b
-                walk(covered | b, rnd + 1, ctx)
+                walk(covered | b, left - 1, ctx)
 
-    walk(0, 0, ())
+    walk(0, horizon, ())
     return Strategy(player=winner, klass=FULL, table=table)
 
 
@@ -501,17 +501,6 @@ def bob_markov_wins(game: GameSpec) -> bool:
     return markov_bob_search(game)[0]
 
 
-def min_win_horizon(
-    game_at: Callable[[int], GameSpec], player: str, cap: int
-) -> Optional[int]:
-    """Least horizon k <= cap at which the named player wins; horizon
-    monotonicity of cover games keeps the win stable for larger k."""
-    for k in range(cap + 1):
-        if solve(game_at(k), want_witness=False).winner == player:
-            return k
-    return None
-
-
 # ---------------------------------------------------------------------------
 # playout and verification
 
@@ -550,7 +539,7 @@ def playout(game: GameSpec, alice: Strategy, bob: Strategy) -> Transcript:
     return Transcript(rounds=tuple(rounds), outcome=outcome)
 
 
-def verify_winning(game: GameSpec, s: Strategy, state_cap: int = STATE_CAP) -> bool:
+def verify_winning(game: GameSpec, s: Strategy) -> bool:
     """Exhaustively play s against every legal opponent line.
 
     A predetermined Alice or a Markov Bob moves on the round and Alice's
@@ -569,8 +558,8 @@ def verify_winning(game: GameSpec, s: Strategy, state_cap: int = STATE_CAP) -> b
 
     def explore(covered: int, rnd: int, alice_moves: tuple, bob_moves: tuple) -> bool:
         counter[0] += 1
-        if counter[0] > state_cap:
-            raise CapExceeded(f"verification cap {state_cap} exceeded")
+        if counter[0] > STATE_CAP:
+            raise CapExceeded(f"verification cap {STATE_CAP} exceeded")
         if rnd >= game.horizon or not menus or covered == game.space.full:
             winner = BOB if game.bob_wins(covered) else ALICE
             return winner == s.player
@@ -602,22 +591,23 @@ def verify_winning(game: GameSpec, s: Strategy, state_cap: int = STATE_CAP) -> b
     return check(0, 0, (), ())
 
 
-def optimal_move(solver: Solver, covered: int, rnd: int, menu_index: Optional[int] = None):
-    """Best move for the player to act in round `rnd` with `covered` covered.
+def optimal_move(solver: Solver, covered: int, left: int, menu_index: Optional[int] = None):
+    """Best move for the player to act with `covered` covered and `left`
+    rounds left, this one included.
 
     With menu_index None it is Alice's turn (returns a menu index);
     otherwise Bob answers from that menu (returns a mask). Prefers a
     winning move, least in move order; falls back to the least legal move.
     """
-    menus = solver.game.menus.menus
+    menus = solver.menus
     if menu_index is None:
         for mi, menu in enumerate(menus):
-            if all(solver.value(covered | b, rnd + 1) == ALICE for b in menu):
+            if all(solver.value(covered | b, left - 1) == ALICE for b in menu):
                 return mi
         return 0
     menu = menus[menu_index]
     for b in menu:
-        if solver.value(covered | b, rnd + 1) == BOB:
+        if solver.value(covered | b, left - 1) == BOB:
             return b
     return menu[0]
 

@@ -27,6 +27,7 @@ from .games import (
     saturating_horizon,
     solve,
     verify_winning,
+    winners,
 )
 from .topology import (
     FiniteSpace,
@@ -187,7 +188,6 @@ def extract_qs_tree(
     phi: Strategy,
     clopen_seqs: dict[int, list[int]],
     depth: int,
-    node_cap: int = EXTRACTION_NODE_CAP,
 ) -> ExtractionResult:
     """Unfold an Alice strategy for the quasi-component-clopen game into
     the indexed family of blocks it can name when Bob answers only from
@@ -224,8 +224,8 @@ def extract_qs_tree(
                 raise IllegalMove(ctx)
             tree[s] = blocks[bi]
             count += 1
-            if count > node_cap:
-                raise DepthCapExceeded(f"extraction node cap {node_cap} exceeded")
+            if count > EXTRACTION_NODE_CAP:
+                raise DepthCapExceeded(f"extraction node cap {EXTRACTION_NODE_CAP} exceeded")
             if len(s) < depth:
                 for k, v in enumerate(clopen_seqs[bi]):
                     nxt.append((s + (k,), ctx + (v,)))
@@ -294,26 +294,28 @@ def check_zero_dim_equivalence(space: FiniteSpace) -> dict:
     on zero-dimensional spaces; elsewhere winners are recorded as data."""
     kstar = saturating_horizon(space)
     zd = is_zero_dimensional(space)
-    per_horizon = []
-    diverged = False
-    for k in range(kstar + 1):
-        row = {"horizon": k}
-        row["rothberger"] = solve(make_rothberger(space, k), want_witness=False).winner
-        row["mildly_rothberger"] = solve(
-            make_mildly_rothberger(space, k), want_witness=False
-        ).winner
-        if space.n:
-            row["point_open"] = solve(make_point_open(space, k), want_witness=False).winner
-            row["point_clopen"] = solve(make_point_clopen(space, k), want_witness=False).winner
-        else:
-            row["point_open"] = row["point_clopen"] = None
-        if row["rothberger"] != row["mildly_rothberger"]:
-            diverged = True
-        if row["point_open"] != row["point_clopen"]:
-            diverged = True
-        per_horizon.append(row)
-    pre_open = alice_pre_wins(make_rothberger(space, kstar))
-    pre_clopen = alice_pre_wins(make_mildly_rothberger(space, kstar))
+    open_game = make_rothberger(space, kstar)
+    clopen_game = make_mildly_rothberger(space, kstar)
+    ro = winners(open_game)
+    mr = winners(clopen_game)
+    if space.n:
+        po = winners(make_point_open(space, kstar))
+        pc = winners(make_point_clopen(space, kstar))
+    else:
+        po = pc = [None] * (kstar + 1)
+    per_horizon = [
+        {
+            "horizon": k,
+            "rothberger": ro[k],
+            "mildly_rothberger": mr[k],
+            "point_open": po[k],
+            "point_clopen": pc[k],
+        }
+        for k in range(kstar + 1)
+    ]
+    diverged = ro != mr or po != pc
+    pre_open = alice_pre_wins(open_game)
+    pre_clopen = alice_pre_wins(clopen_game)
     facts = {
         "zero_dimensional": zd,
         "per_horizon": per_horizon,
@@ -334,50 +336,55 @@ def check_th314(space: FiniteSpace) -> dict:
     kstar = saturating_horizon(space)
     game = make_mildly_rothberger(space, kstar)
     s1 = not alice_pre_wins(game)
-    no_full = solve(game, want_witness=False).winner != ALICE
-    data = []
-    for k in range(kstar):
-        g = make_mildly_rothberger(space, k)
-        data.append(
-            {
-                "horizon": k,
-                "s1": not alice_pre_wins(g),
-                "alice_no_full_win": solve(g, want_witness=False).winner != ALICE,
-            }
-        )
+    full = winners(game)
+    no_full = full[kstar] != ALICE
+    data = [
+        {
+            "horizon": k,
+            "s1": not alice_pre_wins(make_mildly_rothberger(space, k)),
+            "alice_no_full_win": full[k] != ALICE,
+        }
+        for k in range(kstar)
+    ]
     facts = {"s1": s1, "alice_no_full_win": no_full, "sub_saturating": data}
     return {"check": "th314", "horizon": kstar, "facts": facts, "pass": s1 == no_full}
 
 
-def check_min_horizon_law(space: FiniteSpace, cap: Optional[int] = None) -> dict:
+def check_min_horizon_law(space: FiniteSpace) -> dict:
     """Bob first wins the clopen cover game, and Alice first wins both
     point-style clopen games, exactly at the number of quasi-components."""
-    from .games import min_win_horizon
-
     if space.n == 0:
         return {"check": "minhorizon", "horizon": 0, "facts": {"empty": True}, "pass": True}
     nblocks = len(quasi_components(space).blocks)
-    k_cap = cap if cap is not None else space.n
-    mr = min_win_horizon(lambda k: make_mildly_rothberger(space, k), BOB, k_cap)
-    pc = min_win_horizon(lambda k: make_point_clopen(space, k), ALICE, k_cap)
-    qc = min_win_horizon(lambda k: make_quasi_component_clopen(space, k), ALICE, k_cap)
+    k = space.n
+
+    def first_win(game: GameSpec, player: str) -> Optional[int]:
+        w = winners(game)
+        return w.index(player) if player in w else None
+
+    mr = first_win(make_mildly_rothberger(space, k), BOB)
+    pc = first_win(make_point_clopen(space, k), ALICE)
+    qc = first_win(make_quasi_component_clopen(space, k), ALICE)
     facts = {"quasi_components": nblocks, "mildly_rothberger_bob": mr, "point_clopen_alice": pc, "qc_alice": qc}
     ok = mr == pc == qc == nblocks
-    return {"check": "minhorizon", "horizon": k_cap, "facts": facts, "pass": ok}
+    return {"check": "minhorizon", "horizon": k, "facts": facts, "pass": ok}
 
 
 def check_pc_qc_equivalence(space: FiniteSpace) -> dict:
     """Identical winners of the point-clopen and quasi-component-clopen
     games at every horizon, in all three strategy classes."""
+    kstar = saturating_horizon(space)
+    pc_winners = winners(make_point_clopen(space, kstar))
+    qc_winners = winners(make_quasi_component_clopen(space, kstar))
     rows = []
     ok = True
-    for k in range(saturating_horizon(space) + 1):
+    for k in range(kstar + 1):
         pc = make_point_clopen(space, k)
         qc = make_quasi_component_clopen(space, k)
         row = {
             "horizon": k,
-            "pc_winner": solve(pc, want_witness=False).winner,
-            "qc_winner": solve(qc, want_witness=False).winner,
+            "pc_winner": pc_winners[k],
+            "qc_winner": qc_winners[k],
             "pc_bob_mark": bob_markov_wins(pc),
             "qc_bob_mark": bob_markov_wins(qc),
             "pc_alice_pre": alice_pre_wins(pc),
@@ -392,7 +399,7 @@ def check_pc_qc_equivalence(space: FiniteSpace) -> dict:
         rows.append(row)
     return {
         "check": "pc-qc",
-        "horizon": saturating_horizon(space),
+        "horizon": kstar,
         "facts": {"per_horizon": rows},
         "pass": ok,
     }

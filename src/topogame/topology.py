@@ -219,14 +219,12 @@ def is_zero_dimensional(space: FiniteSpace) -> bool:
     return all(space.is_clopen(u) for u in _minimal_nbhds(space))
 
 
-def enumerate_topologies(n: int, mode: str = "labeled") -> Iterator[FiniteSpace]:
+def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:
     """Yield every labeled topology on {0..n-1}, deterministically ordered.
 
     Order is lexicographic on the sorted bitmask family. Capped at n=4
     (355 topologies); beyond that the count explodes.
     """
-    if mode != "labeled":
-        raise ValueError(f"unsupported enumeration mode {mode!r}")
     if not 0 <= n <= ENUMERATION_CAP:
         raise CapExceeded(f"topology enumeration capped at n={ENUMERATION_CAP}, got {n}")
     full = full_mask(n)

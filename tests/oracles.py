@@ -8,9 +8,11 @@ from an unabstracted history tree.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+from typing import Iterable
 
-from topogame.covers import DEFAULT_CAP, Cover
+from topogame.covers import DEFAULT_CAP, Cover, MenuFamily
 from topogame.errors import CapExceeded
 from topogame.games import GameSpec
 from topogame.topology import FiniteSpace, clopen_algebra, full_mask
@@ -148,11 +150,46 @@ def irredundant_covers_by_subset_test(space: FiniteSpace, kind: str) -> list[tup
     return sorted(out, key=lambda c: (len(c), c))
 
 
+def choice_ranges(family: MenuFamily, cap: int = DEFAULT_CAP) -> set[frozenset[int]]:
+    """Ranges of all choice functions: one selected member per menu."""
+    size = 1
+    for menu in family.menus:
+        size *= len(menu)
+        if size > cap:
+            raise CapExceeded(f"more than {cap} choice functions")
+    return {frozenset(pick) for pick in itertools.product(*family.menus)}
+
+
+def _as_sets(family: Iterable) -> set[frozenset[int]]:
+    return {frozenset(c.members if isinstance(c, Cover) else c) for c in family}
+
+
+def is_selection_basis(candidate: Iterable, target: Iterable) -> bool:
+    """Coinitial-under-subset check: candidate within target, and every
+    target cover has a subset-cover in candidate."""
+    cand = _as_sets(candidate)
+    targ = _as_sets(target)
+    return cand <= targ and all(any(x <= y for x in cand) for y in targ)
+
+
+def is_reflection(family: MenuFamily, target: Iterable) -> bool:
+    """True iff the choice-function ranges of the family form a selection
+    basis for the target cover family."""
+    return is_selection_basis(choice_ranges(family), target)
+
+
 def _union(masks) -> int:
     acc = 0
     for m in masks:
         acc |= m
     return acc
+
+
+def reversed_game(game: GameSpec) -> GameSpec:
+    """The same game with the menus, and the members of each menu, in
+    reverse order, so a solver tries every move in the opposite order."""
+    menus = tuple(menu[::-1] for menu in game.menus.menus[::-1])
+    return dataclasses.replace(game, menus=MenuFamily(menus=menus, label="custom"))
 
 
 def history_tree_winner(game: GameSpec) -> str:

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from oracles import history_tree_winner, topologies_via_preorders
+from oracles import history_tree_winner, reversed_game, topologies_via_preorders
 from topogame.games import (
     ALICE,
     BOB,
@@ -122,7 +122,7 @@ class TestAcceptance:
                     game = make(sp, k)
                     winner = solve(game, want_witness=False).winner
                     ok = ok and winner in (ALICE, BOB)
-                    ok = ok and solve(game, want_witness=False, reverse=True).winner == winner
+                    ok = ok and solve(reversed_game(game), want_witness=False).winner == winner
                     if bob_markov_wins(game):
                         ok = ok and winner == BOB
                     if alice_pre_wins(game):

@@ -97,6 +97,18 @@ class TestSolve:
             main(["solve", space_file, "--game", "tag", "--horizon", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["solve", "play"])
+    @pytest.mark.parametrize("game", ["point-open", "quasi-component-clopen"])
+    def test_point_game_on_empty_space(self, capsys, command, game):
+        # the empty space has no points, so no point or block menus
+        argv = [command, "enum:n=0:i=0", "--game", game, "--horizon", "1"]
+        if command == "play":
+            argv += ["--role", "alice"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_horizon_out_of_bounds(self, capsys, space_file):
         with pytest.raises(SystemExit) as exc:
             main(["solve", space_file, "--game", "rothberger", "--horizon", "-1"])
@@ -166,6 +178,15 @@ class TestCheck:
         assert len(out.read_bytes().splitlines()) == 239
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "3d3b611087855687efac2b35c10d394ffbd21b6cf2bb75d8d558aa8878596ddd"
+        )
+
+    def test_all_n4_output_is_pinned(self, capsys, tmp_path):
+        # the same contract over the whole n <= 4 corpus, divergence witness included
+        out = tmp_path / "all4.jsonl"
+        assert run(capsys, "check", "all", "--nmax", "4", "--out", str(out))[0] == 0
+        assert len(out.read_bytes().splitlines()) == 2724
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "03a8fe8e1f1c78514665955e55fdd09fae610717871ba021824c5ae3823ba30c"
         )
 
     def test_unknown_suite(self):

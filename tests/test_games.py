@@ -3,7 +3,14 @@ import time
 
 import pytest
 
-from oracles import all_covers, history_tree_winner, markov_bob_oracle, selection_principle
+from oracles import (
+    all_covers,
+    history_tree_winner,
+    is_selection_basis,
+    markov_bob_oracle,
+    reversed_game,
+    selection_principle,
+)
 from topogame.covers import DEFAULT_CAP, MenuFamily, reduced_covers
 from topogame.errors import CapExceeded, EmptySpace, IllegalMove
 from topogame.games import (
@@ -23,12 +30,12 @@ from topogame.games import (
     make_quasi_component_clopen,
     make_rothberger,
     markov_bob_search,
-    min_win_horizon,
     playout,
     saturating_horizon,
     solve,
     solve_restricted,
     verify_winning,
+    winners,
 )
 from topogame.serialize import dumps_stable, verdict_to_json
 from topogame.topology import discrete_space, enumerate_topologies, validate_topology
@@ -98,7 +105,7 @@ class TestDeterminacyAndMonotonicity:
                     game = make(sp, k)
                     assert (
                         solve(game, want_witness=False).winner
-                        == solve(game, want_witness=False, reverse=True).winner
+                        == solve(reversed_game(game), want_witness=False).winner
                     )
 
     def test_horizon_monotonicity(self, corpus3):
@@ -173,8 +180,6 @@ class TestRestrictedClasses:
 
 class TestMenuBasisInvariance:
     def test_all_covers_vs_irredundant(self, corpus3):
-        from topogame.covers import is_selection_basis
-
         for _, sp in corpus3:
             if sp.n > 2:
                 continue
@@ -209,18 +214,33 @@ class TestS1Bridge:
                 assert no_pre == principle
 
 
+class TestWinners:
+    def test_matches_one_solve_per_horizon(self, corpus3, corpus4):
+        # n + 2 runs past the saturating horizon
+        for _, sp in corpus3 + corpus4:
+            for make in ALL_GAMES:
+                expected = [
+                    solve(make(sp, k), want_witness=False).winner for k in range(sp.n + 3)
+                ]
+                assert winners(make(sp, sp.n + 2)) == expected, (sp, make.__name__)
+
+    def test_empty_space(self):
+        empty = validate_topology([0], 0)
+        assert winners(make_rothberger(empty, 2)) == [BOB, BOB, BOB]
+
+
 class TestMinWinHorizon:
     def test_discrete3(self):
         d3 = discrete_space(3)
-        assert min_win_horizon(lambda k: make_mildly_rothberger(d3, k), BOB, 3) == 3
-        assert min_win_horizon(lambda k: make_point_clopen(d3, k), ALICE, 3) == 3
+        assert winners(make_mildly_rothberger(d3, 3)).index(BOB) == 3
+        assert winners(make_point_clopen(d3, 3)).index(ALICE) == 3
 
     def test_connected_space(self, sierpinski):
-        assert min_win_horizon(lambda k: make_mildly_rothberger(sierpinski, k), BOB, 2) == 1
+        assert winners(make_mildly_rothberger(sierpinski, 2)).index(BOB) == 1
 
     def test_none_when_cap_too_small(self):
         d3 = discrete_space(3)
-        assert min_win_horizon(lambda k: make_mildly_rothberger(d3, k), BOB, 2) is None
+        assert BOB not in winners(make_mildly_rothberger(d3, 2))
 
 
 class TestPlayoutAndVerify:

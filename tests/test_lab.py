@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from topogame.errors import EmptySpace, IllegalSourceStrategy
@@ -29,6 +31,7 @@ from topogame.topology import (
     quasi_components,
     validate_topology,
 )
+from topogame.serialize import dumps_stable
 
 
 class TestTranslations:
@@ -193,3 +196,11 @@ class TestChecks:
     def test_pc_qc_equivalence(self, corpus3):
         for _, sp in corpus3:
             assert check_pc_qc_equivalence(sp)["pass"]
+
+    def test_pc_qc_rows_are_pinned(self, corpus3, corpus4):
+        # no CLI suite runs pc-qc, so its rows over n <= 4 are pinned here
+        lines = [dumps_stable(check_pc_qc_equivalence(sp)) + "\n" for _, sp in corpus3 + corpus4]
+        assert len(lines) == 389
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+            "624a939474cb6e40c1946e757164031a41bf9299647b5a12ca569effec1b1dbe"
+        )
