@@ -22,6 +22,7 @@ from .errors import (
     FormatError,
     IllegalMove,
     IllegalSourceStrategy,
+    PointOutOfRange,
     TopologyError,
 )
 from .games import (
@@ -82,6 +83,8 @@ def _parse_space_source(source: str):
             i = int(parts["i"]) if "i" in parts else None
         except (KeyError, ValueError):
             raise FormatError(f"bad enumerator spec {source!r}") from None
+        if n < 0:
+            raise FormatError(f"enumerator spec {source!r} needs n >= 0")
         spaces = list(enumerate_topologies(n))
         if i is not None:
             if not 0 <= i < len(spaces):
@@ -276,12 +279,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if hasattr(args, "horizon") and (args.horizon < 0 or args.horizon > 64):
             parser.error("horizon must be between 0 and 64")
+        if hasattr(args, "nmax") and args.nmax < 1:
+            parser.error("--nmax must be at least 1")
         return args.func(args)
     except (
         EmptySpace,
         FormatError,
         TopologyError,
-        FileNotFoundError,
+        PointOutOfRange,
+        OSError,
         IllegalMove,
         IllegalSourceStrategy,
     ) as exc:

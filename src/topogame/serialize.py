@@ -6,6 +6,8 @@ Strategies:  {"player": "alice"|"bob", "class": "full"|"markov"|"pre",
               "entries": [{"context": ..., "move": ...}]}
              (Alice plays "full" or "pre", Bob "full" or "markov")
 All output uses stable key order; batch reports are JSON lines.
+JSON true/false load as bool, a subclass of int, so every integer field is
+tested with `type(x) is int`.
 """
 
 from __future__ import annotations
@@ -28,23 +30,27 @@ def space_from_json(obj: Any) -> FiniteSpace:
         raise FormatError("space object needs integer 'n' and list 'opens'")
     n = obj["n"]
     opens = obj["opens"]
-    if not isinstance(n, int) or n < 0 or not isinstance(opens, list):
+    if type(n) is not int or n < 0 or not isinstance(opens, list):
         raise FormatError("space object needs integer 'n' and list 'opens'")
-    masks = []
-    for entry in opens:
-        if not isinstance(entry, list) or not all(isinstance(p, int) for p in entry):
-            raise FormatError(f"open set {entry!r} is not a list of points")
-        masks.append(mask_of(entry, n))
-    return validate_topology(masks, n)
+    return validate_topology([mask_of(_points(entry), n) for entry in opens], n)
+
+
+def _points(raw) -> list[int]:
+    if not isinstance(raw, list) or not all(type(p) is int for p in raw):
+        raise FormatError(f"point set {raw!r} must be a list of points")
+    return raw
+
+
+def _load_json(path: str) -> Any:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+            raise FormatError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def load_space(path: str) -> FiniteSpace:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON in {path}: {exc}") from exc
-    return space_from_json(obj)
+    return space_from_json(_load_json(path))
 
 
 def dump_space(space: FiniteSpace, path: str) -> None:
@@ -64,7 +70,7 @@ def menu_family_from_json(obj: Any) -> tuple[FiniteSpace, MenuFamily]:
     for menu in obj["menus"]:
         if not isinstance(menu, list) or not menu:
             raise FormatError("each menu must be a nonempty list of point sets")
-        masks = tuple(sorted(mask_of(entry, space.n) for entry in menu))
+        masks = tuple(sorted(mask_of(_points(entry), space.n) for entry in menu))
         for m in masks:
             if kind == "open" and not space.is_open(m):
                 raise FormatError(f"menu member {points_of(m)} is not open")
@@ -119,18 +125,18 @@ def _context_to_json(s: Strategy, ctx):
 
 def _context_from_json(player: str, klass: str, raw):
     if klass == PRE:
-        if not isinstance(raw, int):
+        if type(raw) is not int:
             raise FormatError("predetermined context must be a round number")
         return raw
     if klass == MARKOV:
-        if not (isinstance(raw, list) and len(raw) == 2 and all(isinstance(x, int) for x in raw)):
+        if not (isinstance(raw, list) and len(raw) == 2 and all(type(x) is int for x in raw)):
             raise FormatError("markov context must be [alice move, round]")
         return (raw[0], raw[1])
     if not isinstance(raw, list):
         raise FormatError("full-history context must be a list")
     if player == ALICE:
         return tuple(_mask_from_points(entry) for entry in raw)
-    if not all(isinstance(mi, int) for mi in raw):
+    if not all(type(mi) is int for mi in raw):
         raise FormatError("bob full-history context must be a list of menu indices")
     return tuple(raw)
 
@@ -143,28 +149,23 @@ def _move_to_json(s: Strategy, move):
 
 def _move_from_json(player: str, raw):
     if player == ALICE:
-        if not isinstance(raw, int):
+        if type(raw) is not int:
             raise FormatError("alice move must be a menu index")
         return raw
     return _mask_from_points(raw)
 
 
 def _mask_from_points(raw) -> int:
-    if not isinstance(raw, list) or not all(isinstance(p, int) and p >= 0 for p in raw):
-        raise FormatError(f"point set {raw!r} must be a list of points")
     m = 0
-    for p in raw:
+    for p in _points(raw):
+        if p < 0:
+            raise FormatError(f"point set {raw!r} must be a list of points")
         m |= 1 << p
     return m
 
 
 def load_strategy(path: str) -> Strategy:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON in {path}: {exc}") from exc
-    return strategy_from_json(obj)
+    return strategy_from_json(_load_json(path))
 
 
 def verdict_to_json(v: Verdict) -> dict:

@@ -3,6 +3,11 @@
 A point set is an int whose bit i is set iff point i belongs to the set.
 A space is the full family of its open sets; everything else (clopen
 algebra, components, quasi-components, zero-dimensionality) is derived.
+
+A finite topology is the same thing as a preorder (Alexandroff 1937): it is
+fixed by each point's minimal open neighbourhood U_x, and its opens are the
+unions of the U_x. The enumerator builds topologies that way, one U_x per
+point. In a finite space the components are the quasi-components.
 """
 
 from __future__ import annotations
@@ -90,13 +95,6 @@ class Partition:
     n: int
     blocks: tuple[int, ...]
 
-    def block_of(self, x: int) -> int:
-        bit = 1 << x
-        for b in self.blocks:
-            if b & bit:
-                return b
-        raise PointOutOfRange(f"point {x} not in any block")
-
     def index_of(self, x: int) -> int:
         bit = 1 << x
         for i, b in enumerate(self.blocks):
@@ -171,41 +169,18 @@ def quasi_components(space: FiniteSpace) -> Partition:
 
 @lru_cache(maxsize=None)
 def components(space: FiniteSpace) -> Partition:
-    """Maximal connected subsets.
+    """Maximal connected subsets, which in a finite space are the quasi-components.
 
-    In a finite space x and y land in one component iff they are linked by
-    a chain of minimal-neighborhood overlaps, so a union-find over the
-    relation "y lies in the minimal open neighborhood of x" suffices.
+    A quasi-component Q is the intersection of the finitely many clopen
+    sets containing any one of its points, so Q is clopen. Split Q into two
+    nonempty relatively open parts: each part is then clopen in the space,
+    so Q lies inside either part, which is absurd. Hence Q is connected. A
+    connected set lies inside every clopen set it meets, hence inside one
+    quasi-component, so the two partitions agree.
     """
     if space.n == 0:
         raise EmptySpace("no components on the empty space")
-    parent = list(range(space.n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    nbhds = _minimal_nbhds(space)
-    for x in range(space.n):
-        for y in points_of(nbhds[x]):
-            union(x, y)
-    groups: dict[int, int] = {}
-    for x in range(space.n):
-        r = find(x)
-        groups[r] = groups.get(r, 0) | (1 << x)
-    blocks = sorted(groups.values(), key=lambda b: (b & -b))
-    return Partition(n=space.n, blocks=tuple(blocks))
-
-
-def is_connected(space: FiniteSpace) -> bool:
-    return space.n >= 1 and len(components(space).blocks) == 1
+    return quasi_components(space)
 
 
 @lru_cache(maxsize=None)
@@ -222,34 +197,39 @@ def is_zero_dimensional(space: FiniteSpace) -> bool:
 def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:
     """Yield every labeled topology on {0..n-1}, deterministically ordered.
 
+    Backtracking picks the minimal open neighbourhood U_x of x = 0..n-1 in
+    turn: U_x contains x, and y in U_x forces U_y within U_x, checked both
+    ways against the points already placed. Each valid choice is one
+    preorder, hence one topology, whose opens are the unions of the U_x.
     Order is lexicographic on the sorted bitmask family. Capped at n=4
-    (355 topologies); beyond that the count explodes.
+    (355 topologies).
     """
     if not 0 <= n <= ENUMERATION_CAP:
         raise CapExceeded(f"topology enumeration capped at n={ENUMERATION_CAP}, got {n}")
     full = full_mask(n)
-    if n == 0:
-        yield FiniteSpace(n=0, opens=(0,))
-        return
-    middles = [m for m in range(1, full)]
+    nbhds: list[int] = []
     found: list[tuple[int, ...]] = []
-    for r in range(len(middles) + 1):
-        for combo in itertools.combinations(middles, r):
-            fam = set(combo)
-            fam.add(0)
-            fam.add(full)
-            if _is_closed(fam):
-                found.append(tuple(sorted(fam)))
+
+    def place(x: int) -> None:
+        if x == n:
+            opens = {0}
+            for u in nbhds:
+                opens |= {o | u for o in opens}
+            found.append(tuple(sorted(opens)))
+            return
+        bit = 1 << x
+        for u in range(bit, full + 1):
+            if u & bit and all(
+                (not u >> y & 1 or not v & ~u) and (not v & bit or not u & ~v)
+                for y, v in enumerate(nbhds)
+            ):
+                nbhds.append(u)
+                place(x + 1)
+                nbhds.pop()
+
+    place(0)
     for fam in sorted(found):
         yield FiniteSpace(n=n, opens=fam)
-
-
-def _is_closed(family: set[int]) -> bool:
-    members = sorted(family)
-    for a, b in itertools.combinations(members, 2):
-        if a | b not in family or a & b not in family:
-            return False
-    return True
 
 
 def discrete_space(n: int) -> FiniteSpace:

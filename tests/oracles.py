@@ -1,9 +1,11 @@
 """Independent brute-force oracles the implementation is checked against.
 
 Each oracle deliberately takes a different computational route than the
-production code: topologies come from specialization preorders rather than
-family closure, components from definitional split search, the game value
-from an unabstracted history tree.
+production code. Production builds a topology from one minimal open
+neighbourhood per point, pruned as it goes; the oracle brute-forces every
+reflexive transitive relation and reads off its up-sets. Components come
+from definitional split search rather than from quasi-components, and the
+game value from an unabstracted history tree.
 """
 
 from __future__ import annotations

@@ -46,6 +46,37 @@ class TestAnalyze:
         assert code == 2
         assert "error:" in err
 
+    def test_directory_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "analyze", str(tmp_path))
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+    def test_non_utf8_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_bytes(b'\xff\xfe{"n": 1}')
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert err.startswith("error: ")
+
+    def test_point_out_of_range_file(self, capsys, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_text('{"n": 2, "opens": [[], [5], [0, 1]]}')
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert err.startswith("error: ")
+
+    def test_boolean_n_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_text('{"n": true, "opens": [[], [0]]}')
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+    def test_negative_enum_n(self, capsys):
+        code, _, err = run(capsys, "analyze", "enum:n=-1:i=0")
+        assert code == 2
+        assert err.startswith("error: ")
+
     def test_bad_enum_spec(self, capsys):
         code, _, err = run(capsys, "analyze", "enum:k=3")
         assert code == 2
@@ -189,6 +220,19 @@ class TestCheck:
             "03a8fe8e1f1c78514665955e55fdd09fae610717871ba021824c5ae3823ba30c"
         )
 
+    @pytest.mark.parametrize("nmax", ["0", "-2"])
+    def test_empty_corpus_is_usage_error(self, capsys, nmax):
+        # a corpus with no space would pass every check vacuously
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "b3", "--nmax", nmax])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_nmax_over_cap(self, capsys):
+        code, out, err = run(capsys, "check", "b3", "--nmax", "5")
+        assert code == 3
+        assert out == "" and err.startswith("error: ")
+
     def test_unknown_suite(self):
         with pytest.raises(SystemExit) as exc:
             main(["check", "nonsense"])
@@ -234,6 +278,23 @@ class TestTranslate:
             "1",
         )
         assert code == 2
+
+    def test_non_utf8_strategy_file(self, capsys, tmp_path, space_file):
+        strat_path = tmp_path / "strategy.json"
+        strat_path.write_bytes(b"\xff\xfe{}")
+        code, _, err = run(
+            capsys,
+            "translate",
+            str(strat_path),
+            "--direction",
+            "alice-pc-to-qc",
+            "--space",
+            space_file,
+            "--horizon",
+            "1",
+        )
+        assert code == 2
+        assert err.startswith("error: ")
 
     def test_strategy_of_the_wrong_player(self, capsys, tmp_path, space_file, two_block3):
         # an Alice strategy handed to a Bob direction is a usage error

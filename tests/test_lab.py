@@ -107,7 +107,8 @@ class TestB3Markov:
             for c in clopen_algebra(sp).sets:
                 for x in range(sp.n):
                     if c & (1 << x):
-                        assert c & part.block_of(x) == part.block_of(x)
+                        block = part.blocks[part.index_of(x)]
+                        assert c & block == block
 
 
 class TestExtraction:

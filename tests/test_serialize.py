@@ -46,6 +46,8 @@ class TestSpaceFormat:
             {"n": -1, "opens": []},
             {"n": 2, "opens": [[0], "x"]},
             {"n": 2, "opens": [[0, "a"]]},
+            {"n": True, "opens": [[], [0]]},
+            {"n": 2, "opens": [[], [True], [0, 1]]},
             [],
         ],
     )
@@ -80,6 +82,12 @@ class TestMenuFamilyFormat:
             "kind": "open",
             "menus": [[[1]]],
         }
+        with pytest.raises(FormatError):
+            menu_family_from_json(obj)
+
+    @pytest.mark.parametrize("member", [[True], ["a"], 0])
+    def test_rejects_non_point_member(self, sierpinski, member):
+        obj = {"space": space_to_json(sierpinski), "kind": "custom", "menus": [[member]]}
         with pytest.raises(FormatError):
             menu_family_from_json(obj)
 
@@ -134,6 +142,23 @@ class TestStrategyFormat:
         }
         with pytest.raises(FormatError):
             strategy_from_json(obj)
+
+
+    @pytest.mark.parametrize(
+        "player, klass, entry",
+        [
+            ("alice", "pre", {"context": True, "move": 0}),
+            ("alice", "pre", {"context": 0, "move": False}),
+            ("alice", "full", {"context": [[True]], "move": 0}),
+            ("bob", "markov", {"context": [0, True], "move": [0]}),
+            ("bob", "full", {"context": [True], "move": [0]}),
+            ("bob", "full", {"context": [], "move": [True]}),
+        ],
+    )
+    def test_rejects_booleans(self, player, klass, entry):
+        # JSON true/false must not pass for rounds, menu indices or points
+        with pytest.raises(FormatError):
+            strategy_from_json({"player": player, "class": klass, "entries": [entry]})
 
 
 class TestStableOutput:

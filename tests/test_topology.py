@@ -19,7 +19,6 @@ from topogame.topology import (
     components,
     discrete_space,
     enumerate_topologies,
-    is_connected,
     is_zero_dimensional,
     minimal_open_nbhd,
     quasi_components,
@@ -143,14 +142,14 @@ class TestEnumeration:
         with pytest.raises(CapExceeded):
             list(enumerate_topologies(5))
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_matches_preorder_oracle(self, n):
         ours = {sp.opens for sp in enumerate_topologies(n)}
         assert ours == topologies_via_preorders(n)
 
     def test_deterministic_order(self):
-        a = [sp.opens for sp in enumerate_topologies(3)]
-        b = [sp.opens for sp in enumerate_topologies(3)]
+        a = [sp.opens for sp in enumerate_topologies(4)]
+        b = [sp.opens for sp in enumerate_topologies(4)]
         assert a == b == sorted(a)
 
 
@@ -173,13 +172,14 @@ class TestCorpusInvariants:
         for _, sp in corpus3 + corpus4:
             assert components(sp).blocks == quasi_components(sp).blocks
 
-    def test_components_match_split_search(self, corpus3):
-        for _, sp in corpus3:
+    def test_components_match_split_search(self, corpus3, corpus4):
+        for _, sp in corpus3 + corpus4:
             assert list(components(sp).blocks) == components_by_split_search(sp)
 
     def test_connected_iff_trivial_clopens(self, corpus3):
         for _, sp in corpus3:
-            assert is_connected(sp) == (clopen_algebra(sp).sets == (0, sp.full))
+            connected = len(components(sp).blocks) == 1
+            assert connected == (clopen_algebra(sp).sets == (0, sp.full))
 
     def test_blocks_partition_and_are_clopen(self, corpus3):
         for _, sp in corpus3:
