@@ -21,7 +21,6 @@ from .games import (
     make_rothberger,
     playout,
     solve,
-    solve_restricted,
     verify_winning,
     winners,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "quasi_components",
     "reduced_covers",
     "solve",
-    "solve_restricted",
     "translate_b1",
     "validate_topology",
     "verify_winning",

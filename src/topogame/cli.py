@@ -167,7 +167,7 @@ def cmd_check(args) -> int:
 
 def cmd_translate(args) -> int:
     _, space = _single_space(args.space)
-    s = load_strategy(args.strategy)
+    s = load_strategy(args.strategy, space.n)
     report = lab.translate_b1(args.direction, s, space, args.horizon)
     obj = {
         "direction": report.direction,

@@ -13,9 +13,13 @@ every horizon of a game (`winners`).
 A witness is a table keyed by the history of the loser's moves. The
 winner's least optimal move depends only on (covered mask, rounds left), so
 it is chosen once per position; the table is counted on positions, skipped
-above WITNESS_CAP entries, and otherwise filled depth first with those moves.
+above WITNESS_CAP entries, and otherwise built by `unfold`. Every
+full-history table, here and in the lab, comes from `unfold`: one depth
+first walk of every line of play that asks a `choose` callback for each
+node's move.
 
-Restricted strategy classes:
+Restricted strategy classes (each search returns its PRE or MARKOV
+witness, or None when the class has no win):
   Predetermined Alice: a knowledge-set search. She commits to a menu per
     round, so the masks Bob can reach are tracked as a set.
   Markov Bob, cover target: closed form. He wins at horizon k iff the
@@ -260,7 +264,6 @@ def _extract_witness(game: GameSpec, solver: Solver, winner: str) -> Optional[St
     menus = game.menus.menus
     if not menus:
         return Strategy(player=winner, klass=FULL, table={})
-    horizon = game.horizon
     alice = winner == ALICE
     # Alice's table is keyed by Bob's replies; equal replies share a key
     replies = [tuple(dict.fromkeys(menu)) for menu in menus]
@@ -282,49 +285,64 @@ def _extract_witness(game: GameSpec, solver: Solver, winner: str) -> Optional[St
                 sizes[key] = sum(1 + size(covered | b, left - 1) for b in picks)
         return sizes[key]
 
-    if size(0, horizon) > WITNESS_CAP:
+    if size(0, game.horizon) > WITNESS_CAP:
         return None
+    return unfold(game, winner, lambda history, covered, left: moves[(covered, left)])
+
+
+def unfold(game: GameSpec, player: str, choose: Callable) -> Strategy:
+    """The full-history table of `player`, built depth first over every
+    line of play to the horizon.
+
+    choose(history, covered, left) is called once per node. For Alice it
+    returns a menu index; for Bob it returns his pick from each menu, in
+    menu order. Alice's table is keyed by Bob's replies, so equal replies
+    share a key and are walked once.
+    """
+    menus = game.menus.menus
+    replies = [tuple(dict.fromkeys(menu)) for menu in menus]
+    alice = player == ALICE
     table: dict = {}
 
-    def walk(covered: int, left: int, history: tuple) -> None:
-        if left <= 0:
-            return
-        move = moves[(covered, left)]
+    def walk(history: tuple, covered: int, left: int) -> None:
+        # called only where rounds are left, so the leaves cost no call
+        move = choose(history, covered, left)
+        left -= 1
         if alice:
             table[history] = move
-            for b in replies[move]:
-                walk(covered | b, left - 1, history + (b,))
+            if left:
+                for b in replies[move]:
+                    walk(history + (b,), covered | b, left)
         else:
             for mi, b in enumerate(move):
                 ctx = history + (mi,)
                 table[ctx] = b
-                walk(covered | b, left - 1, ctx)
+                if left:
+                    walk(ctx, covered | b, left)
 
-    walk(0, horizon, ())
-    return Strategy(player=winner, klass=FULL, table=table)
+    if game.horizon > 0:
+        walk((), 0, game.horizon)
+    return Strategy(player=player, klass=FULL, table=table)
 
 
 # ---------------------------------------------------------------------------
 # restricted strategy classes
 
 
-def _reduce_states(game: GameSpec, states: frozenset, favor_bob: bool) -> frozenset:
-    """Drop dominated covered-masks from a knowledge set.
-
-    Bob's goal is monotone in the covered mask (antitone when negated);
-    only the extremes on the relevant side matter.
-    """
-    keep_max = favor_bob != game.negated
+def _antichain(masks, keep_max: bool) -> list:
+    """The masks no other mask strictly contains (keep_max) or is strictly
+    contained in (otherwise), in input order. Runs in the innermost loop of
+    the committed search, so it is an explicit loop."""
     out = []
-    for s in states:
+    for s in masks:
         dominated = False
-        for t in states:
+        for t in masks:
             if t != s and ((s | t == t) if keep_max else (t | s == s)):
                 dominated = True
                 break
         if not dominated:
             out.append(s)
-    return frozenset(out)
+    return out
 
 
 def _committed_search(
@@ -342,6 +360,9 @@ def _committed_search(
     goal = player == BOB  # the committing player wins when bob_wins(final) == goal
     if game.horizon == 0 or not game.menus.menus:
         return [] if game.bob_wins(0) == goal else None
+    # the opponent's goal is monotone in the covered mask (antitone when
+    # negated), so only the reachable masks best for them matter
+    keep_max = goal == game.negated
     memo: dict = {}
 
     def wins(states: frozenset, rnd: int):
@@ -351,8 +372,7 @@ def _committed_search(
             return memo[key]
         result = None
         for move, masks in options():
-            nxt = frozenset({s | b for s in states for b in masks})
-            nxt = _reduce_states(game, nxt, favor_bob=not goal)
+            nxt = frozenset(_antichain({s | b for s in states for b in masks}, keep_max))
             if rnd + 1 >= game.horizon:
                 good = all(game.bob_wins(s) == goal for s in nxt)
             else:
@@ -375,19 +395,21 @@ def _committed_search(
     return seq
 
 
-def predetermined_alice_search(game: GameSpec) -> tuple[bool, Optional[list[int]]]:
-    """Does Alice have a winning strategy that only looks at the round
-    number? Bob plays with full information against the fixed menu list."""
+def predetermined_alice_search(game: GameSpec) -> Optional[Strategy]:
+    """Alice's winning strategy that only looks at the round number, or
+    None when she has none. Bob plays with full information against the
+    fixed menu list."""
     seq = _committed_search(game, ALICE, lambda: enumerate(game.menus.menus))
-    return seq is not None, seq
+    return None if seq is None else Strategy(player=ALICE, klass=PRE, table=dict(enumerate(seq)))
 
 
-def markov_bob_search(game: GameSpec) -> tuple[bool, Optional[dict]]:
-    """Does Bob have a winning strategy that only looks at Alice's current
-    move and the round number? Alice plays with full information against
-    the committed table, which maps (menu index, round) to a member."""
+def markov_bob_search(game: GameSpec) -> Optional[Strategy]:
+    """Bob's winning strategy that only looks at Alice's current move and
+    the round number, or None when he has none. Alice plays with full
+    information against the committed table, which maps (menu index,
+    round) to a member."""
     if game.horizon == 0 or not game.menus.menus:
-        return (True, {}) if game.bob_wins(0) else (False, None)
+        return Strategy(player=BOB, klass=MARKOV, table={}) if game.bob_wins(0) else None
     if not game.negated:
         return _markov_bob_cover(game)
     menus = _minimal_members(game.menus.menus)
@@ -397,8 +419,9 @@ def markov_bob_search(game: GameSpec) -> tuple[bool, Optional[dict]]:
     # a round's move is a choice vector: one member of every menu
     seq = _committed_search(game, BOB, lambda: ((v, v) for v in itertools.product(*menus)))
     if seq is None:
-        return False, None
-    return True, {(mi, rnd): b for rnd, vector in enumerate(seq) for mi, b in enumerate(vector)}
+        return None
+    table = {(mi, rnd): b for rnd, vector in enumerate(seq) for mi, b in enumerate(vector)}
+    return Strategy(player=BOB, klass=MARKOV, table=table)
 
 
 @lru_cache(maxsize=None)
@@ -406,12 +429,10 @@ def _minimal_members(menus: tuple) -> tuple:
     """Each menu cut to its subset-minimal members, in menu order. Bob wants
     to avoid covering, and a smaller selection never helps Alice, so only
     these are worth committing to."""
-    return tuple(
-        tuple(b for b in menu if not any(t != b and t | b == b for t in menu)) for menu in menus
-    )
+    return tuple(tuple(_antichain(menu, keep_max=False)) for menu in menus)
 
 
-def _markov_bob_cover(game: GameSpec) -> tuple[bool, Optional[dict]]:
+def _markov_bob_cover(game: GameSpec) -> Optional[Strategy]:
     """Markov Bob for a cover target, in closed form.
 
     Against a table b, Alice keeps a point x uncovered iff in every round
@@ -460,45 +481,13 @@ def _markov_bob_cover(game: GameSpec) -> tuple[bool, Optional[dict]]:
 
     groups = split(full)
     if groups is None or len(groups) > game.horizon:
-        return False, None
+        return None
     table = {}
     for rnd in range(game.horizon):
         g = groups[rnd] if rnd < len(groups) else 0
         for mi, menu in enumerate(menus):
             table[(mi, rnd)] = next(b for b in menu if b & g == g)
-    return True, table
-
-
-def solve_restricted(game: GameSpec, alice_class: str = FULL, bob_class: str = FULL) -> Verdict:
-    """Decide the game with one player limited to a restricted class.
-
-    The restricted player is the existential one: Alice pre vs full-info
-    Bob, or Bob markov vs full-info Alice. At most one side may be
-    restricted per call.
-    """
-    if alice_class == FULL and bob_class == FULL:
-        return solve(game)
-    if alice_class == PRE and bob_class == FULL:
-        won, seq = predetermined_alice_search(game)
-        witness = (
-            Strategy(player=ALICE, klass=PRE, table={r: mi for r, mi in enumerate(seq)})
-            if won
-            else None
-        )
-        return Verdict(winner=ALICE if won else BOB, witness=witness, horizon=game.horizon, stats=0)
-    if bob_class == MARKOV and alice_class == FULL:
-        won, table = markov_bob_search(game)
-        witness = Strategy(player=BOB, klass=MARKOV, table=table) if won else None
-        return Verdict(winner=BOB if won else ALICE, witness=witness, horizon=game.horizon, stats=0)
-    raise ValueError(f"unsupported class pair ({alice_class}, {bob_class})")
-
-
-def alice_pre_wins(game: GameSpec) -> bool:
-    return predetermined_alice_search(game)[0]
-
-
-def bob_markov_wins(game: GameSpec) -> bool:
-    return markov_bob_search(game)[0]
+    return Strategy(player=BOB, klass=MARKOV, table=table)
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,16 @@ from .games import (
     GameSpec,
     Strategy,
     Transcript,
-    alice_pre_wins,
-    bob_markov_wins,
     make_mildly_rothberger,
     make_point_clopen,
     make_point_open,
     make_quasi_component_clopen,
     make_rothberger,
+    markov_bob_search,
+    predetermined_alice_search,
     saturating_horizon,
     solve,
+    unfold,
     verify_winning,
     winners,
 )
@@ -90,8 +91,9 @@ def translate_b1(
         raise IllegalSourceStrategy("translations require full-history strategies")
     pc = make_point_clopen(space, horizon)
     qc = make_quasi_component_clopen(space, horizon)
-    blocks = quasi_components(space).blocks
     part = quasi_components(space)
+    # least-point representative of each block
+    reps = [points_of(block)[0] for block in part.blocks]
 
     src_game, tgt_game = {
         "alice-pc-to-qc": (pc, qc),
@@ -101,48 +103,24 @@ def translate_b1(
     }[direction]
     _check_source_entries(s, src_game)
 
-    table: dict = {}
     if direction.startswith("alice"):
         if s.player != ALICE:
             raise IllegalSourceStrategy("direction names Alice but strategy is Bob's")
-
-        def out_move(src_move: int) -> int:
-            if direction == "alice-pc-to-qc":
-                return part.index_of(src_move)  # point -> its block index
-            return points_of(blocks[src_move])[0]  # block -> least representative
-
-        def walk(ctx: tuple, rnd: int) -> None:
-            if rnd >= horizon:
-                return
-            src_move = s.move_for(ctx)
-            move = out_move(src_move)
-            table[ctx] = move
-            for b in tgt_game.menus.menus[move]:
-                walk(ctx + (b,), rnd + 1)
-
-        walk((), 0)
-        out = Strategy(player=ALICE, klass=FULL, table=table)
+        # a point maps to its block index, a block to its representative
+        out_move = part.index_of if direction == "alice-pc-to-qc" else reps.__getitem__
+        out = unfold(tgt_game, ALICE, lambda history, covered, left: out_move(s.move_for(history)))
     else:
         if s.player != BOB:
             raise IllegalSourceStrategy("direction names Bob but strategy is Alice's")
+        # Alice's moves in the target game, as moves in the source game
+        src_alice = reps.__getitem__ if direction == "bob-pc-to-qc" else part.index_of
+        tgt_menus = range(len(tgt_game.menus.menus))
 
-        def map_ctx(ctx: tuple) -> tuple:
-            if direction == "bob-pc-to-qc":
-                # blocks played in QC -> their least-point representatives in PC
-                return tuple(points_of(blocks[mi])[0] for mi in ctx)
-            # points played in PC -> their block indices in QC
-            return tuple(part.index_of(x) for x in ctx)
+        def picks(history: tuple, covered: int, left: int) -> tuple:
+            ctx = tuple(src_alice(mi) for mi in history)
+            return tuple(s.move_for(ctx + (src_alice(mi),)) for mi in tgt_menus)
 
-        def walk(ctx: tuple, rnd: int) -> None:
-            if rnd >= horizon:
-                return
-            for mi in range(len(tgt_game.menus.menus)):
-                new = ctx + (mi,)
-                table[new] = s.move_for(map_ctx(new))
-                walk(new, rnd + 1)
-
-        walk((), 0)
-        out = Strategy(player=BOB, klass=FULL, table=table)
+        out = unfold(tgt_game, BOB, picks)
 
     input_winning = verify_winning(src_game, s)
     output_winning = verify_winning(tgt_game, out)
@@ -275,10 +253,10 @@ def check_duality(space: FiniteSpace) -> dict:
         "bob_g1": bob_g1,
         "alice_g2": alice_g2,
         "bob_g2": bob_g2,
-        "alice_pre_g1": alice_pre_wins(g1),
-        "bob_mark_g2": bob_markov_wins(g2),
-        "alice_pre_g2": alice_pre_wins(g2),
-        "bob_mark_g1": bob_markov_wins(g1),
+        "alice_pre_g1": predetermined_alice_search(g1) is not None,
+        "bob_mark_g2": markov_bob_search(g2) is not None,
+        "alice_pre_g2": predetermined_alice_search(g2) is not None,
+        "bob_mark_g1": markov_bob_search(g1) is not None,
     }
     strategic = (facts["alice_g1"] == facts["bob_g2"]) and (facts["bob_g1"] == facts["alice_g2"])
     markov = (facts["alice_pre_g1"] == facts["bob_mark_g2"]) and (
@@ -314,8 +292,8 @@ def check_zero_dim_equivalence(space: FiniteSpace) -> dict:
         for k in range(kstar + 1)
     ]
     diverged = ro != mr or po != pc
-    pre_open = alice_pre_wins(open_game)
-    pre_clopen = alice_pre_wins(clopen_game)
+    pre_open = predetermined_alice_search(open_game) is not None
+    pre_clopen = predetermined_alice_search(clopen_game) is not None
     facts = {
         "zero_dimensional": zd,
         "per_horizon": per_horizon,
@@ -335,13 +313,13 @@ def check_th314(space: FiniteSpace) -> dict:
     are recorded as data."""
     kstar = saturating_horizon(space)
     game = make_mildly_rothberger(space, kstar)
-    s1 = not alice_pre_wins(game)
+    s1 = predetermined_alice_search(game) is None
     full = winners(game)
     no_full = full[kstar] != ALICE
     data = [
         {
             "horizon": k,
-            "s1": not alice_pre_wins(make_mildly_rothberger(space, k)),
+            "s1": predetermined_alice_search(make_mildly_rothberger(space, k)) is None,
             "alice_no_full_win": full[k] != ALICE,
         }
         for k in range(kstar)
@@ -385,10 +363,10 @@ def check_pc_qc_equivalence(space: FiniteSpace) -> dict:
             "horizon": k,
             "pc_winner": pc_winners[k],
             "qc_winner": qc_winners[k],
-            "pc_bob_mark": bob_markov_wins(pc),
-            "qc_bob_mark": bob_markov_wins(qc),
-            "pc_alice_pre": alice_pre_wins(pc),
-            "qc_alice_pre": alice_pre_wins(qc),
+            "pc_bob_mark": markov_bob_search(pc) is not None,
+            "qc_bob_mark": markov_bob_search(qc) is not None,
+            "pc_alice_pre": predetermined_alice_search(pc) is not None,
+            "qc_alice_pre": predetermined_alice_search(qc) is not None,
         }
         row_ok = (
             row["pc_winner"] == row["qc_winner"]
@@ -482,18 +460,7 @@ def check_extraction(space: FiniteSpace) -> dict:
 def _constant_block_strategy(space: FiniteSpace, horizon: int) -> Strategy:
     """Alice strategy that always names block 0; loses whenever there are
     two or more quasi-components."""
-    game = make_quasi_component_clopen(space, horizon)
-    table: dict = {}
-
-    def walk(ctx: tuple, rnd: int) -> None:
-        if rnd >= horizon:
-            return
-        table[ctx] = 0
-        for b in game.menus.menus[0]:
-            walk(ctx + (b,), rnd + 1)
-
-    walk((), 0)
-    return Strategy(player=ALICE, klass=FULL, table=table)
+    return unfold(make_quasi_component_clopen(space, horizon), ALICE, lambda *node: 0)
 
 
 def _replay_is_losing(game: GameSpec, phi: Strategy, transcript: Transcript, y: int) -> bool:

@@ -4,7 +4,9 @@ Spaces:      {"n": int, "opens": [[points ascending], ...]}
 Menu files:  {"space": {...}, "kind": "open"|"clopen"|"custom", "menus": [[[points], ...], ...]}
 Strategies:  {"player": "alice"|"bob", "class": "full"|"markov"|"pre",
               "entries": [{"context": ..., "move": ...}]}
-             (Alice plays "full" or "pre", Bob "full" or "markov")
+             (Alice plays "full" or "pre", Bob "full" or "markov"); a
+             strategy is read against the space it is for, and its points
+             must lie in 0..n-1, as a space's do
 All output uses stable key order; batch reports are JSON lines.
 JSON true/false load as bool, a subclass of int, so every integer field is
 tested with `type(x) is int`.
@@ -87,7 +89,7 @@ def strategy_to_json(s: Strategy) -> dict:
     return {"player": s.player, "class": s.klass, "entries": entries}
 
 
-def strategy_from_json(obj: Any) -> Strategy:
+def strategy_from_json(obj: Any, n: int) -> Strategy:
     try:
         player = obj["player"]
         klass = obj["class"]
@@ -102,8 +104,8 @@ def strategy_from_json(obj: Any) -> Strategy:
     for entry in entries:
         if not isinstance(entry, dict) or "context" not in entry or "move" not in entry:
             raise FormatError(f"strategy entry {entry!r} needs 'context' and 'move'")
-        ctx = _context_from_json(player, klass, entry["context"])
-        table[ctx] = _move_from_json(player, entry["move"])
+        ctx = _context_from_json(player, klass, entry["context"], n)
+        table[ctx] = _move_from_json(player, entry["move"], n)
     return Strategy(player=player, klass=klass, table=table)
 
 
@@ -123,7 +125,7 @@ def _context_to_json(s: Strategy, ctx):
     return list(ctx)  # Alice's menu indices
 
 
-def _context_from_json(player: str, klass: str, raw):
+def _context_from_json(player: str, klass: str, raw, n: int):
     if klass == PRE:
         if type(raw) is not int:
             raise FormatError("predetermined context must be a round number")
@@ -135,7 +137,7 @@ def _context_from_json(player: str, klass: str, raw):
     if not isinstance(raw, list):
         raise FormatError("full-history context must be a list")
     if player == ALICE:
-        return tuple(_mask_from_points(entry) for entry in raw)
+        return tuple(mask_of(_points(entry), n) for entry in raw)
     if not all(type(mi) is int for mi in raw):
         raise FormatError("bob full-history context must be a list of menu indices")
     return tuple(raw)
@@ -147,25 +149,16 @@ def _move_to_json(s: Strategy, move):
     return points_of(move)
 
 
-def _move_from_json(player: str, raw):
+def _move_from_json(player: str, raw, n: int):
     if player == ALICE:
         if type(raw) is not int:
             raise FormatError("alice move must be a menu index")
         return raw
-    return _mask_from_points(raw)
+    return mask_of(_points(raw), n)
 
 
-def _mask_from_points(raw) -> int:
-    m = 0
-    for p in _points(raw):
-        if p < 0:
-            raise FormatError(f"point set {raw!r} must be a list of points")
-        m |= 1 << p
-    return m
-
-
-def load_strategy(path: str) -> Strategy:
-    return strategy_from_json(_load_json(path))
+def load_strategy(path: str, n: int) -> Strategy:
+    return strategy_from_json(_load_json(path), n)
 
 
 def verdict_to_json(v: Verdict) -> dict:

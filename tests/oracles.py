@@ -230,7 +230,7 @@ def markov_bob_oracle(game: GameSpec):
     In each round Bob commits to a choice vector (one member of every
     menu, none pruned), and the search tracks the set of covered masks
     Alice can steer the play into. Returns (won, {(menu index, round):
-    member}) like `markov_bob_search`, with None in place of a lost table.
+    member}), with None in place of a lost table.
     """
     menus = game.menus.menus
     full = game.space.full

@@ -13,13 +13,13 @@ from oracles import history_tree_winner, reversed_game, topologies_via_preorders
 from topogame.games import (
     ALICE,
     BOB,
-    alice_pre_wins,
-    bob_markov_wins,
     make_mildly_rothberger,
     make_point_clopen,
     make_point_open,
     make_quasi_component_clopen,
     make_rothberger,
+    markov_bob_search,
+    predetermined_alice_search,
     solve,
 )
 from topogame.lab import (
@@ -123,9 +123,9 @@ class TestAcceptance:
                     winner = solve(game, want_witness=False).winner
                     ok = ok and winner in (ALICE, BOB)
                     ok = ok and solve(reversed_game(game), want_witness=False).winner == winner
-                    if bob_markov_wins(game):
+                    if markov_bob_search(game) is not None:
                         ok = ok and winner == BOB
-                    if alice_pre_wins(game):
+                    if predetermined_alice_search(game) is not None:
                         ok = ok and winner == ALICE
         _report(9, "determinacy and strategy-class chain (389 spaces)", ok)
 

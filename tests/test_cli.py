@@ -336,6 +336,27 @@ class TestTranslate:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("point", [5, 200_000_000])
+    def test_strategy_point_outside_space(self, capsys, tmp_path, point):
+        # a point is checked against the space before it becomes a mask,
+        # so a huge one is refused without building a huge int
+        entries = [{"context": [], "move": 0}, {"context": [[point]], "move": 0}]
+        strat_path = tmp_path / "strategy.json"
+        strat_path.write_text(json.dumps({"player": "alice", "class": "full", "entries": entries}))
+        code, _, err = run(
+            capsys,
+            "translate",
+            str(strat_path),
+            "--direction",
+            "alice-pc-to-qc",
+            "--space",
+            "enum:n=2:i=0",
+            "--horizon",
+            "1",
+        )
+        assert code == 2
+        assert "error:" in err
+
 
 class TestPlay:
     def test_human_alice_loses_to_solver(self, capsys, monkeypatch, space_file, tmp_path):

@@ -22,8 +22,6 @@ from topogame.games import (
     GAME_BUILDERS,
     GameSpec,
     Strategy,
-    alice_pre_wins,
-    bob_markov_wins,
     make_mildly_rothberger,
     make_point_clopen,
     make_point_open,
@@ -31,13 +29,13 @@ from topogame.games import (
     make_rothberger,
     markov_bob_search,
     playout,
+    predetermined_alice_search,
     saturating_horizon,
     solve,
-    solve_restricted,
     verify_winning,
     winners,
 )
-from topogame.serialize import dumps_stable, verdict_to_json
+from topogame.serialize import dumps_stable, strategy_to_json, verdict_to_json
 from topogame.topology import discrete_space, enumerate_topologies, validate_topology
 
 ALL_GAMES = [
@@ -119,17 +117,16 @@ class TestDeterminacyAndMonotonicity:
 
 class TestRestrictedClasses:
     def test_bob_markov_two_block(self, two_block3):
-        v = solve_restricted(make_mildly_rothberger(two_block3, 2), bob_class=MARKOV)
-        assert v.winner == BOB
-        assert v.witness is not None and v.witness.klass == MARKOV
-        assert verify_winning(make_mildly_rothberger(two_block3, 2), v.witness)
+        game = make_mildly_rothberger(two_block3, 2)
+        s = markov_bob_search(game)
+        assert s is not None and (s.player, s.klass) == (BOB, MARKOV)
+        assert verify_winning(game, s)
 
     def test_alice_pre_discrete2(self):
         game = make_rothberger(discrete_space(2), 1)
-        v = solve_restricted(game, alice_class=PRE)
-        assert v.winner == ALICE
-        assert v.witness is not None and v.witness.klass == PRE
-        assert verify_winning(game, v.witness)
+        s = predetermined_alice_search(game)
+        assert s is not None and (s.player, s.klass) == (ALICE, PRE)
+        assert verify_winning(game, s)
 
     def test_class_chain(self, corpus3):
         for _, sp in corpus3:
@@ -137,9 +134,9 @@ class TestRestrictedClasses:
                 for k in range(sp.n + 1):
                     game = make(sp, k)
                     winner = solve(game, want_witness=False).winner
-                    if bob_markov_wins(game):
+                    if markov_bob_search(game) is not None:
                         assert winner == BOB
-                    if alice_pre_wins(game):
+                    if predetermined_alice_search(game) is not None:
                         assert winner == ALICE
 
     def test_markov_bob_matches_oracle(self, corpus3):
@@ -147,22 +144,21 @@ class TestRestrictedClasses:
             for make in ALL_GAMES:
                 for k in range(sp.n + 1):
                     game = make(sp, k)
-                    won, table = markov_bob_search(game)
-                    assert won == markov_bob_oracle(game)[0], (sp, make.__name__, k)
-                    if won:
-                        witness = Strategy(player=BOB, klass=MARKOV, table=table)
-                        assert verify_winning(game, witness), (sp, make.__name__, k)
+                    s = markov_bob_search(game)
+                    assert (s is not None) == markov_bob_oracle(game)[0], (sp, make.__name__, k)
+                    if s is not None:
+                        assert verify_winning(game, s), (sp, make.__name__, k)
 
     @pytest.mark.parametrize("k, bob_wins", [(3, False), (4, True)])
     def test_markov_bob_discrete4(self, k, bob_wins):
         # 49 clopen covers: an unpruned search would face 4.2e18 choice vectors
         game = make_mildly_rothberger(discrete_space(4), k)
         start = time.monotonic()
-        won, table = markov_bob_search(game)
+        s = markov_bob_search(game)
         assert time.monotonic() - start < 1.0
-        assert won == bob_wins
-        if won:
-            assert verify_winning(game, Strategy(player=BOB, klass=MARKOV, table=table))
+        assert (s is not None) == bob_wins
+        if s is not None:
+            assert verify_winning(game, s)
 
     def test_markov_bob_choice_vector_cap(self):
         # every two-point set is minimal, so pruning keeps all 6 per menu
@@ -172,10 +168,6 @@ class TestRestrictedClasses:
         assert len(pairs) ** 8 > DEFAULT_CAP
         with pytest.raises(CapExceeded):
             markov_bob_search(GameSpec(d4, menus, True, 1))
-
-    def test_both_restricted_rejected(self, two_block3):
-        with pytest.raises(ValueError):
-            solve_restricted(make_mildly_rothberger(two_block3, 1), alice_class=PRE, bob_class=MARKOV)
 
 
 class TestMenuBasisInvariance:
@@ -205,13 +197,16 @@ class TestMenuBasisInvariance:
 
 class TestS1Bridge:
     def test_pre_failure_equals_selection_principle(self, corpus3):
-        for _, sp in corpus3:
-            if sp.n > 2:
-                continue
-            for make in (make_rothberger, make_mildly_rothberger):
-                no_pre = all(not alice_pre_wins(make(sp, k)) for k in range(sp.n + 1))
-                principle = all(selection_principle(make(sp, k)) for k in range(sp.n + 1))
-                assert no_pre == principle
+        # Alice's committed menu sequence loses iff every sequence of menus
+        # admits a selection meeting Bob's goal, in every game
+        for name, sp in corpus3:
+            for make in ALL_GAMES:
+                for k in range(sp.n + 1):
+                    game = make(sp, k)
+                    s = predetermined_alice_search(game)
+                    assert (s is None) == selection_principle(game), (name, make.__name__, k)
+                    if s is not None:
+                        assert verify_winning(game, s), (name, make.__name__, k)
 
 
 class TestWinners:
@@ -341,6 +336,19 @@ class TestPinnedVerdicts:
         lines = _verdict_lines(corpus4[0][1], [4]) + _verdict_lines(corpus4[1][1], [4])
         assert len(lines) == 10
         assert _sha256(lines) == "9b99a9ef56a81686e3843c507fa4ca10d658567c75899fa276892363c819a4d8"
+
+    def test_restricted_witnesses_n4(self, corpus3, corpus4):
+        # the predetermined-Alice, then the Markov-Bob witness of each game
+        # and horizon; null when the class has no win
+        lines = []
+        for _, sp in corpus3 + corpus4:
+            for name in sorted(GAME_BUILDERS):
+                for k in range(sp.n + 1):
+                    game = GAME_BUILDERS[name](sp, k)
+                    for s in (predetermined_alice_search(game), markov_bob_search(game)):
+                        lines.append(dumps_stable(None if s is None else strategy_to_json(s)) + "\n")
+        assert len(lines) == 19050
+        assert _sha256(lines) == "4051950e2681fbff04f8698d5c6000917ca87c54f69576921fc34176f9fc3673"
 
     def test_witness_over_cap_is_skipped(self):
         assert solve(make_rothberger(discrete_space(4), 4)).witness is None

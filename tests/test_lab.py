@@ -31,7 +31,7 @@ from topogame.topology import (
     quasi_components,
     validate_topology,
 )
-from topogame.serialize import dumps_stable
+from topogame.serialize import dumps_stable, strategy_to_json
 
 
 class TestTranslations:
@@ -204,4 +204,27 @@ class TestChecks:
         assert len(lines) == 389
         assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
             "624a939474cb6e40c1946e757164031a41bf9299647b5a12ca569effec1b1dbe"
+        )
+
+
+class TestPinnedTranslations:
+    def test_translated_witnesses_n4(self, corpus3, corpus4):
+        # the translation of each solver witness of the point-clopen, then
+        # the block game; null when the solver skips the witness
+        lines = []
+        for _, sp in corpus3 + corpus4:
+            for k in range(sp.n + 1):
+                for make, directions in (
+                    (make_point_clopen, {ALICE: "alice-pc-to-qc", BOB: "bob-pc-to-qc"}),
+                    (make_quasi_component_clopen, {ALICE: "alice-qc-to-pc", BOB: "bob-qc-to-pc"}),
+                ):
+                    v = solve(make(sp, k))
+                    out = None
+                    if v.witness is not None:
+                        report = translate_b1(directions[v.winner], v.witness, sp, k)
+                        out = strategy_to_json(report.output)
+                    lines.append(dumps_stable(out) + "\n")
+        assert len(lines) == 3810
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+            "8644a2387951be81def8f28877d5c94c959396245e628d371ef29078911cc24c"
         )

@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topogame.errors import FormatError, MissingEmptyOrFull
+from topogame.errors import FormatError, MissingEmptyOrFull, PointOutOfRange
 from topogame.games import (
     ALICE,
     BOB,
     GameSpec,
     make_mildly_rothberger,
+    make_rothberger,
+    markov_bob_search,
+    predetermined_alice_search,
     solve,
-    solve_restricted,
 )
 from topogame.serialize import (
     dumps_stable,
@@ -101,37 +103,47 @@ class TestStrategyFormat:
     def test_full_bob_roundtrip(self, two_block3):
         v = solve(make_mildly_rothberger(two_block3, 2))
         s = v.witness
-        back = strategy_from_json(json.loads(dumps_stable(strategy_to_json(s))))
+        back = strategy_from_json(json.loads(dumps_stable(strategy_to_json(s))), 3)
         assert back == s
 
     def test_markov_roundtrip(self, two_block3):
-        v = solve_restricted(make_mildly_rothberger(two_block3, 2), bob_class="markov")
-        back = strategy_from_json(strategy_to_json(v.witness))
-        assert back == v.witness
+        s = markov_bob_search(make_mildly_rothberger(two_block3, 2))
+        assert s is not None
+        assert strategy_from_json(strategy_to_json(s), 3) == s
 
     def test_pre_roundtrip(self):
-        from topogame.games import make_rothberger
-
-        v = solve_restricted(make_rothberger(discrete_space(2), 1), alice_class="pre")
-        back = strategy_from_json(strategy_to_json(v.witness))
-        assert back == v.witness
+        s = predetermined_alice_search(make_rothberger(discrete_space(2), 1))
+        assert s is not None
+        assert strategy_from_json(strategy_to_json(s), 2) == s
 
     def test_alice_full_roundtrip(self, two_block3):
         v = solve(make_mildly_rothberger(two_block3, 1))
         assert v.winner == ALICE
-        back = strategy_from_json(strategy_to_json(v.witness))
+        back = strategy_from_json(strategy_to_json(v.witness), 3)
         assert back == v.witness
+
+    @pytest.mark.parametrize(
+        "player, entry",
+        [
+            ("alice", {"context": [[2]], "move": 0}),
+            ("bob", {"context": [0], "move": [0, 2]}),
+        ],
+    )
+    def test_rejects_point_outside_space(self, player, entry):
+        obj = {"player": player, "class": "full", "entries": [entry]}
+        with pytest.raises(PointOutOfRange):
+            strategy_from_json(obj, 2)
 
     def test_rejects_bad_class(self):
         with pytest.raises(FormatError):
-            strategy_from_json({"player": "alice", "class": "psychic", "entries": []})
+            strategy_from_json({"player": "alice", "class": "psychic", "entries": []}, 2)
 
     @pytest.mark.parametrize("player, klass", [("alice", "markov"), ("bob", "pre")])
     def test_rejects_class_of_the_other_player(self, player, klass):
         # verification memoizes only predetermined Alice and Markov Bob; the
         # crossed pairs would be looked up as full-history tables
         with pytest.raises(FormatError):
-            strategy_from_json({"player": player, "class": klass, "entries": []})
+            strategy_from_json({"player": player, "class": klass, "entries": []}, 2)
 
     @pytest.mark.parametrize("klass", ["markov", "full"])
     def test_rejects_non_integer_bob_context(self, klass):
@@ -141,7 +153,7 @@ class TestStrategyFormat:
             "entries": [{"context": [[0], [1]], "move": [0]}],
         }
         with pytest.raises(FormatError):
-            strategy_from_json(obj)
+            strategy_from_json(obj, 2)
 
 
     @pytest.mark.parametrize(
@@ -158,7 +170,7 @@ class TestStrategyFormat:
     def test_rejects_booleans(self, player, klass, entry):
         # JSON true/false must not pass for rounds, menu indices or points
         with pytest.raises(FormatError):
-            strategy_from_json({"player": player, "class": klass, "entries": [entry]})
+            strategy_from_json({"player": player, "class": klass, "entries": [entry]}, 2)
 
 
 class TestStableOutput:
