@@ -337,6 +337,17 @@ class TestPinnedVerdicts:
         assert len(lines) == 10
         assert _sha256(lines) == "9b99a9ef56a81686e3843c507fa4ca10d658567c75899fa276892363c819a4d8"
 
+    def test_every_n4_space_at_horizon_4(self):
+        # about 54 MB of witness JSON, hashed line by line
+        digest = hashlib.sha256()
+        count = 0
+        for sp in enumerate_topologies(4):
+            for line in _verdict_lines(sp, [4]):
+                digest.update(line.encode())
+                count += 1
+        assert count == 1775
+        assert digest.hexdigest() == "c74b3ae0772acad3142a51f0c72b4c79ef73c5f2c32a863afe650d74b9020908"
+
     def test_restricted_witnesses_n4(self, corpus3, corpus4):
         # the predetermined-Alice, then the Markov-Bob witness of each game
         # and horizon; null when the class has no win
