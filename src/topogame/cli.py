@@ -11,7 +11,6 @@ format errors, 3 cap exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Iterable, Optional
 

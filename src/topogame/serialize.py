@@ -8,6 +8,9 @@ Strategies:  {"player": "alice"|"bob", "class": "full"|"markov"|"pre",
              strategy is read against the space it is for, and its points
              must lie in 0..n-1, as a space's do
 All output uses stable key order; batch reports are JSON lines.
+`strategy_to_json` builds one point list per distinct mask and shares it
+between entries, so its dict is to be read or encoded, not mutated;
+`dumps_stable` skips the encoder's cycle check and expects acyclic input.
 JSON true/false load as bool, a subclass of int, so every integer field is
 tested with `type(x) is int`.
 """
@@ -83,9 +86,18 @@ def menu_family_from_json(obj: Any) -> tuple[FiniteSpace, MenuFamily]:
 
 
 def strategy_to_json(s: Strategy) -> dict:
-    entries = []
-    for ctx in sorted(s.table, key=_context_sort_key):
-        entries.append({"context": _context_to_json(s, ctx), "move": _move_to_json(s, s.table[ctx])})
+    table = s.table
+    contexts = sorted(table)
+    if s.klass == FULL:
+        contexts.sort(key=len)  # stable: shorter histories first, each length in order
+    if s.player == BOB:
+        pts = {m: points_of(m) for m in set(table.values())}
+        entries = [{"context": list(ctx), "move": pts[table[ctx]]} for ctx in contexts]
+    elif s.klass == PRE:
+        entries = [{"context": ctx, "move": table[ctx]} for ctx in contexts]
+    else:  # Alice full: contexts are Bob's prior moves
+        pts = {m: points_of(m) for m in set().union(*table)}
+        entries = [{"context": [pts[m] for m in ctx], "move": table[ctx]} for ctx in contexts]
     return {"player": s.player, "class": s.klass, "entries": entries}
 
 
@@ -109,22 +121,6 @@ def strategy_from_json(obj: Any, n: int) -> Strategy:
     return Strategy(player=player, klass=klass, table=table)
 
 
-def _context_sort_key(ctx):
-    if isinstance(ctx, int):
-        return (0, ctx)
-    return (len(ctx), ctx)
-
-
-def _context_to_json(s: Strategy, ctx):
-    if s.klass == PRE:
-        return ctx
-    if s.klass == MARKOV:
-        return [ctx[0], ctx[1]]
-    if s.player == ALICE:
-        return [points_of(m) for m in ctx]  # Bob's prior moves
-    return list(ctx)  # Alice's menu indices
-
-
 def _context_from_json(player: str, klass: str, raw, n: int):
     if klass == PRE:
         if type(raw) is not int:
@@ -141,12 +137,6 @@ def _context_from_json(player: str, klass: str, raw, n: int):
     if not all(type(mi) is int for mi in raw):
         raise FormatError("bob full-history context must be a list of menu indices")
     return tuple(raw)
-
-
-def _move_to_json(s: Strategy, move):
-    if s.player == ALICE:
-        return move
-    return points_of(move)
 
 
 def _move_from_json(player: str, raw, n: int):
@@ -174,5 +164,8 @@ def transcript_to_json(t: Transcript) -> dict:
     }
 
 
+_ENCODER = json.JSONEncoder(check_circular=False)  # default separators: ", " and ": "
+
+
 def dumps_stable(obj: Any) -> str:
-    return json.dumps(obj, separators=(", ", ": "))
+    return _ENCODER.encode(obj)

@@ -7,8 +7,6 @@ under capture they still appear in the test report output).
 import sys
 import time
 
-import pytest
-
 from oracles import history_tree_winner, reversed_game, topologies_via_preorders
 from topogame.games import (
     ALICE,

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,10 @@ from topogame.errors import FormatError, MissingEmptyOrFull, PointOutOfRange
 from topogame.games import (
     ALICE,
     BOB,
+    FULL,
+    GAME_BUILDERS,
+    MARKOV,
+    PRE,
     GameSpec,
     make_mildly_rothberger,
     make_rothberger,
@@ -115,6 +120,23 @@ class TestStrategyFormat:
         s = predetermined_alice_search(make_rothberger(discrete_space(2), 1))
         assert s is not None
         assert strategy_from_json(strategy_to_json(s), 2) == s
+
+    def test_roundtrip_every_witness_n3(self, corpus3):
+        # solver, predetermined-Alice and Markov-Bob witnesses of every game
+        # and horizon; the dict form must be readable as it is and encode
+        # to the same data, point lists shared between entries included
+        count = Counter()
+        for _, sp in corpus3:
+            for name in sorted(GAME_BUILDERS):
+                for k in range(sp.n + 1):
+                    game = GAME_BUILDERS[name](sp, k)
+                    found = (solve(game).witness, predetermined_alice_search(game), markov_bob_search(game))
+                    for s in filter(None, found):
+                        obj = strategy_to_json(s)
+                        assert strategy_from_json(obj, sp.n) == s
+                        assert json.loads(dumps_stable(obj)) == obj
+                        count[s.player, s.klass] += 1
+        assert count == {(ALICE, FULL): 344, (ALICE, PRE): 344, (BOB, FULL): 306, (BOB, MARKOV): 306}
 
     def test_alice_full_roundtrip(self, two_block3):
         v = solve(make_mildly_rothberger(two_block3, 1))
