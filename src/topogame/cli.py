@@ -200,7 +200,7 @@ def cmd_play(args) -> int:
     game = GAME_BUILDERS[args.game](space, args.horizon)
     menus = game.menus.menus
     human = args.role
-    solver = Solver(game)
+    solver = Solver(game, menus)
     covered = 0
     rounds = []
     for rnd in range(game.horizon if menus else 0):

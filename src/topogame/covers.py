@@ -22,7 +22,7 @@ from .topology import FiniteSpace, clopen_algebra, quasi_components
 
 DEFAULT_CAP = 10**6
 
-Menu = tuple[int, ...]  # nonempty family of point sets, sorted ascending
+Menu = tuple[int, ...]  # nonempty family of distinct point sets, sorted ascending
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,8 @@ class MenuFamily:
     def __post_init__(self):
         if not all(self.menus):
             raise ValueError("every menu must be nonempty")
+        if any(len(set(menu)) < len(menu) for menu in self.menus):
+            raise ValueError("no menu may list a member twice")
 
 
 def _kind_sets(space: FiniteSpace, kind: str) -> list[int]:

@@ -10,6 +10,20 @@ The main solver does backward induction on (covered mask, rounds left). A
 position's value does not depend on the horizon, so one solver answers
 every horizon of a game (`winners`).
 
+A solve that reports only the winner (`winners`, and `solve` without a
+witness) searches the dominant menus (`_dominant_menus`). Bob's goal is
+monotone in the covered mask (antitone when negated), and so, by induction
+on the rounds left, is the value of every position. A member inside
+another member of its menu (containing it, when negated) is therefore
+never a better reply for Bob at any position, and a menu whose members
+each lie inside (contain) a member of another menu is never a worse move
+for Alice. Cutting both leaves the value of every position unchanged.
+This is the finite form of refinement: on a finite space O cuts to the
+cover by the maximal minimal neighbourhoods, C_O to the quasi-component
+partition, and each point menu to its least member. Witnesses, `play`,
+`unfold`, the restricted searches and `verify_winning` use the full
+family, so move indices and witness tables are those of the full family.
+
 A witness is a table keyed by the history of the loser's moves. The
 winner's least optimal move depends only on (covered mask, rounds left), so
 it is chosen once per position; the table is counted on positions, skipped
@@ -104,7 +118,9 @@ class Verdict:
     winner: str
     witness: Optional[Strategy]
     horizon: int
-    stats: int  # explored abstract states
+    # explored abstract states; a solve without a witness counts the states
+    # of the game cut to its dominant menus
+    stats: int
 
 
 @dataclass(frozen=True)
@@ -196,9 +212,9 @@ class Solver:
     its target, so one solver answers every horizon.
     """
 
-    def __init__(self, game: GameSpec):
+    def __init__(self, game: GameSpec, menus: tuple):
         self.memo: dict = {}
-        self.menus = game.menus.menus
+        self.menus = menus
         self.full = game.space.full
         # the winner of a play whose covered mask is full, and of a
         # finished play whose mask is not (GameSpec.bob_wins, inlined)
@@ -242,8 +258,12 @@ class Solver:
 
 def solve(game: GameSpec, want_witness: bool = True) -> Verdict:
     """Exact game value under optimal play, with a witness strategy for the
-    winner when the history tree is small enough to tabulate."""
-    solver = Solver(game)
+    winner when the history tree is small enough to tabulate. Without a
+    witness only the dominant menus are searched."""
+    menus = game.menus.menus
+    if not want_witness:
+        menus = _dominant_menus(menus, game.negated)
+    solver = Solver(game, menus)
     winner = solver.value(0, game.horizon)
     witness = None
     if want_witness:
@@ -252,9 +272,56 @@ def solve(game: GameSpec, want_witness: bool = True) -> Verdict:
 
 
 def winners(game: GameSpec) -> list[str]:
-    """The winner at each horizon 0..game.horizon, from one solver."""
-    solver = Solver(game)
+    """The winner at each horizon 0..game.horizon, from one solver over the
+    dominant menus."""
+    solver = Solver(game, _dominant_menus(game.menus.menus, game.negated))
     return [solver.value(0, k) for k in range(game.horizon + 1)]
+
+
+@lru_cache(maxsize=None)
+def _subsets(width: int) -> tuple:
+    """Bit g of _subsets(width)[b] is set iff g is a subset of b, for every
+    mask b of `width` bits."""
+    below = [1]
+    for b in range(1, 1 << width):
+        low = b & -b
+        # a subset of b omits its lowest point, or is such a subset plus it
+        below.append(below[b ^ low] | below[b ^ low] << low)
+    return tuple(below)
+
+
+@lru_cache(maxsize=None)
+def _dominant_menus(menus: tuple, negated: bool) -> tuple:
+    """The menus a winner-only solve needs, in menu order.
+
+    Each menu keeps the members no other member beats for Bob: the maximal
+    ones, or the minimal ones when negated. A menu is then dropped when a
+    kept menu beats it for Alice, that is, when every member of the kept
+    menu lies inside (contains, when negated) a member of this one; of
+    equal menus the first is kept.
+    """
+    width = max((b.bit_length() for menu in menus for b in menu), default=0)
+    # complements reverse inclusion, so a negated target is a cover target
+    # on the complemented members
+    flip = (1 << width) - 1 if negated else 0
+    below = _subsets(width)
+    kept: list = []  # (members kept, their bitset over masks, its down-closure)
+    for menu in menus:
+        strict = 0  # bitset of the masks strictly inside some member
+        for b in menu:
+            f = b ^ flip
+            strict |= below[f] ^ (1 << f)
+        top = tuple(b for b in menu if not strict >> (b ^ flip) & 1)
+        bits = 0
+        for b in top:
+            bits |= 1 << (b ^ flip)
+        reach = strict | bits
+        if any(not k_bits & ~reach for _, k_bits, _ in kept):
+            continue  # an earlier kept menu is at least as good for Alice
+        # drop the kept menus this one beats (none of them equals it)
+        kept = [k for k in kept if bits & ~k[2]]
+        kept.append((top, bits, reach))
+    return tuple(top for top, _, _ in kept)
 
 
 def _extract_witness(game: GameSpec, solver: Solver, winner: str) -> Optional[Strategy]:
@@ -265,8 +332,6 @@ def _extract_witness(game: GameSpec, solver: Solver, winner: str) -> Optional[St
     if not menus:
         return Strategy(player=winner, klass=FULL, table={})
     alice = winner == ALICE
-    # Alice's table is keyed by Bob's replies; equal replies share a key
-    replies = [tuple(dict.fromkeys(menu)) for menu in menus]
     moves: dict = {}  # (covered, left) -> Alice's menu index, or Bob's pick per menu
     sizes: dict = {}  # (covered, left) -> table entries at and below the position
 
@@ -277,7 +342,7 @@ def _extract_witness(game: GameSpec, solver: Solver, winner: str) -> Optional[St
         if key not in sizes:
             if alice:
                 mi = moves[key] = optimal_move(solver, covered, left)
-                sizes[key] = 1 + sum(size(covered | b, left - 1) for b in replies[mi])
+                sizes[key] = 1 + sum(size(covered | b, left - 1) for b in menus[mi])
             else:
                 picks = moves[key] = tuple(
                     optimal_move(solver, covered, left, mi) for mi in range(len(menus))
@@ -296,11 +361,9 @@ def unfold(game: GameSpec, player: str, choose: Callable) -> Strategy:
 
     choose(history, covered, left) is called once per node. For Alice it
     returns a menu index; for Bob it returns his pick from each menu, in
-    menu order. Alice's table is keyed by Bob's replies, so equal replies
-    share a key and are walked once.
+    menu order. Alice's table is keyed by Bob's replies.
     """
     menus = game.menus.menus
-    replies = [tuple(dict.fromkeys(menu)) for menu in menus]
     alice = player == ALICE
     table: dict = {}
 
@@ -311,7 +374,7 @@ def unfold(game: GameSpec, player: str, choose: Callable) -> Strategy:
         if alice:
             table[history] = move
             if left:
-                for b in replies[move]:
+                for b in menus[move]:
                     walk(history + (b,), covered | b, left)
         else:
             for mi, b in enumerate(move):
@@ -446,11 +509,7 @@ def _markov_bob_cover(game: GameSpec) -> Optional[Strategy]:
     full = game.space.full
     # bitsets over masks: bit g of below[b] is set iff g is a subset of b,
     # and bit g of good iff every menu has a member containing g
-    below = [1]
-    for b in range(1, full + 1):
-        low = b & -b
-        # a subset of b omits its lowest point, or is such a subset plus it
-        below.append(below[b ^ low] | below[b ^ low] << low)
+    below = _subsets(game.space.n)
     good = -1
     for menu in menus:
         reach = 0

@@ -76,6 +76,9 @@ def menu_family_from_json(obj: Any) -> tuple[FiniteSpace, MenuFamily]:
         if not isinstance(menu, list) or not menu:
             raise FormatError("each menu must be a nonempty list of point sets")
         masks = tuple(sorted(mask_of(_points(entry), space.n) for entry in menu))
+        for m, nxt in zip(masks, masks[1:]):
+            if m == nxt:
+                raise FormatError(f"menu lists member {points_of(m)} twice")
         for m in masks:
             if kind == "open" and not space.is_open(m):
                 raise FormatError(f"menu member {points_of(m)} is not open")

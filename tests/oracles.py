@@ -5,19 +5,21 @@ production code. Production builds a topology from one minimal open
 neighbourhood per point, pruned as it goes; the oracle brute-forces every
 reflexive transitive relation and reads off its up-sets. Components come
 from definitional split search rather than from quasi-components, and the
-game value from an unabstracted history tree.
+game value from an unabstracted history tree. `random_alexandrov` samples
+spaces past the enumerated sizes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
 from typing import Iterable
 
 from topogame.covers import DEFAULT_CAP, Cover, MenuFamily
 from topogame.errors import CapExceeded
 from topogame.games import GameSpec
-from topogame.topology import FiniteSpace, clopen_algebra, full_mask
+from topogame.topology import FiniteSpace, clopen_algebra, full_mask, validate_topology
 
 
 def topologies_via_preorders(n: int) -> set[tuple[int, ...]]:
@@ -56,6 +58,23 @@ def _is_up_set(mask: int, rel: set, n: int) -> bool:
                 if (i, j) in rel and not mask & (1 << j):
                     return False
     return True
+
+
+def random_alexandrov(rng: random.Random, n: int) -> FiniteSpace:
+    """Up-sets of a random preorder on n points; the density is drawn per
+    space, so both sparse (many opens) and dense preorders occur."""
+    p = rng.random() / 2
+    up = [1 << x for x in range(n)]  # up[x]: the points above x
+    for x in range(n):
+        for y in range(n):
+            if x != y and rng.random() < p:
+                up[x] |= 1 << y
+    for k in range(n):  # transitive closure (Warshall)
+        for x in range(n):
+            if up[x] >> k & 1:
+                up[x] |= up[k]
+    opens = [m for m in range(1 << n) if all(up[x] | m == m for x in range(n) if m >> x & 1)]
+    return validate_topology(opens, n)
 
 
 def is_connected_subset(space: FiniteSpace, s: int) -> bool:

@@ -12,6 +12,7 @@ from oracles import (
     irredundant_covers_by_subset_test,
     is_reflection,
     is_selection_basis,
+    random_alexandrov,
 )
 from topogame.covers import (
     MenuFamily,
@@ -79,27 +80,10 @@ class TestCoverEnumeration:
 
     @pytest.mark.parametrize("seed", range(24))
     def test_matches_scan_random5(self, seed):
-        sp = _random_alexandrov(random.Random(seed), 5)
+        sp = random_alexandrov(random.Random(seed), 5)
         for kind in ("open", "clopen"):
             ours = [c.members for c in reduced_covers(sp, kind)]
             assert ours == irredundant_covers_by_scan(sp, kind)
-
-
-def _random_alexandrov(rng: random.Random, n: int):
-    """Up-sets of a random preorder on n points; the density is drawn per
-    space, so both sparse (many opens) and dense preorders occur."""
-    p = rng.random() / 2
-    up = [1 << x for x in range(n)]  # up[x]: the points above x
-    for x in range(n):
-        for y in range(n):
-            if x != y and rng.random() < p:
-                up[x] |= 1 << y
-    for k in range(n):  # transitive closure (Warshall)
-        for x in range(n):
-            if up[x] >> k & 1:
-                up[x] |= up[k]
-    opens = [m for m in range(1 << n) if all(up[x] | m == m for x in range(n) if m >> x & 1)]
-    return validate_topology(opens, n)
 
 
 class TestPointBases:
@@ -129,6 +113,10 @@ class TestPointBases:
     def test_empty_menu_rejected(self):
         with pytest.raises(ValueError):
             MenuFamily(menus=((),), label="custom")
+
+    def test_repeated_member_rejected(self):
+        with pytest.raises(ValueError):
+            MenuFamily(menus=((0b01, 0b11), (0b01, 0b01)), label="custom")
 
 
 class TestSelectionBasis:

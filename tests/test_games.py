@@ -1,4 +1,5 @@
 import hashlib
+import random
 import time
 
 import pytest
@@ -8,6 +9,7 @@ from oracles import (
     history_tree_winner,
     is_selection_basis,
     markov_bob_oracle,
+    random_alexandrov,
     reversed_game,
     selection_principle,
 )
@@ -21,7 +23,9 @@ from topogame.games import (
     PRE,
     GAME_BUILDERS,
     GameSpec,
+    Solver,
     Strategy,
+    _dominant_menus,
     make_mildly_rothberger,
     make_point_clopen,
     make_point_open,
@@ -36,7 +40,13 @@ from topogame.games import (
     winners,
 )
 from topogame.serialize import dumps_stable, strategy_to_json, verdict_to_json
-from topogame.topology import discrete_space, enumerate_topologies, validate_topology
+from topogame.topology import (
+    discrete_space,
+    enumerate_topologies,
+    minimal_open_nbhd,
+    quasi_components,
+    validate_topology,
+)
 
 ALL_GAMES = [
     make_rothberger,
@@ -214,14 +224,97 @@ class TestWinners:
         # n + 2 runs past the saturating horizon
         for _, sp in corpus3 + corpus4:
             for make in ALL_GAMES:
-                expected = [
-                    solve(make(sp, k), want_witness=False).winner for k in range(sp.n + 3)
-                ]
+                # a fresh full-family solver per horizon
+                expected = []
+                for k in range(sp.n + 3):
+                    game = make(sp, k)
+                    expected.append(Solver(game, game.menus.menus).value(0, k))
                 assert winners(make(sp, sp.n + 2)) == expected, (sp, make.__name__)
 
     def test_empty_space(self):
         empty = validate_topology([0], 0)
         assert winners(make_rothberger(empty, 2)) == [BOB, BOB, BOB]
+
+
+def _distinct_random5(count: int) -> list:
+    """The first `count` distinct 5-point spaces drawn from seeds 0, 1, ..."""
+    seen: dict = {}
+    seed = 0
+    while len(seen) < count:
+        sp = random_alexandrov(random.Random(seed), 5)
+        seen.setdefault(sp.opens, sp)
+        seed += 1
+    return list(seen.values())
+
+
+class TestDominantMenus:
+    """The winner-only solves search the dominant menus; every other path
+    searches the full family."""
+
+    @staticmethod
+    def _cross_check(spaces) -> int:
+        checked = 0
+        for sp in spaces:
+            for make in ALL_GAMES:
+                game = make(sp, sp.n + 1)
+                full = Solver(game, game.menus.menus)
+                expected = [full.value(0, k) for k in range(sp.n + 2)]
+                assert winners(game) == expected, (sp, make.__name__)
+                cut = [solve(make(sp, k), want_witness=False).winner for k in range(sp.n + 2)]
+                assert cut == expected, (sp, make.__name__)
+                checked += len(expected)
+        return checked
+
+    def test_matches_full_family_n4(self, corpus3, corpus4):
+        spaces = [sp for _, sp in corpus3 + corpus4]
+        assert len(spaces) == 389
+        assert self._cross_check(spaces) == 11470
+
+    def test_matches_full_family_random5(self):
+        spaces = _distinct_random5(300)
+        assert self._cross_check(spaces) == 300 * 5 * 7
+
+    def test_finite_space_collapse_n4(self, corpus3, corpus4):
+        for name, sp in corpus3 + corpus4:
+            nbhds = [minimal_open_nbhd(sp, x) for x in range(sp.n)]
+            blocks = quasi_components(sp).blocks
+            block_of = [next(b for b in blocks if b >> x & 1) for x in range(sp.n)]
+            # O cuts to the maximal minimal neighbourhoods, C_O to the
+            # quasi-component partition
+            top = {u for u in nbhds if not any(u != v and u | v == v for v in nbhds)}
+            assert _dominant_menus(make_rothberger(sp, 1).menus.menus, False) == (
+                tuple(sorted(top)),
+            ), name
+            assert _dominant_menus(make_mildly_rothberger(sp, 1).menus.menus, False) == (
+                tuple(sorted(blocks)),
+            ), name
+            # each point-game menu cuts to one member
+            for make, least in (
+                (make_point_open, nbhds),
+                (make_point_clopen, block_of),
+                (make_quasi_component_clopen, blocks),
+            ):
+                menus = make(sp, 1).menus.menus
+                for menu, u in zip(menus, least):
+                    assert _dominant_menus((menu,), True) == ((u,),), (name, make.__name__)
+            # of the point menus, those of the maximal neighbourhoods stay,
+            # each once; every quasi-component keeps one menu
+            assert _dominant_menus(make_point_open(sp, 1).menus.menus, True) == tuple(
+                (u,) for u in dict.fromkeys(nbhds) if u in top
+            ), name
+            assert _dominant_menus(make_point_clopen(sp, 1).menus.menus, True) == tuple(
+                (b,) for b in dict.fromkeys(block_of)
+            ), name
+            assert _dominant_menus(make_quasi_component_clopen(sp, 1).menus.menus, True) == tuple(
+                (b,) for b in blocks
+            ), name
+
+    def test_keeps_first_of_equal_menus(self):
+        menus = ((0b011, 0b100), (0b001, 0b110), (0b011, 0b100))
+        assert _dominant_menus(menus, False) == ((0b011, 0b100), (0b001, 0b110))
+        assert _dominant_menus(menus + ((0b001, 0b010, 0b100),), False) == (
+            (0b001, 0b010, 0b100),
+        )
 
 
 class TestMinWinHorizon:

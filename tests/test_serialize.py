@@ -103,6 +103,11 @@ class TestMenuFamilyFormat:
         with pytest.raises(FormatError):
             menu_family_from_json(obj)
 
+    def test_rejects_repeated_member(self, sierpinski):
+        obj = {"space": space_to_json(sierpinski), "kind": "custom", "menus": [[[0], [0]]]}
+        with pytest.raises(FormatError):
+            menu_family_from_json(obj)
+
 
 class TestStrategyFormat:
     def test_full_bob_roundtrip(self, two_block3):
