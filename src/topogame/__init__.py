@@ -19,7 +19,6 @@ from .games import (
     make_point_open,
     make_quasi_component_clopen,
     make_rothberger,
-    playout,
     solve,
     verify_winning,
     winners,
@@ -68,7 +67,6 @@ __all__ = [
     "make_quasi_component_clopen",
     "make_rothberger",
     "minimal_open_nbhd",
-    "playout",
     "point_base_family",
     "quasi_components",
     "reduced_covers",

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: analyze, solve, check, play, translate. Space arguments take
-either a JSON file path or an enumerator spec such as "enum:n=3" (whole
-corpus, check only) or "enum:n=3:i=7" (a single enumerated space).
+either a JSON file path or an enumerator spec "enum:n=3:i=7" (the space of
+index 7 among the labeled topologies on 3 points). `check` runs over every
+space with 1 <= n <= --nmax.
 
 Exit codes: 0 success / all checks pass, 1 check failures, 2 usage or
 format errors, 3 cap exceeded.
@@ -58,8 +59,7 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_EOF = 130
 
-SUITES = ("duality", "zerodim", "b1", "b3", "extraction", "th314", "minhorizon", "all")
-
+# `check all` runs the suites in this order
 _SUITE_CHECKS = {
     "duality": lab.check_duality,
     "zerodim": lab.check_zero_dim_equivalence,
@@ -68,40 +68,31 @@ _SUITE_CHECKS = {
     "extraction": lab.check_extraction,
     "th314": lab.check_th314,
     "minhorizon": lab.check_min_horizon_law,
+    "pc-qc": lab.check_pc_qc_equivalence,
 }
+SUITES = (*_SUITE_CHECKS, "all")
 
 
-def _parse_space_source(source: str):
-    """Returns a list of (space_id, space)."""
-    if source.startswith("enum:"):
-        parts = dict(
-            kv.split("=", 1) for kv in source[len("enum:") :].split(":") if "=" in kv
-        )
-        try:
-            n = int(parts["n"])
-            i = int(parts["i"]) if "i" in parts else None
-        except (KeyError, ValueError):
-            raise FormatError(f"bad enumerator spec {source!r}") from None
-        if n < 0:
-            raise FormatError(f"enumerator spec {source!r} needs n >= 0")
-        spaces = list(enumerate_topologies(n))
-        if i is not None:
-            if not 0 <= i < len(spaces):
-                raise FormatError(f"index {i} out of range for n={n}")
-            return [(f"n{n}#{i}", spaces[i])]
-        return [(f"n{n}#{i}", sp) for i, sp in enumerate(spaces)]
-    return [(source, load_space(source))]
-
-
-def _single_space(source: str) -> tuple[str, FiniteSpace]:
-    spaces = _parse_space_source(source)
-    if len(spaces) != 1:
-        raise FormatError("this command needs a single space (file or enum:n=..:i=..)")
-    return spaces[0]
+def _single_space(source: str) -> FiniteSpace:
+    """The space in a JSON file, or the one an enumerator spec enum:n=..:i=.. names."""
+    if not source.startswith("enum:"):
+        return load_space(source)
+    parts = dict(kv.split("=", 1) for kv in source[len("enum:") :].split(":") if "=" in kv)
+    try:
+        n = int(parts["n"])
+        i = int(parts["i"])
+    except (KeyError, ValueError):
+        raise FormatError(f"bad enumerator spec {source!r}; expected enum:n=..:i=..") from None
+    if n < 0:
+        raise FormatError(f"enumerator spec {source!r} needs n >= 0")
+    spaces = list(enumerate_topologies(n))
+    if not 0 <= i < len(spaces):
+        raise FormatError(f"index {i} out of range for n={n}")
+    return spaces[i]
 
 
 def cmd_analyze(args) -> int:
-    _, space = _single_space(args.space)
+    space = _single_space(args.space)
     report = {
         "n": space.n,
         "opens": len(space.opens),
@@ -116,7 +107,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    _, space = _single_space(args.space)
+    space = _single_space(args.space)
     builder = GAME_BUILDERS[args.game]
     game = builder(space, args.horizon)
     verdict = solve(game)
@@ -165,7 +156,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    _, space = _single_space(args.space)
+    space = _single_space(args.space)
     s = load_strategy(args.strategy, space.n)
     report = lab.translate_b1(args.direction, s, space, args.horizon)
     obj = {
@@ -196,7 +187,7 @@ def _prompt_move(prompt: str, legal: list[int]) -> int:
 
 
 def cmd_play(args) -> int:
-    _, space = _single_space(args.space)
+    space = _single_space(args.space)
     game = GAME_BUILDERS[args.game](space, args.horizon)
     menus = game.menus.menus
     human = args.role

@@ -30,7 +30,6 @@ class Cover:
     """A deduplicated open (or clopen) cover, as a sorted tuple of masks."""
 
     members: tuple[int, ...]
-    kind: str  # "open" | "clopen"
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,6 @@ class MenuFamily:
     """Alice's legal moves: each round she picks any one menu of the family."""
 
     menus: tuple[Menu, ...]
-    label: str  # "O" | "C_O" | "P_X" | "C_X" | "Q_X" | "custom"
 
     def __post_init__(self):
         if not all(self.menus):
@@ -59,8 +57,6 @@ def _kind_sets(space: FiniteSpace, kind: str) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _reduced_covers_cached(space: FiniteSpace, kind: str, cap: int) -> tuple[Cover, ...]:
-    if space.n == 0:
-        return (Cover(members=(), kind=kind),)
     pool = sorted(_kind_sets(space, kind))
     full = space.full
     points = range(space.n)
@@ -98,7 +94,7 @@ def _reduced_covers_cached(space: FiniteSpace, kind: str, cap: int) -> tuple[Cov
 
     grow([], [], 0, (1 << len(pool)) - 1)
     found.sort(key=lambda c: (len(c), c))
-    return tuple(Cover(members=c, kind=kind) for c in found)
+    return tuple(Cover(members=c) for c in found)
 
 
 def reduced_covers(space: FiniteSpace, kind: str, cap: int = DEFAULT_CAP) -> list[Cover]:
@@ -110,9 +106,8 @@ def reduced_covers(space: FiniteSpace, kind: str, cap: int = DEFAULT_CAP) -> lis
 def cover_menu_family(space: FiniteSpace, kind: str) -> MenuFamily:
     """Irredundant covers packaged as menus; the empty-space cover is dropped
     (Alice then has no move and the game ends immediately)."""
-    label = "O" if kind == "open" else "C_O"
     menus = tuple(c.members for c in reduced_covers(space, kind) if c.members)
-    return MenuFamily(menus=menus, label=label)
+    return MenuFamily(menus=menus)
 
 
 @lru_cache(maxsize=None)
@@ -125,17 +120,14 @@ def point_base_family(space: FiniteSpace, kind: str) -> MenuFamily:
     for x in range(space.n):
         bit = 1 << x
         menus.append(tuple(m for m in pool if m & bit))
-    label = "P_X" if kind == "open" else "C_X"
-    return MenuFamily(menus=tuple(menus), label=label)
+    return MenuFamily(menus=tuple(menus))
 
 
 @lru_cache(maxsize=None)
 def quasi_component_family(space: FiniteSpace) -> MenuFamily:
     """One menu per quasi-component block: all clopen supersets of it."""
-    if space.n == 0:
-        raise EmptySpace("no quasi-components on the empty space")
     clopens = sorted(m for m in clopen_algebra(space).sets if m != 0)
     blocks = quasi_components(space).blocks
     menus = tuple(tuple(c for c in clopens if c & block == block) for block in blocks)
-    return MenuFamily(menus=menus, label="Q_X")
+    return MenuFamily(menus=menus)
 

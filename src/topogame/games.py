@@ -28,9 +28,9 @@ A witness is a table keyed by the history of the loser's moves. The
 winner's least optimal move depends only on (covered mask, rounds left), so
 it is chosen once per position; the table is counted on positions, skipped
 above WITNESS_CAP entries, and otherwise built by `unfold`. Every
-full-history table, here and in the lab, comes from `unfold`: one depth
-first walk of every line of play that asks a `choose` callback for each
-node's move.
+full-history table, here and in the lab, comes from `unfold`: one
+round-by-round walk of every line of play that asks a `choose` callback
+for each node's move, and raises CapExceeded past WITNESS_CAP entries.
 
 Restricted strategy classes (each search returns its PRE or MARKOV
 witness, or None when the class has no win):
@@ -71,7 +71,7 @@ MARKOV = "markov"
 PRE = "pre"
 
 STATE_CAP = 10**7
-WITNESS_CAP = 200_000  # max history-keyed table entries before witness is skipped
+WITNESS_CAP = 200_000  # max history-keyed table entries: a witness is skipped, unfold raises
 
 
 @dataclass(frozen=True)
@@ -356,35 +356,41 @@ def _extract_witness(game: GameSpec, solver: Solver, winner: str) -> Optional[St
 
 
 def unfold(game: GameSpec, player: str, choose: Callable) -> Strategy:
-    """The full-history table of `player`, built depth first over every
+    """The full-history table of `player`, built round by round over every
     line of play to the horizon.
 
     choose(history, covered, left) is called once per node. For Alice it
     returns a menu index; for Bob it returns his pick from each menu, in
-    menu order. Alice's table is keyed by Bob's replies.
+    menu order. Alice's table is keyed by Bob's replies. Raises
+    CapExceeded once the table passes WITNESS_CAP entries; going round by
+    round, a table too large to build is found before any entry deep in
+    it is asked for.
     """
     menus = game.menus.menus
     alice = player == ALICE
     table: dict = {}
-
-    def walk(history: tuple, covered: int, left: int) -> None:
-        # called only where rounds are left, so the leaves cost no call
-        move = choose(history, covered, left)
-        left -= 1
-        if alice:
-            table[history] = move
-            if left:
-                for b in menus[move]:
-                    walk(history + (b,), covered | b, left)
-        else:
-            for mi, b in enumerate(move):
-                ctx = history + (mi,)
-                table[ctx] = b
-                if left:
-                    walk(ctx, covered | b, left)
-
-    if game.horizon > 0:
-        walk((), 0, game.horizon)
+    histories, masks = [()], [0]  # the nodes of the current round
+    for left in range(game.horizon, 0, -1):
+        next_histories, next_masks = [], []
+        more = left > 1  # whether the moves made now lead to further nodes
+        for history, covered in zip(histories, masks):
+            move = choose(history, covered, left)
+            if alice:
+                table[history] = move
+                if more:
+                    for b in menus[move]:
+                        next_histories.append(history + (b,))
+                        next_masks.append(covered | b)
+            else:
+                for mi, b in enumerate(move):
+                    ctx = history + (mi,)
+                    table[ctx] = b
+                    if more:
+                        next_histories.append(ctx)
+                        next_masks.append(covered | b)
+            if len(table) > WITNESS_CAP:
+                raise CapExceeded(f"strategy table passed {WITNESS_CAP} entries")
+        histories, masks = next_histories, next_masks
     return Strategy(player=player, klass=FULL, table=table)
 
 
@@ -550,7 +556,7 @@ def _markov_bob_cover(game: GameSpec) -> Optional[Strategy]:
 
 
 # ---------------------------------------------------------------------------
-# playout and verification
+# verification
 
 
 def _lookup_alice(s: Strategy, bob_moves: tuple, rnd: int) -> int:
@@ -563,28 +569,6 @@ def _lookup_bob(s: Strategy, alice_moves: tuple, rnd: int) -> int:
     if s.klass == MARKOV:
         return s.move_for((alice_moves[-1], rnd))
     return s.move_for(alice_moves)
-
-
-def playout(game: GameSpec, alice: Strategy, bob: Strategy) -> Transcript:
-    """Deterministic replay of two strategy tables."""
-    menus = game.menus.menus
-    rounds = []
-    bob_moves: tuple = ()
-    alice_moves: tuple = ()
-    covered = 0
-    for rnd in range(game.horizon if menus else 0):
-        mi = _lookup_alice(alice, bob_moves, rnd)
-        if not 0 <= mi < len(menus):
-            raise IllegalMove(bob_moves, mi)
-        alice_moves = alice_moves + (mi,)
-        b = _lookup_bob(bob, alice_moves, rnd)
-        if b not in menus[mi]:
-            raise IllegalMove(alice_moves, b)
-        bob_moves = bob_moves + (b,)
-        covered |= b
-        rounds.append((mi, b))
-    outcome = BOB if game.bob_wins(covered) else ALICE
-    return Transcript(rounds=tuple(rounds), outcome=outcome)
 
 
 def verify_winning(game: GameSpec, s: Strategy) -> bool:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DepthCapExceeded, EmptySpace, IllegalMove, IllegalSourceStrategy
+from .errors import DepthCapExceeded, IllegalMove, IllegalSourceStrategy
 from .games import (
     ALICE,
     BOB,
@@ -45,7 +45,6 @@ EXTRACTION_NODE_CAP = 10**6
 @dataclass(frozen=True)
 class TranslationReport:
     direction: str
-    input: Strategy
     output: Strategy
     input_winning: bool
     output_winning: bool
@@ -70,7 +69,7 @@ def _check_source_entries(s: Strategy, game: GameSpec) -> None:
             if not 0 <= move < len(menus):
                 raise IllegalSourceStrategy(f"menu index {move} out of range at {ctx!r}")
         else:
-            mi = ctx[0] if s.klass == MARKOV else ctx[-1]
+            mi = ctx[-1]  # Alice's current menu
             if not 0 <= mi < len(menus) or move not in menus[mi]:
                 raise IllegalSourceStrategy(f"move {move:#x} not in menu {mi} at {ctx!r}")
 
@@ -126,7 +125,6 @@ def translate_b1(
     output_winning = verify_winning(tgt_game, out)
     return TranslationReport(
         direction=direction,
-        input=s,
         output=out,
         input_winning=input_winning,
         output_winning=output_winning,
@@ -143,8 +141,6 @@ def b3_markov_strategy(space: FiniteSpace, horizon: Optional[int] = None) -> Str
     take the first member of Alice's cover meeting the i-th quasi-component
     block. A clopen set meeting a block contains it, so the selections
     swallow one block per round and cover within #blocks rounds."""
-    if space.n == 0:
-        raise EmptySpace("no quasi-components on the empty space")
     blocks = quasi_components(space).blocks
     k = horizon if horizon is not None else len(blocks)
     game = make_mildly_rothberger(space, k)
@@ -238,14 +234,9 @@ def check_duality(space: FiniteSpace) -> dict:
     and the predetermined/Markov forms."""
     k = saturating_horizon(space)
     g1 = make_mildly_rothberger(space, k)
-    g2 = make_point_clopen(space, k) if space.n else None
+    g2 = make_point_clopen(space, k)
     alice_g1 = solve(g1, want_witness=False).winner == ALICE
     bob_g1 = not alice_g1
-    if g2 is None:
-        # empty space: the cover game is won by Bob vacuously and there is
-        # no point game; report the cover-side facts only
-        facts = {"alice_g1": alice_g1, "bob_g1": bob_g1}
-        return {"check": "duality", "horizon": k, "facts": facts, "pass": bob_g1}
     alice_g2 = solve(g2, want_witness=False).winner == ALICE
     bob_g2 = not alice_g2
     facts = {
@@ -276,11 +267,8 @@ def check_zero_dim_equivalence(space: FiniteSpace) -> dict:
     clopen_game = make_mildly_rothberger(space, kstar)
     ro = winners(open_game)
     mr = winners(clopen_game)
-    if space.n:
-        po = winners(make_point_open(space, kstar))
-        pc = winners(make_point_clopen(space, kstar))
-    else:
-        po = pc = [None] * (kstar + 1)
+    po = winners(make_point_open(space, kstar))
+    pc = winners(make_point_clopen(space, kstar))
     per_horizon = [
         {
             "horizon": k,
@@ -331,8 +319,6 @@ def check_th314(space: FiniteSpace) -> dict:
 def check_min_horizon_law(space: FiniteSpace) -> dict:
     """Bob first wins the clopen cover game, and Alice first wins both
     point-style clopen games, exactly at the number of quasi-components."""
-    if space.n == 0:
-        return {"check": "minhorizon", "horizon": 0, "facts": {"empty": True}, "pass": True}
     nblocks = len(quasi_components(space).blocks)
     k = space.n
 

@@ -1,12 +1,12 @@
 """JSON readers and writers for the documented file formats.
 
 Spaces:      {"n": int, "opens": [[points ascending], ...]}
-Menu files:  {"space": {...}, "kind": "open"|"clopen"|"custom", "menus": [[[points], ...], ...]}
 Strategies:  {"player": "alice"|"bob", "class": "full"|"markov"|"pre",
               "entries": [{"context": ..., "move": ...}]}
              (Alice plays "full" or "pre", Bob "full" or "markov"); a
              strategy is read against the space it is for, and its points
-             must lie in 0..n-1, as a space's do
+             must lie in 0..n-1, as a space's do; a Bob context is never
+             empty, and no context is listed twice
 All output uses stable key order; batch reports are JSON lines.
 `strategy_to_json` builds one point list per distinct mask and shares it
 between entries, so its dict is to be read or encoded, not mutated;
@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .covers import MenuFamily
 from .errors import FormatError
 from .games import ALICE, BOB, FULL, MARKOV, PRE, Strategy, Transcript, Verdict
 from .topology import FiniteSpace, mask_of, points_of, validate_topology
@@ -58,36 +57,6 @@ def load_space(path: str) -> FiniteSpace:
     return space_from_json(_load_json(path))
 
 
-def dump_space(space: FiniteSpace, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(space_to_json(space), fh)
-        fh.write("\n")
-
-
-def menu_family_from_json(obj: Any) -> tuple[FiniteSpace, MenuFamily]:
-    if not isinstance(obj, dict) or "space" not in obj or "menus" not in obj:
-        raise FormatError("menu file needs 'space', 'kind' and 'menus'")
-    space = space_from_json(obj["space"])
-    kind = obj.get("kind", "custom")
-    if kind not in ("open", "clopen", "custom"):
-        raise FormatError(f"unknown menu kind {kind!r}")
-    menus = []
-    for menu in obj["menus"]:
-        if not isinstance(menu, list) or not menu:
-            raise FormatError("each menu must be a nonempty list of point sets")
-        masks = tuple(sorted(mask_of(_points(entry), space.n) for entry in menu))
-        for m, nxt in zip(masks, masks[1:]):
-            if m == nxt:
-                raise FormatError(f"menu lists member {points_of(m)} twice")
-        for m in masks:
-            if kind == "open" and not space.is_open(m):
-                raise FormatError(f"menu member {points_of(m)} is not open")
-            if kind == "clopen" and not space.is_clopen(m):
-                raise FormatError(f"menu member {points_of(m)} is not clopen")
-        menus.append(masks)
-    return space, MenuFamily(menus=tuple(menus), label="custom")
-
-
 def strategy_to_json(s: Strategy) -> dict:
     table = s.table
     contexts = sorted(table)
@@ -120,6 +89,8 @@ def strategy_from_json(obj: Any, n: int) -> Strategy:
         if not isinstance(entry, dict) or "context" not in entry or "move" not in entry:
             raise FormatError(f"strategy entry {entry!r} needs 'context' and 'move'")
         ctx = _context_from_json(player, klass, entry["context"], n)
+        if ctx in table:
+            raise FormatError(f"strategy lists context {entry['context']!r} twice")
         table[ctx] = _move_from_json(player, entry["move"], n)
     return Strategy(player=player, klass=klass, table=table)
 
@@ -129,16 +100,13 @@ def _context_from_json(player: str, klass: str, raw, n: int):
         if type(raw) is not int:
             raise FormatError("predetermined context must be a round number")
         return raw
-    if klass == MARKOV:
-        if not (isinstance(raw, list) and len(raw) == 2 and all(type(x) is int for x in raw)):
-            raise FormatError("markov context must be [alice move, round]")
-        return (raw[0], raw[1])
     if not isinstance(raw, list):
-        raise FormatError("full-history context must be a list")
+        raise FormatError("history context must be a list")
     if player == ALICE:
         return tuple(mask_of(_points(entry), n) for entry in raw)
-    if not all(type(mi) is int for mi in raw):
-        raise FormatError("bob full-history context must be a list of menu indices")
+    # a Bob context ends with Alice's current menu index, so it is never empty
+    if not raw or not all(type(x) is int for x in raw):
+        raise FormatError("bob context must be a nonempty list of integers")
     return tuple(raw)
 
 

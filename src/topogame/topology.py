@@ -84,7 +84,6 @@ def _open_lookup(space: FiniteSpace) -> frozenset[int]:
 class ClopenAlgebra:
     """The Boolean algebra of clopen sets of a space."""
 
-    n: int
     sets: tuple[int, ...]
 
 
@@ -92,7 +91,6 @@ class ClopenAlgebra:
 class Partition:
     """Pairwise-disjoint nonempty blocks covering {0..n-1}."""
 
-    n: int
     blocks: tuple[int, ...]
 
     def index_of(self, x: int) -> int:
@@ -145,7 +143,7 @@ def _minimal_nbhds(space: FiniteSpace) -> tuple[int, ...]:
 def clopen_algebra(space: FiniteSpace) -> ClopenAlgebra:
     """All open sets whose complement is also open."""
     sets = tuple(u for u in space.opens if space.is_open(space.full & ~u))
-    return ClopenAlgebra(n=space.n, sets=sets)
+    return ClopenAlgebra(sets=sets)
 
 
 @lru_cache(maxsize=None)
@@ -164,7 +162,7 @@ def quasi_components(space: FiniteSpace) -> Partition:
         sig = tuple(bool(c & (1 << x)) for c in clopens)
         sigs[sig] = sigs.get(sig, 0) | (1 << x)
     blocks = sorted(sigs.values(), key=lambda b: (b & -b))
-    return Partition(n=space.n, blocks=tuple(blocks))
+    return Partition(blocks=tuple(blocks))
 
 
 @lru_cache(maxsize=None)
@@ -178,8 +176,6 @@ def components(space: FiniteSpace) -> Partition:
     connected set lies inside every clopen set it meets, hence inside one
     quasi-component, so the two partitions agree.
     """
-    if space.n == 0:
-        raise EmptySpace("no components on the empty space")
     return quasi_components(space)
 
 
@@ -231,11 +227,3 @@ def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:
     for fam in sorted(found):
         yield FiniteSpace(n=n, opens=fam)
 
-
-def discrete_space(n: int) -> FiniteSpace:
-    """All subsets open."""
-    return FiniteSpace(n=n, opens=tuple(range(full_mask(n) + 1)))
-
-
-def sierpinski_space() -> FiniteSpace:
-    return FiniteSpace(n=2, opens=(0, 1, 3))

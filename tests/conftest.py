@@ -5,13 +5,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from topogame.topology import (
-    FiniteSpace,
-    discrete_space,
-    enumerate_topologies,
-    sierpinski_space,
-    validate_topology,
-)
+from oracles import discrete_space, sierpinski_space
+from topogame.topology import FiniteSpace, enumerate_topologies, validate_topology
 
 
 @pytest.fixture

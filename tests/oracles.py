@@ -5,21 +5,40 @@ production code. Production builds a topology from one minimal open
 neighbourhood per point, pruned as it goes; the oracle brute-forces every
 reflexive transitive relation and reads off its up-sets. Components come
 from definitional split search rather than from quasi-components, and the
-game value from an unabstracted history tree. `random_alexandrov` samples
-spaces past the enumerated sizes.
+game value from an unabstracted history tree, and `playout` replays two
+strategy tables without the solver's lookups. `random_alexandrov` samples
+spaces past the enumerated sizes; `discrete_space`, `sierpinski_space` and
+`dump_space` build and write the fixed spaces the tests use.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import random
 from typing import Iterable
 
 from topogame.covers import DEFAULT_CAP, Cover, MenuFamily
-from topogame.errors import CapExceeded
-from topogame.games import GameSpec
+from topogame.errors import CapExceeded, IllegalMove
+from topogame.games import GameSpec, Strategy, Transcript
+from topogame.serialize import space_to_json
 from topogame.topology import FiniteSpace, clopen_algebra, full_mask, validate_topology
+
+
+def discrete_space(n: int) -> FiniteSpace:
+    """All subsets open."""
+    return FiniteSpace(n=n, opens=tuple(range(full_mask(n) + 1)))
+
+
+def sierpinski_space() -> FiniteSpace:
+    return FiniteSpace(n=2, opens=(0, 1, 3))
+
+
+def dump_space(space: FiniteSpace, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(space_to_json(space), fh)
+        fh.write("\n")
 
 
 def topologies_via_preorders(n: int) -> set[tuple[int, ...]]:
@@ -130,7 +149,7 @@ def all_covers(space: FiniteSpace, kind: str, cap: int = DEFAULT_CAP) -> list[Co
     """All deduplicated covers of the given kind (exponential; keep n small)."""
     pool = _cover_pool(space, kind)
     if space.n == 0:
-        return [Cover(members=(), kind=kind)]
+        return [Cover(members=())]
     found = []
     for r in range(1, len(pool) + 1):
         for combo in itertools.combinations(pool, r):
@@ -139,7 +158,7 @@ def all_covers(space: FiniteSpace, kind: str, cap: int = DEFAULT_CAP) -> list[Co
                 if len(found) > cap:
                     raise CapExceeded(f"more than {cap} covers")
     found.sort(key=lambda c: (len(c), c))
-    return [Cover(members=c, kind=kind) for c in found]
+    return [Cover(members=c) for c in found]
 
 
 def irredundant_covers_by_scan(space: FiniteSpace, kind: str) -> list[tuple[int, ...]]:
@@ -210,7 +229,30 @@ def reversed_game(game: GameSpec) -> GameSpec:
     """The same game with the menus, and the members of each menu, in
     reverse order, so a solver tries every move in the opposite order."""
     menus = tuple(menu[::-1] for menu in game.menus.menus[::-1])
-    return dataclasses.replace(game, menus=MenuFamily(menus=menus, label="custom"))
+    return dataclasses.replace(game, menus=MenuFamily(menus=menus))
+
+
+def playout(game: GameSpec, alice: Strategy, bob: Strategy) -> Transcript:
+    """Reference replay of two strategy tables, one round at a time. A
+    predetermined Alice is looked up by the round, a Markov Bob by Alice's
+    current menu and the round, and every other table by the history."""
+    menus = game.menus.menus
+    rounds = []
+    alice_moves: tuple = ()
+    bob_moves: tuple = ()
+    covered = 0
+    for rnd in range(game.horizon if menus else 0):
+        mi = alice.move_for(rnd if alice.klass == "pre" else bob_moves)
+        if not 0 <= mi < len(menus):
+            raise IllegalMove(bob_moves, mi)
+        alice_moves += (mi,)
+        b = bob.move_for((mi, rnd) if bob.klass == "markov" else alice_moves)
+        if b not in menus[mi]:
+            raise IllegalMove(alice_moves, b)
+        bob_moves += (b,)
+        covered |= b
+        rounds.append((mi, b))
+    return Transcript(rounds=tuple(rounds), outcome="bob" if game.bob_wins(covered) else "alice")
 
 
 def history_tree_winner(game: GameSpec) -> str:

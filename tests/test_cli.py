@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+from oracles import dump_space
 from topogame.cli import main
+from topogame.lab import check_pc_qc_equivalence
 from topogame.serialize import (
-    dump_space,
     space_to_json,
     strategy_to_json,
 )
@@ -94,6 +95,13 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "enum:n=2")
         assert code == 2
 
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_spec_without_index_rejected_for_every_n(self, capsys, n):
+        # a corpus of one space is still a corpus: a spec names one space by its index
+        code, out, err = run(capsys, "analyze", f"enum:n={n}")
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
     def test_invalid_topology_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"n": 2, "opens": [[], [0], [1]]}')
@@ -173,7 +181,7 @@ class TestCheck:
     def test_all_suites_n2(self, capsys):
         code, out, _ = run(capsys, "check", "all", "--nmax", "2")
         rows = [json.loads(line) for line in out.splitlines()]
-        assert len({r["check"] for r in rows}) == 8  # seven suites plus the witness summary
+        assert len({r["check"] for r in rows}) == 9  # eight suites plus the witness summary
         failing = [r for r in rows if not r["pass"]]
         # the only failure is the witness summary: two-point spaces are all
         # zero dimensional, so no divergence witness can exist yet
@@ -206,8 +214,13 @@ class TestCheck:
         # row order or the JSON layout of `check all --nmax 3` shows here
         out = tmp_path / "all3.jsonl"
         assert run(capsys, "check", "all", "--nmax", "3", "--out", str(out))[0] == 0
-        assert len(out.read_bytes().splitlines()) == 239
+        lines = out.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 273
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "3f766bca0875049f4f01754f67584fa298d59bbbafca289a1ac8c2d2cfd67267"
+        )
+        # the suites before pc-qc, as they were pinned before it was added
+        assert hashlib.sha256(b"".join(lines[:239])).hexdigest() == (
             "3d3b611087855687efac2b35c10d394ffbd21b6cf2bb75d8d558aa8878596ddd"
         )
 
@@ -215,10 +228,23 @@ class TestCheck:
         # the same contract over the whole n <= 4 corpus, divergence witness included
         out = tmp_path / "all4.jsonl"
         assert run(capsys, "check", "all", "--nmax", "4", "--out", str(out))[0] == 0
-        assert len(out.read_bytes().splitlines()) == 2724
+        lines = out.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 3113
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "7aaa94008aa5ffe981fc962d8b8b5dc75168e6fe79ca15c848a3bd1169c742f5"
+        )
+        assert hashlib.sha256(b"".join(lines[:2724])).hexdigest() == (
             "03a8fe8e1f1c78514665955e55fdd09fae610717871ba021824c5ae3823ba30c"
         )
+
+    def test_pc_qc_rows_are_the_lab_check(self, capsys, corpus3, corpus4):
+        code, out, _ = run(capsys, "check", "pc-qc", "--nmax", "4")
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert len(rows) == 389
+        for row, (space_id, sp) in zip(rows, corpus3 + corpus4, strict=True):
+            assert row.pop("space_id") == space_id
+            assert row == check_pc_qc_equivalence(sp)
 
     @pytest.mark.parametrize("nmax", ["0", "-2"])
     def test_empty_corpus_is_usage_error(self, capsys, nmax):
@@ -356,6 +382,49 @@ class TestTranslate:
         )
         assert code == 2
         assert "error:" in err
+
+    # the connected 3-point space: one quasi-component, one menu per point
+    CONNECTED3 = {"n": 3, "opens": [[], [0], [0, 1, 2]]}
+
+    def translate_file(self, capsys, tmp_path, strategy, direction, horizon):
+        space_path = tmp_path / "space.json"
+        space_path.write_text(json.dumps(self.CONNECTED3))
+        strat_path = tmp_path / "strategy.json"
+        strat_path.write_text(json.dumps(strategy))
+        return run(capsys, "translate", str(strat_path), "--direction", direction,
+                   "--space", str(space_path), "--horizon", str(horizon))
+
+    def test_empty_bob_context(self, capsys, tmp_path):
+        # a Bob context ends with Alice's current menu, so [] names none
+        strategy = {"player": "bob", "class": "full", "entries": [{"context": [], "move": [0]}]}
+        code, out, err = self.translate_file(capsys, tmp_path, strategy, "bob-pc-to-qc", 1)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "player, direction, contexts, move, horizon",
+        [
+            ("bob", "bob-pc-to-qc", [[0], [0]], [0, 1, 2], 1),
+            # [0, 1, 2] and [2, 1, 0] are one point set, so one context
+            ("alice", "alice-pc-to-qc", [[], [[0, 1, 2]], [[2, 1, 0]]], 0, 2),
+        ],
+    )
+    def test_repeated_context(self, capsys, tmp_path, player, direction, contexts, move, horizon):
+        # read last-wins, each file would translate without an error
+        entries = [{"context": ctx, "move": move} for ctx in contexts]
+        strategy = {"player": player, "class": "full", "entries": entries}
+        code, out, err = self.translate_file(capsys, tmp_path, strategy, direction, horizon)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+    def test_translation_over_the_table_cap(self, capsys, tmp_path):
+        # the target game has three menus, so its Bob table triples every
+        # round; it passes the cap before any round the file lacks is asked for
+        entries = [{"context": [0] * k, "move": [0, 1, 2]} for k in range(1, 13)]
+        strategy = {"player": "bob", "class": "full", "entries": entries}
+        code, out, err = self.translate_file(capsys, tmp_path, strategy, "bob-qc-to-pc", 16)
+        assert code == 3
+        assert out == "" and err.startswith("error: ")
 
 
 class TestPlay:

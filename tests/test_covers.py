@@ -12,6 +12,7 @@ from oracles import (
     irredundant_covers_by_subset_test,
     is_reflection,
     is_selection_basis,
+    discrete_space,
     random_alexandrov,
 )
 from topogame.covers import (
@@ -21,7 +22,7 @@ from topogame.covers import (
     reduced_covers,
 )
 from topogame.errors import CapExceeded, EmptySpace
-from topogame.topology import discrete_space, validate_topology
+from topogame.topology import validate_topology
 
 
 class TestReducedCovers:
@@ -89,7 +90,6 @@ class TestCoverEnumeration:
 class TestPointBases:
     def test_discrete_clopen(self):
         fam = point_base_family(discrete_space(2), "clopen")
-        assert fam.label == "C_X"
         assert fam.menus == ((0b01, 0b11), (0b10, 0b11))
 
     def test_sierpinski_clopen(self, sierpinski):
@@ -98,7 +98,6 @@ class TestPointBases:
 
     def test_sierpinski_open(self, sierpinski):
         fam = point_base_family(sierpinski, "open")
-        assert fam.label == "P_X"
         assert fam.menus == ((0b01, 0b11), (0b11,))
 
     def test_empty_space(self):
@@ -107,16 +106,15 @@ class TestPointBases:
 
     def test_quasi_component_menus(self, two_block3):
         fam = quasi_component_family(two_block3)
-        assert fam.label == "Q_X"
         assert fam.menus == ((0b001, 0b111), (0b110, 0b111))
 
     def test_empty_menu_rejected(self):
         with pytest.raises(ValueError):
-            MenuFamily(menus=((),), label="custom")
+            MenuFamily(menus=((),))
 
     def test_repeated_member_rejected(self):
         with pytest.raises(ValueError):
-            MenuFamily(menus=((0b01, 0b11), (0b01, 0b01)), label="custom")
+            MenuFamily(menus=((0b01, 0b11), (0b01, 0b01)))
 
 
 class TestSelectionBasis:

@@ -6,9 +6,11 @@ import pytest
 
 from oracles import (
     all_covers,
+    discrete_space,
     history_tree_winner,
     is_selection_basis,
     markov_bob_oracle,
+    playout,
     random_alexandrov,
     reversed_game,
     selection_principle,
@@ -32,7 +34,6 @@ from topogame.games import (
     make_quasi_component_clopen,
     make_rothberger,
     markov_bob_search,
-    playout,
     predetermined_alice_search,
     saturating_horizon,
     solve,
@@ -41,7 +42,6 @@ from topogame.games import (
 )
 from topogame.serialize import dumps_stable, strategy_to_json, verdict_to_json
 from topogame.topology import (
-    discrete_space,
     enumerate_topologies,
     minimal_open_nbhd,
     quasi_components,
@@ -174,7 +174,7 @@ class TestRestrictedClasses:
         # every two-point set is minimal, so pruning keeps all 6 per menu
         d4 = discrete_space(4)
         pairs = tuple(m for m in range(16) if bin(m).count("1") == 2)
-        menus = MenuFamily(menus=(pairs,) * 8, label="custom")
+        menus = MenuFamily(menus=(pairs,) * 8)
         assert len(pairs) ** 8 > DEFAULT_CAP
         with pytest.raises(CapExceeded):
             markov_bob_search(GameSpec(d4, menus, True, 1))
@@ -186,12 +186,8 @@ class TestMenuBasisInvariance:
             if sp.n > 2:
                 continue
             for kind in ("open", "clopen"):
-                full_fam = MenuFamily(
-                    menus=tuple(c.members for c in all_covers(sp, kind)), label="custom"
-                )
-                red_fam = MenuFamily(
-                    menus=tuple(c.members for c in reduced_covers(sp, kind)), label="custom"
-                )
+                full_fam = MenuFamily(menus=tuple(c.members for c in all_covers(sp, kind)))
+                red_fam = MenuFamily(menus=tuple(c.members for c in reduced_covers(sp, kind)))
                 assert is_selection_basis(
                     [frozenset(m) for m in red_fam.menus],
                     [frozenset(m) for m in full_fam.menus],

@@ -1,5 +1,7 @@
 """Every imported name is used: a stdlib-only stand-in for a linter's
-unused-import rule, run over the package and the tests."""
+unused-import rule, run over the package and the tests. And every
+top-level function and class of the package is reached from the package
+itself, so no code in `src/` exists only for the tests."""
 
 import ast
 from pathlib import Path
@@ -7,7 +9,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "topogame").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SRC = sorted((ROOT / "src" / "topogame").glob("*.py"))
+FILES = SRC + sorted((ROOT / "tests").glob("*.py"))
+
+# public on purpose though nothing in the package calls it: the U_x accessor
+UNREACHED_BY_DESIGN = {"minimal_open_nbhd"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -47,3 +53,44 @@ def test_no_unused_imports(path):
 )
 def test_scanner(source, unused):
     assert unused_imports(source) == unused
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """Top-level functions and classes, over modules given as {file name:
+    source}, that no module names outside their own definition. Imports
+    and `__init__.py` (the re-exports) do not count as a use."""
+    trees = {name: ast.parse(src) for name, src in sources.items() if name != "__init__.py"}
+    defined, named = set(), set()
+    for tree in trees.values():
+        own = set()  # a definition's mentions of its own name
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+                own |= {
+                    id(sub) for sub in ast.walk(node) if isinstance(sub, ast.Name) and sub.id == node.name
+                }
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Name) and id(sub) not in own:
+                named.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                named.add(sub.attr)
+    return sorted(defined - named)
+
+
+def test_every_definition_is_reached():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SRC}
+    assert unreferenced_definitions(sources) == sorted(UNREACHED_BY_DESIGN)
+
+
+@pytest.mark.parametrize(
+    "sources, unreferenced",
+    [
+        ({"a.py": "def f():\n    return f()\n"}, ["f"]),
+        ({"a.py": "def f():\n    pass\n", "b.py": "from .a import f\n"}, ["f"]),
+        ({"a.py": "def f():\n    pass\n", "__init__.py": "from .a import f\nf()\n"}, ["f"]),
+        ({"a.py": "class C:\n    pass\n", "b.py": "from . import a\na.C()\n"}, []),
+        ({"a.py": "def f():\n    pass\ndef g():\n    f()\n"}, ["g"]),
+    ],
+)
+def test_definition_scanner(sources, unreferenced):
+    assert unreferenced_definitions(sources) == unreferenced

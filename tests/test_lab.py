@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from oracles import discrete_space
 from topogame.errors import EmptySpace, IllegalSourceStrategy
 from topogame.games import (
     ALICE,
@@ -17,7 +18,10 @@ from topogame.games import (
 )
 from topogame.lab import (
     b3_markov_strategy,
+    check_b1_translations,
+    check_b3,
     check_duality,
+    check_extraction,
     check_min_horizon_law,
     check_pc_qc_equivalence,
     check_th314,
@@ -27,7 +31,6 @@ from topogame.lab import (
 )
 from topogame.topology import (
     clopen_algebra,
-    discrete_space,
     quasi_components,
     validate_topology,
 )
@@ -198,8 +201,25 @@ class TestChecks:
         for _, sp in corpus3:
             assert check_pc_qc_equivalence(sp)["pass"]
 
+    @pytest.mark.parametrize(
+        "check",
+        [
+            check_duality,
+            check_zero_dim_equivalence,
+            check_b1_translations,
+            check_b3,
+            check_extraction,
+            check_min_horizon_law,
+            check_pc_qc_equivalence,
+        ],
+    )
+    def test_empty_space_raises(self, check):
+        # `check` starts at n = 1: the empty space has no points and no quasi-components
+        with pytest.raises(EmptySpace):
+            check(validate_topology([0], 0))
+
     def test_pc_qc_rows_are_pinned(self, corpus3, corpus4):
-        # no CLI suite runs pc-qc, so its rows over n <= 4 are pinned here
+        # `check pc-qc --nmax 4` prints these rows, each with its space_id
         lines = [dumps_stable(check_pc_qc_equivalence(sp)) + "\n" for _, sp in corpus3 + corpus4]
         assert len(lines) == 389
         assert hashlib.sha256("".join(lines).encode()).hexdigest() == (

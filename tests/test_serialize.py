@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import discrete_space, playout
 from topogame.errors import FormatError, MissingEmptyOrFull, PointOutOfRange
 from topogame.games import (
     ALICE,
@@ -13,7 +14,7 @@ from topogame.games import (
     GAME_BUILDERS,
     MARKOV,
     PRE,
-    GameSpec,
+    Strategy,
     make_mildly_rothberger,
     make_rothberger,
     markov_bob_search,
@@ -22,7 +23,6 @@ from topogame.games import (
 )
 from topogame.serialize import (
     dumps_stable,
-    menu_family_from_json,
     space_from_json,
     space_to_json,
     strategy_from_json,
@@ -30,7 +30,7 @@ from topogame.serialize import (
     transcript_to_json,
     verdict_to_json,
 )
-from topogame.topology import discrete_space, enumerate_topologies
+from topogame.topology import enumerate_topologies
 
 
 class TestSpaceFormat:
@@ -61,52 +61,6 @@ class TestSpaceFormat:
     def test_rejects_malformed(self, obj):
         with pytest.raises(FormatError):
             space_from_json(obj)
-
-
-class TestMenuFamilyFormat:
-    def test_custom_family_playable(self, two_block3):
-        obj = {
-            "space": space_to_json(two_block3),
-            "kind": "clopen",
-            "menus": [[[0, 1, 2]], [[0], [1, 2]]],
-        }
-        space, fam = menu_family_from_json(obj)
-        game = GameSpec(space, fam, False, 2)
-        assert solve(game, want_witness=False).winner == BOB
-
-    def test_rejects_non_clopen_member(self, sierpinski):
-        obj = {
-            "space": space_to_json(sierpinski),
-            "kind": "clopen",
-            "menus": [[[0]]],
-        }
-        with pytest.raises(FormatError):
-            menu_family_from_json(obj)
-
-    def test_rejects_non_open_member(self, sierpinski):
-        obj = {
-            "space": space_to_json(sierpinski),
-            "kind": "open",
-            "menus": [[[1]]],
-        }
-        with pytest.raises(FormatError):
-            menu_family_from_json(obj)
-
-    @pytest.mark.parametrize("member", [[True], ["a"], 0])
-    def test_rejects_non_point_member(self, sierpinski, member):
-        obj = {"space": space_to_json(sierpinski), "kind": "custom", "menus": [[member]]}
-        with pytest.raises(FormatError):
-            menu_family_from_json(obj)
-
-    def test_rejects_empty_menu(self, sierpinski):
-        obj = {"space": space_to_json(sierpinski), "kind": "custom", "menus": [[]]}
-        with pytest.raises(FormatError):
-            menu_family_from_json(obj)
-
-    def test_rejects_repeated_member(self, sierpinski):
-        obj = {"space": space_to_json(sierpinski), "kind": "custom", "menus": [[[0], [0]]]}
-        with pytest.raises(FormatError):
-            menu_family_from_json(obj)
 
 
 class TestStrategyFormat:
@@ -191,7 +145,7 @@ class TestStrategyFormat:
             ("alice", "full", {"context": [[True]], "move": 0}),
             ("bob", "markov", {"context": [0, True], "move": [0]}),
             ("bob", "full", {"context": [True], "move": [0]}),
-            ("bob", "full", {"context": [], "move": [True]}),
+            ("bob", "full", {"context": [0], "move": [True]}),
         ],
     )
     def test_rejects_booleans(self, player, klass, entry):
@@ -208,8 +162,6 @@ class TestStableOutput:
         assert a == b
 
     def test_transcript_shape(self, two_block3):
-        from topogame.games import Strategy, playout
-
         game = make_mildly_rothberger(two_block3, 2)
         v = solve(game)
         alice = Strategy(player=ALICE, klass="pre", table={0: 1, 1: 1})

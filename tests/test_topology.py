@@ -3,6 +3,7 @@ import pytest
 from oracles import (
     clopen_atoms,
     components_by_split_search,
+    discrete_space,
     topologies_via_preorders,
     zero_dimensional_by_definition,
 )
@@ -17,7 +18,6 @@ from topogame.errors import (
 from topogame.topology import (
     clopen_algebra,
     components,
-    discrete_space,
     enumerate_topologies,
     is_zero_dimensional,
     minimal_open_nbhd,
