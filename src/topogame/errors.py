@@ -41,7 +41,10 @@ class IllegalMove(ValueError):
     """A strategy named a move outside the current menu, or lacks an entry."""
 
     def __init__(self, context, move=None):
-        super().__init__(f"illegal move {move!r} at context {context!r}")
+        if move is None:
+            super().__init__(f"strategy has no entry at context {context!r}")
+        else:
+            super().__init__(f"illegal move {move!r} at context {context!r}")
         self.context = context
         self.move = move
 

@@ -24,13 +24,16 @@ partition, and each point menu to its least member. Witnesses, `play`,
 `unfold`, the restricted searches and `verify_winning` use the full
 family, so move indices and witness tables are those of the full family.
 
-A witness is a table keyed by the history of the loser's moves. The
-winner's least optimal move depends only on (covered mask, rounds left), so
-it is chosen once per position; the table is counted on positions, skipped
-above WITNESS_CAP entries, and otherwise built by `unfold`. Every
-full-history table, here and in the lab, comes from `unfold`: one
-round-by-round walk of every line of play that asks a `choose` callback
-for each node's move, and raises CapExceeded past WITNESS_CAP entries.
+A witness is positional (class POS): the winner's least optimal move at
+each (covered mask, rounds left) the winner's play can reach against every
+line of the loser. Alice's move there is a menu index; Bob's is his pick
+from each menu, in menu order. An n-point game of horizon k has at most
+2^n * k such positions, so no witness is ever skipped. A table keyed
+by the history of the loser's moves is built only where a caller needs
+one (`history_view`, the translations, the planted extraction strategy),
+and always by `unfold`: one round-by-round walk of every line of play
+that asks a `choose` callback for each node's move. WITNESS_CAP bounds
+those history tables alone: `unfold` raises CapExceeded past it.
 
 Restricted strategy classes (each search returns its PRE or MARKOV
 witness, or None when the class has no win):
@@ -41,8 +44,9 @@ witness, or None when the class has no win):
   Markov Bob, negated target: the same knowledge-set search over choice
     vectors (one member per menu), with each menu first cut to its
     subset-minimal members.
-Verification of a predetermined Alice or a Markov Bob is memoized on
-(covered mask, round), since their moves depend on nothing else.
+Verification of a predetermined Alice, a Markov Bob or a positional
+strategy is memoized on (covered mask, round), since their moves depend
+on nothing else.
 """
 
 from __future__ import annotations
@@ -69,9 +73,10 @@ BOB = "bob"
 FULL = "full"
 MARKOV = "markov"
 PRE = "pre"
+POS = "positional"
 
 STATE_CAP = 10**7
-WITNESS_CAP = 200_000  # max history-keyed table entries: a witness is skipped, unfold raises
+WITNESS_CAP = 200_000  # max entries of a history-keyed table; unfold raises past it
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,9 @@ class Strategy:
       Alice pre:   round number
       Bob full:    tuple of Alice's moves up to and including this round
       Bob markov:  (Alice's current move, round number)
-    Moves: Alice -> menu index, Bob -> member mask.
+      positional:  (covered mask, rounds left), this round included
+    Moves: Alice -> menu index, Bob -> member mask; a positional Bob's move
+    is a tuple with his member mask for each menu, in menu order.
     """
 
     player: str
@@ -116,7 +123,7 @@ class Strategy:
 @dataclass(frozen=True)
 class Verdict:
     winner: str
-    witness: Optional[Strategy]
+    witness: Optional[Strategy]  # positional; None only from solve(..., want_witness=False)
     horizon: int
     # explored abstract states; a solve without a witness counts the states
     # of the game cut to its dominant menus
@@ -257,17 +264,15 @@ class Solver:
 
 
 def solve(game: GameSpec, want_witness: bool = True) -> Verdict:
-    """Exact game value under optimal play, with a witness strategy for the
-    winner when the history tree is small enough to tabulate. Without a
-    witness only the dominant menus are searched."""
+    """Exact game value under optimal play, with the winner's positional
+    witness strategy. Without a witness only the dominant menus are
+    searched."""
     menus = game.menus.menus
     if not want_witness:
         menus = _dominant_menus(menus, game.negated)
     solver = Solver(game, menus)
     winner = solver.value(0, game.horizon)
-    witness = None
-    if want_witness:
-        witness = _extract_witness(game, solver, winner)
+    witness = _extract_witness(game, solver, winner) if want_witness else None
     return Verdict(winner=winner, witness=witness, horizon=game.horizon, stats=len(solver.memo))
 
 
@@ -324,35 +329,27 @@ def _dominant_menus(menus: tuple, negated: bool) -> tuple:
     return tuple(top for top, _, _ in kept)
 
 
-def _extract_witness(game: GameSpec, solver: Solver, winner: str) -> Optional[Strategy]:
-    """History-keyed table for the winner; least optimal move everywhere,
-    branching over every legal line of the loser. Returns None when the
-    table would exceed WITNESS_CAP entries."""
+def _extract_witness(game: GameSpec, solver: Solver, winner: str) -> Strategy:
+    """Positional table for the winner: the least optimal move at every
+    (covered mask, rounds left) reached round by round over every legal
+    line of the loser."""
     menus = game.menus.menus
-    if not menus:
-        return Strategy(player=winner, klass=FULL, table={})
     alice = winner == ALICE
     moves: dict = {}  # (covered, left) -> Alice's menu index, or Bob's pick per menu
-    sizes: dict = {}  # (covered, left) -> table entries at and below the position
-
-    def size(covered: int, left: int) -> int:
-        if left <= 0:
-            return 0
-        key = (covered, left)
-        if key not in sizes:
+    reached = {0}  # the covered masks of the current round
+    for left in range(game.horizon if menus else 0, 0, -1):
+        nxt = set()
+        for covered in reached:
             if alice:
-                mi = moves[key] = optimal_move(solver, covered, left)
-                sizes[key] = 1 + sum(size(covered | b, left - 1) for b in menus[mi])
+                mi = moves[(covered, left)] = optimal_move(solver, covered, left)
+                replies = menus[mi]
             else:
-                picks = moves[key] = tuple(
+                replies = moves[(covered, left)] = tuple(
                     optimal_move(solver, covered, left, mi) for mi in range(len(menus))
                 )
-                sizes[key] = sum(1 + size(covered | b, left - 1) for b in picks)
-        return sizes[key]
-
-    if size(0, game.horizon) > WITNESS_CAP:
-        return None
-    return unfold(game, winner, lambda history, covered, left: moves[(covered, left)])
+            nxt.update(covered | b for b in replies)
+        reached = nxt
+    return Strategy(player=winner, klass=POS, table=moves)
 
 
 def unfold(game: GameSpec, player: str, choose: Callable) -> Strategy:
@@ -370,7 +367,8 @@ def unfold(game: GameSpec, player: str, choose: Callable) -> Strategy:
     alice = player == ALICE
     table: dict = {}
     histories, masks = [()], [0]  # the nodes of the current round
-    for left in range(game.horizon, 0, -1):
+    # without menus no round can be played, so the table is empty
+    for left in range(game.horizon if menus else 0, 0, -1):
         next_histories, next_masks = [], []
         more = left > 1  # whether the moves made now lead to further nodes
         for history, covered in zip(histories, masks):
@@ -392,6 +390,11 @@ def unfold(game: GameSpec, player: str, choose: Callable) -> Strategy:
                 raise CapExceeded(f"strategy table passed {WITNESS_CAP} entries")
         histories, masks = next_histories, next_masks
     return Strategy(player=player, klass=FULL, table=table)
+
+
+def history_view(game: GameSpec, s: Strategy) -> Strategy:
+    """The full-history table that plays as the positional strategy s."""
+    return unfold(game, s.player, lambda history, covered, left: s.move_for((covered, left)))
 
 
 # ---------------------------------------------------------------------------
@@ -559,66 +562,66 @@ def _markov_bob_cover(game: GameSpec) -> Optional[Strategy]:
 # verification
 
 
-def _lookup_alice(s: Strategy, bob_moves: tuple, rnd: int) -> int:
-    if s.klass == PRE:
-        return s.move_for(rnd)
-    return s.move_for(bob_moves)
-
-
-def _lookup_bob(s: Strategy, alice_moves: tuple, rnd: int) -> int:
-    if s.klass == MARKOV:
-        return s.move_for((alice_moves[-1], rnd))
-    return s.move_for(alice_moves)
-
-
 def verify_winning(game: GameSpec, s: Strategy) -> bool:
     """Exhaustively play s against every legal opponent line.
 
-    A predetermined Alice or a Markov Bob moves on the round and Alice's
-    current menu alone, so for them the outcome below a position depends
-    only on (covered mask, round) and is memoized on it.
+    A predetermined Alice, a Markov Bob and a positional strategy move on
+    (covered mask, round) and Alice's current menu alone, so for them the
+    outcome below a position depends only on (covered mask, round) and is
+    memoized on it. A missing entry or an illegal move loses.
     """
     menus = game.menus.menus
+    full = game.space.full
+    horizon = game.horizon
+    table = s.table
+    klass = s.klass
+    alice = s.player == ALICE
+    # s wins a finished play iff its mask is full, or iff it is not
+    wins_full = (not alice) != game.negated
     counter = [0]
     memo: dict = {}
 
     def memoized(covered: int, rnd: int, alice_moves: tuple, bob_moves: tuple) -> bool:
         key = (covered, rnd)
-        if key not in memo:
-            memo[key] = explore(covered, rnd, alice_moves, bob_moves)
-        return memo[key]
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = explore(covered, rnd, alice_moves, bob_moves)
+        return hit
 
     def explore(covered: int, rnd: int, alice_moves: tuple, bob_moves: tuple) -> bool:
         counter[0] += 1
         if counter[0] > STATE_CAP:
             raise CapExceeded(f"verification cap {STATE_CAP} exceeded")
-        if rnd >= game.horizon or not menus or covered == game.space.full:
-            winner = BOB if game.bob_wins(covered) else ALICE
-            return winner == s.player
-        if s.player == ALICE:
-            try:
-                mi = _lookup_alice(s, bob_moves, rnd)
-            except IllegalMove:
-                return False
-            if not 0 <= mi < len(menus):
+        if rnd >= horizon or not menus or covered == full:
+            return (covered == full) == wins_full
+        if alice:
+            if klass == POS:
+                mi = table.get((covered, horizon - rnd))
+            else:
+                mi = table.get(rnd if klass == PRE else bob_moves)
+            if mi is None or not 0 <= mi < len(menus):
                 return False
             return all(
                 check(covered | b, rnd + 1, alice_moves + (mi,), bob_moves + (b,))
                 for b in menus[mi]
             )
+        if klass == POS:
+            picks = table.get((covered, horizon - rnd))
+            if picks is None or len(picks) != len(menus):
+                return False
         for mi, menu in enumerate(menus):
             ctx = alice_moves + (mi,)
-            try:
-                b = _lookup_bob(s, ctx, rnd)
-            except IllegalMove:
-                return False
+            if klass == POS:
+                b = picks[mi]
+            else:
+                b = table.get((mi, rnd) if klass == MARKOV else ctx)
             if b not in menu:
                 return False
             if not check(covered | b, rnd + 1, ctx, bob_moves + (b,)):
                 return False
         return True
 
-    positional = (s.player, s.klass) in ((ALICE, PRE), (BOB, MARKOV))
+    positional = klass == POS or (s.player, klass) in ((ALICE, PRE), (BOB, MARKOV))
     check = memoized if positional else explore
     return check(0, 0, (), ())
 

@@ -14,9 +14,11 @@ from .games import (
     BOB,
     FULL,
     MARKOV,
+    POS,
     GameSpec,
     Strategy,
     Transcript,
+    history_view,
     make_mildly_rothberger,
     make_point_clopen,
     make_point_open,
@@ -68,6 +70,12 @@ def _check_source_entries(s: Strategy, game: GameSpec) -> None:
         if s.player == ALICE:
             if not 0 <= move < len(menus):
                 raise IllegalSourceStrategy(f"menu index {move} out of range at {ctx!r}")
+        elif s.klass == POS:
+            if len(move) != len(menus):
+                raise IllegalSourceStrategy(f"{len(move)} picks for {len(menus)} menus at {ctx!r}")
+            for mi, b in enumerate(move):
+                if b not in menus[mi]:
+                    raise IllegalSourceStrategy(f"move {b:#x} not in menu {mi} at {ctx!r}")
         else:
             mi = ctx[-1]  # Alice's current menu
             if not 0 <= mi < len(menus) or move not in menus[mi]:
@@ -77,17 +85,21 @@ def _check_source_entries(s: Strategy, game: GameSpec) -> None:
 def translate_b1(
     direction: str, s: Strategy, space: FiniteSpace, horizon: int
 ) -> TranslationReport:
-    """Carry a full-history winning strategy between the point-clopen and
-    quasi-component-clopen games.
+    """Carry a full-history or positional winning strategy between the
+    point-clopen and quasi-component-clopen games; the result is a
+    full-history table.
 
     Alice's point strategies map through Q[.] (a clopen neighborhood of a
     point is exactly a clopen superset of its quasi-component); Bob's
     strategies map through least-index representatives of the blocks.
+    Both games offer Bob the same members for corresponding moves, so a
+    line of play covers the same mask in both, and a positional source is
+    read at the target node's (covered mask, rounds left).
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
-    if s.klass != FULL:
-        raise IllegalSourceStrategy("translations require full-history strategies")
+    if s.klass not in (FULL, POS):
+        raise IllegalSourceStrategy("translations require full-history or positional strategies")
     pc = make_point_clopen(space, horizon)
     qc = make_quasi_component_clopen(space, horizon)
     part = quasi_components(space)
@@ -101,13 +113,18 @@ def translate_b1(
         "bob-qc-to-pc": (qc, pc),
     }[direction]
     _check_source_entries(s, src_game)
+    positional = s.klass == POS
 
     if direction.startswith("alice"):
         if s.player != ALICE:
             raise IllegalSourceStrategy("direction names Alice but strategy is Bob's")
         # a point maps to its block index, a block to its representative
         out_move = part.index_of if direction == "alice-pc-to-qc" else reps.__getitem__
-        out = unfold(tgt_game, ALICE, lambda history, covered, left: out_move(s.move_for(history)))
+
+        def move(history: tuple, covered: int, left: int) -> int:
+            return out_move(s.move_for((covered, left) if positional else history))
+
+        out = unfold(tgt_game, ALICE, move)
     else:
         if s.player != BOB:
             raise IllegalSourceStrategy("direction names Bob but strategy is Alice's")
@@ -116,6 +133,9 @@ def translate_b1(
         tgt_menus = range(len(tgt_game.menus.menus))
 
         def picks(history: tuple, covered: int, left: int) -> tuple:
+            if positional:
+                src_picks = s.move_for((covered, left))
+                return tuple(src_picks[src_alice(mi)] for mi in tgt_menus)
             ctx = tuple(src_alice(mi) for mi in history)
             return tuple(s.move_for(ctx + (src_alice(mi),)) for mi in tgt_menus)
 
@@ -381,8 +401,6 @@ def check_b1_translations(space: FiniteSpace) -> dict:
         ):
             game = make(space, k)
             verdict = solve(game)
-            if verdict.witness is None:
-                continue
             direction = directions[verdict.winner]
             report = translate_b1(direction, verdict.witness, space, k)
             results.append(
@@ -426,8 +444,8 @@ def check_extraction(space: FiniteSpace) -> dict:
     facts: dict = {"blocks": nblocks}
     ok = True
     seqs = {bi: [blocks[bi]] for bi in range(nblocks)}
-    if verdict.winner == ALICE and verdict.witness is not None:
-        result = extract_qs_tree(space, verdict.witness, seqs, kstar)
+    if verdict.winner == ALICE:
+        result = extract_qs_tree(space, history_view(game, verdict.witness), seqs, kstar)
         facts["covers"] = result.covers
         ok = ok and result.covers
     if nblocks >= 2:

@@ -1,12 +1,21 @@
 """JSON readers and writers for the documented file formats.
 
 Spaces:      {"n": int, "opens": [[points ascending], ...]}
-Strategies:  {"player": "alice"|"bob", "class": "full"|"markov"|"pre",
+Strategies:  {"player": "alice"|"bob",
+              "class": "full"|"markov"|"pre"|"positional",
               "entries": [{"context": ..., "move": ...}]}
-             (Alice plays "full" or "pre", Bob "full" or "markov"); a
-             strategy is read against the space it is for, and its points
-             must lie in 0..n-1, as a space's do; a Bob context is never
-             empty, and no context is listed twice
+             (Alice plays "full", "pre" or "positional", Bob "full",
+             "markov" or "positional"); a strategy is read against the
+             space it is for, and its points must lie in 0..n-1, as a
+             space's do; a Bob context is never empty, and no context is
+             listed twice. `solve` writes its witness as "positional":
+               Alice {"context": [covered points, left], "move": index}
+               Bob   {"context": [covered points, left],
+                      "move": [[points of his pick], ... one per menu]}
+             where left >= 1 counts the rounds left, this one included;
+             entries come with the most rounds left first, and for equal
+             rounds left in covered-mask order. `translate` also reads a
+             `solve` verdict, as the strategy in its "witness" field
 All output uses stable key order; batch reports are JSON lines.
 `strategy_to_json` builds one point list per distinct mask and shares it
 between entries, so its dict is to be read or encoded, not mutated;
@@ -21,7 +30,7 @@ import json
 from typing import Any
 
 from .errors import FormatError
-from .games import ALICE, BOB, FULL, MARKOV, PRE, Strategy, Transcript, Verdict
+from .games import ALICE, BOB, FULL, MARKOV, POS, PRE, Strategy, Transcript, Verdict
 from .topology import FiniteSpace, mask_of, points_of, validate_topology
 
 
@@ -58,6 +67,8 @@ def load_space(path: str) -> FiniteSpace:
 
 
 def strategy_to_json(s: Strategy) -> dict:
+    if s.klass == POS:
+        return {"player": s.player, "class": POS, "entries": _positional_entries(s)}
     table = s.table
     contexts = sorted(table)
     if s.klass == FULL:
@@ -73,6 +84,21 @@ def strategy_to_json(s: Strategy) -> dict:
     return {"player": s.player, "class": s.klass, "entries": entries}
 
 
+def _positional_entries(s: Strategy) -> list:
+    table = s.table
+    contexts = sorted(table, key=lambda ctx: (-ctx[1], ctx[0]))
+    masks = {covered for covered, _ in contexts}
+    if s.player == BOB:
+        masks.update(*table.values())
+    pts = {m: points_of(m) for m in masks}
+    if s.player == BOB:
+        return [
+            {"context": [pts[ctx[0]], ctx[1]], "move": [pts[b] for b in table[ctx]]}
+            for ctx in contexts
+        ]
+    return [{"context": [pts[ctx[0]], ctx[1]], "move": table[ctx]} for ctx in contexts]
+
+
 def strategy_from_json(obj: Any, n: int) -> Strategy:
     try:
         player = obj["player"]
@@ -80,7 +106,9 @@ def strategy_from_json(obj: Any, n: int) -> Strategy:
         entries = obj["entries"]
     except (TypeError, KeyError) as exc:
         raise FormatError("strategy needs 'player', 'class' and 'entries'") from exc
-    if (player, klass) not in ((ALICE, FULL), (ALICE, PRE), (BOB, FULL), (BOB, MARKOV)):
+    if (player, klass) not in (
+        (ALICE, FULL), (ALICE, PRE), (ALICE, POS), (BOB, FULL), (BOB, MARKOV), (BOB, POS)
+    ):
         raise FormatError(f"bad player/class pair {player!r}/{klass!r}")
     if not isinstance(entries, list):
         raise FormatError("strategy 'entries' must be a list")
@@ -91,7 +119,7 @@ def strategy_from_json(obj: Any, n: int) -> Strategy:
         ctx = _context_from_json(player, klass, entry["context"], n)
         if ctx in table:
             raise FormatError(f"strategy lists context {entry['context']!r} twice")
-        table[ctx] = _move_from_json(player, entry["move"], n)
+        table[ctx] = _move_from_json(player, klass, entry["move"], n)
     return Strategy(player=player, klass=klass, table=table)
 
 
@@ -100,6 +128,10 @@ def _context_from_json(player: str, klass: str, raw, n: int):
         if type(raw) is not int:
             raise FormatError("predetermined context must be a round number")
         return raw
+    if klass == POS:
+        if not isinstance(raw, list) or len(raw) != 2 or type(raw[1]) is not int or raw[1] < 1:
+            raise FormatError("positional context must be [covered points, rounds left >= 1]")
+        return mask_of(_points(raw[0]), n), raw[1]
     if not isinstance(raw, list):
         raise FormatError("history context must be a list")
     if player == ALICE:
@@ -110,16 +142,24 @@ def _context_from_json(player: str, klass: str, raw, n: int):
     return tuple(raw)
 
 
-def _move_from_json(player: str, raw, n: int):
+def _move_from_json(player: str, klass: str, raw, n: int):
     if player == ALICE:
         if type(raw) is not int:
             raise FormatError("alice move must be a menu index")
         return raw
+    if klass == POS:
+        if not isinstance(raw, list):
+            raise FormatError("positional bob move must be a list of picks, one per menu")
+        return tuple(mask_of(_points(pick), n) for pick in raw)
     return mask_of(_points(raw), n)
 
 
 def load_strategy(path: str, n: int) -> Strategy:
-    return strategy_from_json(_load_json(path), n)
+    """The strategy in a strategy file, or the witness of a `solve` verdict."""
+    obj = _load_json(path)
+    if isinstance(obj, dict) and "witness" in obj and "entries" not in obj:
+        obj = obj["witness"]
+    return strategy_from_json(obj, n)
 
 
 def verdict_to_json(v: Verdict) -> dict:

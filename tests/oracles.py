@@ -6,9 +6,12 @@ neighbourhood per point, pruned as it goes; the oracle brute-forces every
 reflexive transitive relation and reads off its up-sets. Components come
 from definitional split search rather than from quasi-components, and the
 game value from an unabstracted history tree, and `playout` replays two
-strategy tables without the solver's lookups. `random_alexandrov` samples
-spaces past the enumerated sizes; `discrete_space`, `sierpinski_space` and
-`dump_space` build and write the fixed spaces the tests use.
+strategy tables without the solver's lookups. `closed_form_verdict` gives
+every game's verdict on a finite space, in all three strategy classes,
+from two counts read off the open sets, with no search at all.
+`random_alexandrov` samples spaces past the enumerated sizes;
+`discrete_space`, `sierpinski_space` and `dump_space` build and write the
+fixed spaces the tests use.
 """
 
 from __future__ import annotations
@@ -235,18 +238,27 @@ def reversed_game(game: GameSpec) -> GameSpec:
 def playout(game: GameSpec, alice: Strategy, bob: Strategy) -> Transcript:
     """Reference replay of two strategy tables, one round at a time. A
     predetermined Alice is looked up by the round, a Markov Bob by Alice's
-    current menu and the round, and every other table by the history."""
+    current menu and the round, a positional table by the covered mask and
+    the rounds left (a positional Bob's entry lists a pick per menu), and
+    every other table by the history."""
     menus = game.menus.menus
     rounds = []
     alice_moves: tuple = ()
     bob_moves: tuple = ()
     covered = 0
     for rnd in range(game.horizon if menus else 0):
-        mi = alice.move_for(rnd if alice.klass == "pre" else bob_moves)
+        position = (covered, game.horizon - rnd)
+        if alice.klass == "positional":
+            mi = alice.move_for(position)
+        else:
+            mi = alice.move_for(rnd if alice.klass == "pre" else bob_moves)
         if not 0 <= mi < len(menus):
             raise IllegalMove(bob_moves, mi)
         alice_moves += (mi,)
-        b = bob.move_for((mi, rnd) if bob.klass == "markov" else alice_moves)
+        if bob.klass == "positional":
+            b = bob.move_for(position)[mi]
+        else:
+            b = bob.move_for((mi, rnd) if bob.klass == "markov" else alice_moves)
         if b not in menus[mi]:
             raise IllegalMove(alice_moves, b)
         bob_moves += (b,)
@@ -324,3 +336,47 @@ def markov_bob_oracle(game: GameSpec):
     if seq is None:
         return False, None
     return True, {(mi, rnd): b for rnd, vector in enumerate(seq) for mi, b in enumerate(vector)}
+
+
+def closed_form_verdict(space: FiniteSpace, game: str, k: int) -> tuple[str, bool, bool]:
+    """(full winner, predetermined Alice wins, Markov Bob wins) of the named
+    game on a finite space at horizon k, from two counts alone.
+
+    m counts the distinct maximal minimal neighbourhoods U_x, and q the
+    quasi-components. Bob wins the open-cover game, and Alice the
+    point-open game, iff k >= m; Bob wins the clopen-cover game, and Alice
+    the point-clopen and quasi-component-clopen games, iff k >= q. On a
+    finite space a predetermined Alice wins iff Alice wins, and a Markov
+    Bob iff Bob wins. Everything is read off the open sets directly.
+    """
+    opens = space.opens
+    full = (1 << space.n) - 1
+    nbhds = set()
+    for x in range(space.n):
+        u = full
+        for o in opens:
+            if o >> x & 1:
+                u &= o
+        nbhds.add(u)
+    m = sum(1 for u in nbhds if not any(v != u and v & u == u for v in nbhds))
+    open_set = set(opens)
+    clopens = [o for o in opens if full & ~o in open_set]
+    quasi = set()
+    for x in range(space.n):
+        block = full
+        for c in clopens:
+            if c >> x & 1:
+                block &= c
+        quasi.add(block)
+    q = len(quasi)
+    count, bob_goal = {
+        "rothberger": (m, True),
+        "point-open": (m, False),
+        "mildly-rothberger": (q, True),
+        "point-clopen": (q, False),
+        "quasi-component-clopen": (q, False),
+    }[game]
+    # the player whose goal is to cover wins iff there are rounds enough
+    coverer_wins = k >= count
+    winner = "bob" if coverer_wins == bob_goal else "alice"
+    return winner, winner == "alice", winner == "bob"

@@ -417,6 +417,51 @@ class TestTranslate:
         assert code == 2
         assert out == "" and err.startswith("error: ")
 
+    def test_missing_entry_is_named(self, capsys, tmp_path):
+        # the target game's menu 1 names block 1, which the file never plays
+        strategy = {"player": "bob", "class": "full", "entries": [{"context": [0], "move": [0, 1, 2]}]}
+        strat_path = tmp_path / "strategy.json"
+        strat_path.write_text(json.dumps(strategy))
+        code, out, err = run(capsys, "translate", str(strat_path), "--direction", "bob-qc-to-pc",
+                             "--space", "enum:n=3:i=0", "--horizon", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: strategy has no entry at context (1,)\n"
+
+    def test_missing_positional_entry_is_named(self, capsys, tmp_path):
+        # after the first round every point is covered, with one round left
+        entries = [{"context": [[], 2], "move": [[0, 1, 2]] * 3}]
+        strategy = {"player": "bob", "class": "positional", "entries": entries}
+        strat_path = tmp_path / "strategy.json"
+        strat_path.write_text(json.dumps(strategy))
+        code, out, err = run(capsys, "translate", str(strat_path), "--direction", "bob-qc-to-pc",
+                             "--space", "enum:n=3:i=0", "--horizon", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: strategy has no entry at context (7, 1)\n"
+
+    @pytest.mark.parametrize("witness_only", [False, True])
+    def test_translates_what_solve_wrote(self, capsys, tmp_path, space_file, witness_only):
+        # the verdict `solve` prints, or the positional witness cut from it
+        code, out, _ = run(capsys, "solve", space_file, "--game", "point-clopen", "--horizon", "2")
+        assert code == 0
+        verdict = json.loads(out)
+        assert verdict["witness"]["class"] == "positional"
+        strat_path = tmp_path / "strategy.json"
+        strat_path.write_text(json.dumps(verdict["witness"]) if witness_only else out)
+        code, out, _ = run(capsys, "translate", str(strat_path), "--direction", "alice-pc-to-qc",
+                           "--space", space_file, "--horizon", "2")
+        assert code == 0
+        report = json.loads(out)
+        assert report["input_winning"] and report["output_winning"] and report["preserved"]
+        assert (report["output"]["player"], report["output"]["class"]) == ("alice", "full")
+
+    def test_malformed_positional_file(self, capsys, tmp_path):
+        strategy = {"player": "bob", "class": "positional", "entries": [{"context": [[], 0], "move": [[0]]}]}
+        code, out, err = self.translate_file(capsys, tmp_path, strategy, "bob-pc-to-qc", 1)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
     def test_translation_over_the_table_cap(self, capsys, tmp_path):
         # the target game has three menus, so its Bob table triples every
         # round; it passes the cap before any round the file lacks is asked for

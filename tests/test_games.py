@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import time
@@ -6,6 +7,7 @@ import pytest
 
 from oracles import (
     all_covers,
+    closed_form_verdict,
     discrete_space,
     history_tree_winner,
     is_selection_basis,
@@ -22,12 +24,15 @@ from topogame.games import (
     BOB,
     FULL,
     MARKOV,
+    POS,
     PRE,
     GAME_BUILDERS,
+    WITNESS_CAP,
     GameSpec,
     Solver,
     Strategy,
     _dominant_menus,
+    history_view,
     make_mildly_rothberger,
     make_point_clopen,
     make_point_open,
@@ -40,7 +45,7 @@ from topogame.games import (
     verify_winning,
     winners,
 )
-from topogame.serialize import dumps_stable, strategy_to_json, verdict_to_json
+from topogame.serialize import dumps_stable, strategy_from_json, strategy_to_json, verdict_to_json
 from topogame.topology import (
     enumerate_topologies,
     minimal_open_nbhd,
@@ -393,16 +398,25 @@ class TestSaturation:
                 assert solve(make(sp, kstar + 2), want_witness=False).winner == w
 
 
-def _verdict_lines(space, horizons) -> list[str]:
-    lines = []
+def _verdict_lines(space, horizons) -> tuple[list[str], list[str]]:
+    """The JSON line of each witness solve, once with the witness as its
+    history view (null when the view passes WITNESS_CAP entries) and once
+    as it is, positional."""
+    views, positional = [], []
     for name in sorted(GAME_BUILDERS):
         for k in horizons:
             try:
                 game = GAME_BUILDERS[name](space, k)
             except EmptySpace:
                 continue
-            lines.append(dumps_stable(verdict_to_json(solve(game))) + "\n")
-    return lines
+            v = solve(game)
+            positional.append(dumps_stable(verdict_to_json(v)) + "\n")
+            try:
+                view = history_view(game, v.witness)
+            except CapExceeded:
+                view = None
+            views.append(dumps_stable(verdict_to_json(dataclasses.replace(v, witness=view))) + "\n")
+    return views, positional
 
 
 def _sha256(lines: list[str]) -> str:
@@ -411,31 +425,45 @@ def _sha256(lines: list[str]) -> str:
 
 class TestPinnedVerdicts:
     """Winners, state counts and witness tables, byte for byte: any change
-    to the solver's traversal or to witness extraction shows here."""
+    to the solver's traversal or to witness extraction shows here. The
+    history-view hashes are those of the full-history witnesses solve
+    returned before its witnesses were positional, so the two forms agree."""
 
     def test_every_game_and_horizon_n3(self):
-        lines = []
+        views, positional = [], []
         for n in range(4):
             for sp in enumerate_topologies(n):
-                lines += _verdict_lines(sp, range(n + 1))
-        assert len(lines) == 652
-        assert _sha256(lines) == "220ca824e982aa0fea28b53672fddd42afcfe9d1a99f103717ec9028838a5d6d"
+                v, p = _verdict_lines(sp, range(n + 1))
+                views += v
+                positional += p
+        assert len(views) == len(positional) == 652
+        assert _sha256(views) == "220ca824e982aa0fea28b53672fddd42afcfe9d1a99f103717ec9028838a5d6d"
+        assert _sha256(positional) == "65b87df76d77e63284f831e02b23fade92a4c797b822d133d3567ece7ca797cc"
 
     def test_first_two_n4_spaces_at_horizon_4(self, corpus4):
-        lines = _verdict_lines(corpus4[0][1], [4]) + _verdict_lines(corpus4[1][1], [4])
-        assert len(lines) == 10
-        assert _sha256(lines) == "9b99a9ef56a81686e3843c507fa4ca10d658567c75899fa276892363c819a4d8"
+        views, positional = _verdict_lines(corpus4[0][1], [4])
+        more = _verdict_lines(corpus4[1][1], [4])
+        views += more[0]
+        positional += more[1]
+        assert len(views) == len(positional) == 10
+        assert _sha256(views) == "9b99a9ef56a81686e3843c507fa4ca10d658567c75899fa276892363c819a4d8"
+        assert _sha256(positional) == "8d784ae8cd75f660c350b55f20fe6aa713839b38bce8215b8547c473e7f51f8f"
 
     def test_every_n4_space_at_horizon_4(self):
-        # about 54 MB of witness JSON, hashed line by line
-        digest = hashlib.sha256()
+        # about 54 MB of history-view JSON, hashed line by line; under 1 MB
+        # of positional JSON
+        views, positional = hashlib.sha256(), hashlib.sha256()
         count = 0
         for sp in enumerate_topologies(4):
-            for line in _verdict_lines(sp, [4]):
-                digest.update(line.encode())
-                count += 1
+            v, p = _verdict_lines(sp, [4])
+            for line in v:
+                views.update(line.encode())
+            for line in p:
+                positional.update(line.encode())
+            count += len(p)
         assert count == 1775
-        assert digest.hexdigest() == "c74b3ae0772acad3142a51f0c72b4c79ef73c5f2c32a863afe650d74b9020908"
+        assert views.hexdigest() == "c74b3ae0772acad3142a51f0c72b4c79ef73c5f2c32a863afe650d74b9020908"
+        assert positional.hexdigest() == "f1c3ab3f5b8792f5a7c43794dcd2e336e0aeed32fda451def93190d5a828511d"
 
     def test_restricted_witnesses_n4(self, corpus3, corpus4):
         # the predetermined-Alice, then the Markov-Bob witness of each game
@@ -450,5 +478,109 @@ class TestPinnedVerdicts:
         assert len(lines) == 19050
         assert _sha256(lines) == "4051950e2681fbff04f8698d5c6000917ca87c54f69576921fc34176f9fc3673"
 
-    def test_witness_over_cap_is_skipped(self):
-        assert solve(make_rothberger(discrete_space(4), 4)).witness is None
+    @pytest.mark.parametrize("make", [make_rothberger, make_mildly_rothberger])
+    def test_discrete4_cover_witness_at_horizon_4(self, make):
+        # the history view of this witness passes WITNESS_CAP entries; the
+        # positional witness is small and wins
+        game = make(discrete_space(4), 4)
+        v = solve(game)
+        assert v.winner == BOB and v.witness.klass == POS
+        assert len(v.witness.table) <= 2**4 * 4
+        assert verify_winning(game, v.witness)
+        with pytest.raises(CapExceeded):
+            history_view(game, v.witness)
+
+
+def _view_size(game, s) -> int:
+    """Entries of the history view of the positional strategy s, counted
+    on positions without building it."""
+    menus = game.menus.menus
+    memo: dict = {}
+
+    def size(covered: int, left: int) -> int:
+        if left <= 0 or not menus:
+            return 0
+        key = (covered, left)
+        if key not in memo:
+            move = s.table[key]
+            if s.player == ALICE:
+                memo[key] = 1 + sum(size(covered | b, left - 1) for b in menus[move])
+            else:
+                memo[key] = sum(1 + size(covered | b, left - 1) for b in move)
+        return memo[key]
+
+    return size(0, game.horizon)
+
+
+class TestPositionalWitnesses:
+    def test_every_witness_n4(self, corpus3, corpus4):
+        # every game at horizons 0..n+1: the positional witness wins, and so
+        # does its history view wherever that fits under WITNESS_CAP
+        spaces = [validate_topology([0], 0)] + [sp for _, sp in corpus3 + corpus4]
+        views = over_cap = 0
+        for sp in spaces:
+            for name in sorted(GAME_BUILDERS):
+                for k in range(sp.n + 2):
+                    try:
+                        game = GAME_BUILDERS[name](sp, k)
+                    except EmptySpace:
+                        continue
+                    v = solve(game)
+                    s = v.witness
+                    assert (s.player, s.klass) == (v.winner, POS)
+                    assert len(s.table) <= 2**sp.n * k
+                    assert verify_winning(game, s), (sp, name, k)
+                    assert strategy_from_json(strategy_to_json(s), sp.n) == s
+                    size = _view_size(game, s)
+                    if size > WITNESS_CAP:
+                        over_cap += 1
+                        continue
+                    view = history_view(game, s)
+                    assert view.klass == FULL and len(view.table) == size
+                    assert verify_winning(game, view), (sp, name, k)
+                    views += 1
+        assert (views, over_cap) == (11458, 16)
+
+    def test_largest_witness_n4(self):
+        # 41 positions, well within 2^4 * 5
+        v = solve(make_rothberger(discrete_space(4), 5))
+        assert len(v.witness.table) == 41
+
+    def test_positions_follow_the_winners_play(self, two_block3):
+        # Bob's pick from each menu at each position his picks can reach
+        game = make_mildly_rothberger(two_block3, 2)
+        assert game.menus.menus == ((0b111,), (0b001, 0b110))
+        s = solve(game).witness
+        assert s.table == {(0, 2): (0b111, 0b001), (0b001, 1): (0b111, 0b110), (0b111, 1): (0b111, 0b001)}
+
+    def test_verify_rejects_a_missing_or_short_entry(self, two_block3):
+        game = make_mildly_rothberger(two_block3, 2)
+        table = dict(solve(game).witness.table)
+        del table[(0b001, 1)]
+        assert not verify_winning(game, Strategy(player=BOB, klass=POS, table=table))
+        table[(0b001, 1)] = (0b111,)  # one pick for two menus
+        assert not verify_winning(game, Strategy(player=BOB, klass=POS, table=table))
+
+
+class TestClosedForm:
+    def test_every_space_n4(self, corpus3, corpus4):
+        # full winners, predetermined Alice and Markov Bob at horizons
+        # 0..n+1 against the counts of maximal U_x and of quasi-components
+        spaces = [validate_topology([0], 0)] + [sp for _, sp in corpus3 + corpus4]
+        checked = 0
+        for sp in spaces:
+            for name in sorted(GAME_BUILDERS):
+                try:
+                    full = winners(GAME_BUILDERS[name](sp, sp.n + 1))
+                except EmptySpace:
+                    continue
+                for k in range(sp.n + 2):
+                    game = GAME_BUILDERS[name](sp, k)
+                    found = (
+                        full[k],
+                        predetermined_alice_search(game) is not None,
+                        markov_bob_search(game) is not None,
+                    )
+                    assert found == closed_form_verdict(sp, name, k), (sp, name, k)
+                    checked += 1
+        assert checked == 11474

@@ -9,7 +9,9 @@ from topogame.games import (
     BOB,
     FULL,
     MARKOV,
+    POS,
     Strategy,
+    history_view,
     make_mildly_rothberger,
     make_point_clopen,
     make_quasi_component_clopen,
@@ -77,6 +79,35 @@ class TestTranslations:
         with pytest.raises(IllegalSourceStrategy):
             translate_b1("alice-pc-to-qc", bad, two_block3, 1)
 
+    def test_positional_input_reads_as_its_history_view(self, corpus3):
+        # a positional source is read at (covered mask, rounds left) of the
+        # target node; it must translate exactly as its history table does
+        for _, sp in corpus3:
+            for k in range(sp.n + 1):
+                for make, directions in (
+                    (make_point_clopen, {ALICE: "alice-pc-to-qc", BOB: "bob-pc-to-qc"}),
+                    (make_quasi_component_clopen, {ALICE: "alice-qc-to-pc", BOB: "bob-qc-to-pc"}),
+                ):
+                    game = make(sp, k)
+                    v = solve(game)
+                    direction = directions[v.winner]
+                    positional = translate_b1(direction, v.witness, sp, k)
+                    history = translate_b1(direction, history_view(game, v.witness), sp, k)
+                    assert positional == history
+                    assert positional.output.klass == FULL and positional.preserved
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            {(0, 1): (0b111,)},  # one pick for two menus
+            {(0, 1): (0b111, 0b010)},  # {1} is not clopen
+        ],
+    )
+    def test_rejects_out_of_menu_positional(self, two_block3, table):
+        bad = Strategy(player=BOB, klass=POS, table=table)
+        with pytest.raises(IllegalSourceStrategy):
+            translate_b1("bob-qc-to-pc", bad, two_block3, 1)
+
     def test_rejects_wrong_player(self, two_block3):
         v = solve(make_quasi_component_clopen(two_block3, 1))  # Bob wins
         with pytest.raises(IllegalSourceStrategy):
@@ -117,11 +148,12 @@ class TestB3Markov:
 class TestExtraction:
     def test_winning_strategy_covers_discrete2(self):
         d2 = discrete_space(2)
-        v = solve(make_quasi_component_clopen(d2, 2))
+        game = make_quasi_component_clopen(d2, 2)
+        v = solve(game)
         assert v.winner == ALICE
         blocks = quasi_components(d2).blocks
         seqs = {i: [b] for i, b in enumerate(blocks)}
-        result = extract_qs_tree(d2, v.witness, seqs, 2)
+        result = extract_qs_tree(d2, history_view(game, v.witness), seqs, 2)
         assert result.covers and result.counterexample is None
         assert set(result.tree.values()) == {0b01, 0b10}
 
@@ -148,14 +180,15 @@ class TestExtraction:
     def test_nontrivial_clopen_sequences(self):
         # descending chain of clopen supersets instead of the singleton
         d3 = discrete_space(3)
-        v = solve(make_quasi_component_clopen(d3, 3))
+        game = make_quasi_component_clopen(d3, 3)
+        phi = history_view(game, solve(game).witness)
         blocks = quasi_components(d3).blocks
         seqs = {
             0: [0b111, 0b011, 0b001],
             1: [0b011, 0b010],
             2: [0b110, 0b100],
         }
-        result = extract_qs_tree(d3, v.witness, seqs, 3)
+        result = extract_qs_tree(d3, phi, seqs, 3)
         assert result.covers
 
     def test_rejects_bad_sequence(self, two_block3):

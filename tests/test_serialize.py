@@ -13,8 +13,10 @@ from topogame.games import (
     FULL,
     GAME_BUILDERS,
     MARKOV,
+    POS,
     PRE,
     Strategy,
+    history_view,
     make_mildly_rothberger,
     make_rothberger,
     markov_bob_search,
@@ -65,8 +67,8 @@ class TestSpaceFormat:
 
 class TestStrategyFormat:
     def test_full_bob_roundtrip(self, two_block3):
-        v = solve(make_mildly_rothberger(two_block3, 2))
-        s = v.witness
+        game = make_mildly_rothberger(two_block3, 2)
+        s = history_view(game, solve(game).witness)
         back = strategy_from_json(json.loads(dumps_stable(strategy_to_json(s))), 3)
         assert back == s
 
@@ -81,27 +83,96 @@ class TestStrategyFormat:
         assert strategy_from_json(strategy_to_json(s), 2) == s
 
     def test_roundtrip_every_witness_n3(self, corpus3):
-        # solver, predetermined-Alice and Markov-Bob witnesses of every game
-        # and horizon; the dict form must be readable as it is and encode
-        # to the same data, point lists shared between entries included
+        # solver witnesses and their history views, predetermined-Alice and
+        # Markov-Bob witnesses of every game and horizon; the dict form must
+        # be readable as it is and encode to the same data, point lists
+        # shared between entries included
         count = Counter()
         for _, sp in corpus3:
             for name in sorted(GAME_BUILDERS):
                 for k in range(sp.n + 1):
                     game = GAME_BUILDERS[name](sp, k)
-                    found = (solve(game).witness, predetermined_alice_search(game), markov_bob_search(game))
+                    witness = solve(game).witness
+                    found = (
+                        witness,
+                        history_view(game, witness),
+                        predetermined_alice_search(game),
+                        markov_bob_search(game),
+                    )
                     for s in filter(None, found):
                         obj = strategy_to_json(s)
                         assert strategy_from_json(obj, sp.n) == s
                         assert json.loads(dumps_stable(obj)) == obj
                         count[s.player, s.klass] += 1
-        assert count == {(ALICE, FULL): 344, (ALICE, PRE): 344, (BOB, FULL): 306, (BOB, MARKOV): 306}
+        assert count == {
+            (ALICE, POS): 344,
+            (ALICE, FULL): 344,
+            (ALICE, PRE): 344,
+            (BOB, POS): 306,
+            (BOB, FULL): 306,
+            (BOB, MARKOV): 306,
+        }
 
     def test_alice_full_roundtrip(self, two_block3):
-        v = solve(make_mildly_rothberger(two_block3, 1))
+        game = make_mildly_rothberger(two_block3, 1)
+        v = solve(game)
         assert v.winner == ALICE
-        back = strategy_from_json(strategy_to_json(v.witness), 3)
-        assert back == v.witness
+        s = history_view(game, v.witness)
+        assert strategy_from_json(strategy_to_json(s), 3) == s
+
+    def test_positional_form(self, two_block3):
+        # most rounds left first, then covered-mask order; Bob's move lists
+        # his pick from each menu, in menu order
+        s = solve(make_mildly_rothberger(two_block3, 2)).witness
+        obj = strategy_to_json(s)
+        assert obj == {
+            "player": "bob",
+            "class": "positional",
+            "entries": [
+                {"context": [[], 2], "move": [[0, 1, 2], [0]]},
+                {"context": [[0], 1], "move": [[0, 1, 2], [1, 2]]},
+                {"context": [[0, 1, 2], 1], "move": [[0, 1, 2], [0]]},
+            ],
+        }
+        assert strategy_from_json(json.loads(dumps_stable(obj)), 3) == s
+        alice = solve(make_mildly_rothberger(two_block3, 1)).witness
+        assert strategy_to_json(alice)["entries"] == [{"context": [[], 1], "move": 1}]
+
+    @pytest.mark.parametrize(
+        "player, entry",
+        [
+            ("alice", {"context": [[], 0], "move": 0}),  # no rounds left
+            ("alice", {"context": [[], True], "move": 0}),
+            ("alice", {"context": [[], 1, 2], "move": 0}),
+            ("alice", {"context": [[0]], "move": 0}),
+            ("alice", {"context": 1, "move": 0}),
+            ("alice", {"context": [0, 1], "move": 0}),
+            ("alice", {"context": [[], 1], "move": [0]}),
+            ("bob", {"context": [[], 1], "move": [0]}),  # a pick, not a list of picks
+            ("bob", {"context": [[], 1], "move": 0}),
+            ("bob", {"context": [[], 1], "move": [[0], [True]]}),
+        ],
+    )
+    def test_rejects_malformed_positional(self, player, entry):
+        with pytest.raises(FormatError):
+            strategy_from_json({"player": player, "class": "positional", "entries": [entry]}, 2)
+
+    @pytest.mark.parametrize(
+        "player, entry",
+        [
+            ("alice", {"context": [[2], 1], "move": 0}),
+            ("bob", {"context": [[], 1], "move": [[0], [2]]}),
+        ],
+    )
+    def test_rejects_positional_point_outside_space(self, player, entry):
+        with pytest.raises(PointOutOfRange):
+            strategy_from_json({"player": player, "class": "positional", "entries": [entry]}, 2)
+
+    def test_rejects_repeated_position(self):
+        # [0, 1] and [1, 0] are one covered mask
+        entries = [{"context": [[0, 1], 1], "move": 0}, {"context": [[1, 0], 1], "move": 0}]
+        with pytest.raises(FormatError):
+            strategy_from_json({"player": "alice", "class": "positional", "entries": entries}, 2)
 
     @pytest.mark.parametrize(
         "player, entry",
