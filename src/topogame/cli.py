@@ -132,7 +132,10 @@ def cmd_check(args) -> int:
             witnessed = False
             for space_id, space in spaces:
                 # each row goes out as its space finishes, so a slow space shows by name
-                report = {"space_id": space_id, **check(space)}
+                try:
+                    report = {"space_id": space_id, **check(space)}
+                except CapExceeded as exc:
+                    raise CapExceeded(f"check {suite} on {space_id}: {exc}") from exc
                 all_pass = all_pass and report["pass"]
                 out.write(dumps_stable(report) + "\n")
                 out.flush()

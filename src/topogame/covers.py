@@ -125,9 +125,9 @@ def point_base_family(space: FiniteSpace, kind: str) -> MenuFamily:
 
 @lru_cache(maxsize=None)
 def quasi_component_family(space: FiniteSpace) -> MenuFamily:
-    """One menu per quasi-component block: all clopen supersets of it."""
-    clopens = sorted(m for m in clopen_algebra(space).sets if m != 0)
+    """One menu per quasi-component block: all clopen supersets of it, that
+    is, the clopen sets holding its least point."""
     blocks = quasi_components(space).blocks
-    menus = tuple(tuple(c for c in clopens if c & block == block) for block in blocks)
-    return MenuFamily(menus=menus)
+    bases = point_base_family(space, "clopen").menus
+    return MenuFamily(menus=tuple(bases[(block & -block).bit_length() - 1] for block in blocks))
 

@@ -28,10 +28,11 @@ A witness is positional (class POS): the winner's least optimal move at
 each (covered mask, rounds left) the winner's play can reach against every
 line of the loser. Alice's move there is a menu index; Bob's is his pick
 from each menu, in menu order. An n-point game of horizon k has at most
-2^n * k such positions, so no witness is ever skipped. A table keyed
-by the history of the loser's moves is built only where a caller needs
-one (`history_view`, the translations, the planted extraction strategy),
-and always by `unfold`: one round-by-round walk of every line of play
+2^n * k such positions, so no witness is ever skipped. Every reader
+(verification, translation, tree extraction) asks a strategy of any class
+for its move at a node through `Strategy.move_at`. A table keyed by the
+history of the loser's moves is built only for the output of a
+translation, by `unfold`: one round-by-round walk of every line of play
 that asks a `choose` callback for each node's move. WITNESS_CAP bounds
 those history tables alone: `unfold` raises CapExceeded past it.
 
@@ -44,9 +45,8 @@ witness, or None when the class has no win):
   Markov Bob, negated target: the same knowledge-set search over choice
     vectors (one member per menu), with each menu first cut to its
     subset-minimal members.
-Verification of a predetermined Alice, a Markov Bob or a positional
-strategy is memoized on (covered mask, round), since their moves depend
-on nothing else.
+Verification of every class but the full-history one is memoized on
+(covered mask, round), since their moves depend on nothing else.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .covers import (
     quasi_component_family,
 )
 from .errors import CapExceeded, IllegalMove
-from .topology import FiniteSpace
+from .topology import FiniteSpace, points_of
 
 ALICE = "alice"
 BOB = "bob"
@@ -106,18 +106,40 @@ class Strategy:
       Bob markov:  (Alice's current move, round number)
       positional:  (covered mask, rounds left), this round included
     Moves: Alice -> menu index, Bob -> member mask; a positional Bob's move
-    is a tuple with his member mask for each menu, in menu order.
+    is a tuple with his member mask for each menu, in menu order. Readers
+    ask for a move at a game-tree node with `move_at`, whatever the class.
     """
 
     player: str
     klass: str
     table: dict = field(hash=False)
 
-    def move_for(self, context):
-        try:
-            return self.table[context]
-        except KeyError:
-            raise IllegalMove(context) from None
+    def move_at(self, history: tuple, covered: int, rnd: int, horizon: int):
+        """Alice's menu index, or Bob's member, at a node of the game of this
+        horizon. `history` holds Bob's masks so far for Alice, and Alice's
+        menus up to this round's for Bob. Raises IllegalMove where the table
+        has no move; whether a move is legal is for the caller to check."""
+        klass = self.klass
+        if klass == POS:
+            key = (covered, horizon - rnd)
+            move = self.table.get(key)
+            if move is not None and self.player == BOB:
+                mi = history[-1]
+                move = move[mi] if mi < len(move) else None
+        else:
+            key = history if klass == FULL else rnd if klass == PRE else (history[-1], rnd)
+            move = self.table.get(key)
+        if move is None:
+            raise IllegalMove(self._file_context(key))
+        return move
+
+    def _file_context(self, key):
+        """A table key as a strategy file writes its context."""
+        if self.klass == POS:
+            return [points_of(key[0]), key[1]]
+        if self.klass == FULL and self.player == ALICE:
+            return [points_of(m) for m in key]
+        return key if self.klass == PRE else list(key)
 
 
 @dataclass(frozen=True)
@@ -356,7 +378,7 @@ def unfold(game: GameSpec, player: str, choose: Callable) -> Strategy:
     """The full-history table of `player`, built round by round over every
     line of play to the horizon.
 
-    choose(history, covered, left) is called once per node. For Alice it
+    choose(history, covered, rnd) is called once per node. For Alice it
     returns a menu index; for Bob it returns his pick from each menu, in
     menu order. Alice's table is keyed by Bob's replies. Raises
     CapExceeded once the table passes WITNESS_CAP entries; going round by
@@ -368,11 +390,11 @@ def unfold(game: GameSpec, player: str, choose: Callable) -> Strategy:
     table: dict = {}
     histories, masks = [()], [0]  # the nodes of the current round
     # without menus no round can be played, so the table is empty
-    for left in range(game.horizon if menus else 0, 0, -1):
+    for rnd in range(game.horizon if menus else 0):
         next_histories, next_masks = [], []
-        more = left > 1  # whether the moves made now lead to further nodes
+        more = rnd + 1 < game.horizon  # whether the moves made now lead to further nodes
         for history, covered in zip(histories, masks):
-            move = choose(history, covered, left)
+            move = choose(history, covered, rnd)
             if alice:
                 table[history] = move
                 if more:
@@ -390,11 +412,6 @@ def unfold(game: GameSpec, player: str, choose: Callable) -> Strategy:
                 raise CapExceeded(f"strategy table passed {WITNESS_CAP} entries")
         histories, masks = next_histories, next_masks
     return Strategy(player=player, klass=FULL, table=table)
-
-
-def history_view(game: GameSpec, s: Strategy) -> Strategy:
-    """The full-history table that plays as the positional strategy s."""
-    return unfold(game, s.player, lambda history, covered, left: s.move_for((covered, left)))
 
 
 # ---------------------------------------------------------------------------
@@ -565,65 +582,52 @@ def _markov_bob_cover(game: GameSpec) -> Optional[Strategy]:
 def verify_winning(game: GameSpec, s: Strategy) -> bool:
     """Exhaustively play s against every legal opponent line.
 
-    A predetermined Alice, a Markov Bob and a positional strategy move on
-    (covered mask, round) and Alice's current menu alone, so for them the
-    outcome below a position depends only on (covered mask, round) and is
-    memoized on it. A missing entry or an illegal move loses.
+    Every class but the full-history one moves on (covered mask, round)
+    and Alice's current menu alone, so for them the outcome below a
+    position depends only on (covered mask, round) and is memoized on it.
+    A missing entry or an illegal move loses.
     """
     menus = game.menus.menus
     full = game.space.full
     horizon = game.horizon
-    table = s.table
-    klass = s.klass
+    move_at = s.move_at
     alice = s.player == ALICE
     # s wins a finished play iff its mask is full, or iff it is not
     wins_full = (not alice) != game.negated
     counter = [0]
     memo: dict = {}
 
-    def memoized(covered: int, rnd: int, alice_moves: tuple, bob_moves: tuple) -> bool:
+    def memoized(covered: int, rnd: int, history: tuple) -> bool:
         key = (covered, rnd)
         hit = memo.get(key)
         if hit is None:
-            hit = memo[key] = explore(covered, rnd, alice_moves, bob_moves)
+            hit = memo[key] = explore(covered, rnd, history)
         return hit
 
-    def explore(covered: int, rnd: int, alice_moves: tuple, bob_moves: tuple) -> bool:
+    def explore(covered: int, rnd: int, history: tuple) -> bool:
+        # history: Bob's masks so far when s is Alice's, Alice's menus when Bob's
         counter[0] += 1
         if counter[0] > STATE_CAP:
             raise CapExceeded(f"verification cap {STATE_CAP} exceeded")
         if rnd >= horizon or not menus or covered == full:
             return (covered == full) == wins_full
         if alice:
-            if klass == POS:
-                mi = table.get((covered, horizon - rnd))
-            else:
-                mi = table.get(rnd if klass == PRE else bob_moves)
-            if mi is None or not 0 <= mi < len(menus):
+            mi = move_at(history, covered, rnd, horizon)
+            if not 0 <= mi < len(menus):
                 return False
-            return all(
-                check(covered | b, rnd + 1, alice_moves + (mi,), bob_moves + (b,))
-                for b in menus[mi]
-            )
-        if klass == POS:
-            picks = table.get((covered, horizon - rnd))
-            if picks is None or len(picks) != len(menus):
-                return False
+            return all(check(covered | b, rnd + 1, history + (b,)) for b in menus[mi])
         for mi, menu in enumerate(menus):
-            ctx = alice_moves + (mi,)
-            if klass == POS:
-                b = picks[mi]
-            else:
-                b = table.get((mi, rnd) if klass == MARKOV else ctx)
-            if b not in menu:
-                return False
-            if not check(covered | b, rnd + 1, ctx, bob_moves + (b,)):
+            ctx = history + (mi,)
+            b = move_at(ctx, covered, rnd, horizon)
+            if b not in menu or not check(covered | b, rnd + 1, ctx):
                 return False
         return True
 
-    positional = klass == POS or (s.player, klass) in ((ALICE, PRE), (BOB, MARKOV))
-    check = memoized if positional else explore
-    return check(0, 0, (), ())
+    check = explore if s.klass == FULL else memoized
+    try:
+        return check(0, 0, ())
+    except IllegalMove:  # the move asked for is missing, and s loses there
+        return False
 
 
 def optimal_move(solver: Solver, covered: int, left: int, menu_index: Optional[int] = None):

@@ -15,10 +15,10 @@ from .games import (
     FULL,
     MARKOV,
     POS,
+    PRE,
     GameSpec,
     Strategy,
     Transcript,
-    history_view,
     make_mildly_rothberger,
     make_point_clopen,
     make_point_open,
@@ -93,8 +93,8 @@ def translate_b1(
     point is exactly a clopen superset of its quasi-component); Bob's
     strategies map through least-index representatives of the blocks.
     Both games offer Bob the same members for corresponding moves, so a
-    line of play covers the same mask in both, and a positional source is
-    read at the target node's (covered mask, rounds left).
+    line of play covers the same mask in both, and the source is read at
+    the node of its own game that the target node corresponds to.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
@@ -106,14 +106,8 @@ def translate_b1(
     # least-point representative of each block
     reps = [points_of(block)[0] for block in part.blocks]
 
-    src_game, tgt_game = {
-        "alice-pc-to-qc": (pc, qc),
-        "alice-qc-to-pc": (qc, pc),
-        "bob-pc-to-qc": (pc, qc),
-        "bob-qc-to-pc": (qc, pc),
-    }[direction]
+    src_game, tgt_game = (pc, qc) if direction.endswith("pc-to-qc") else (qc, pc)
     _check_source_entries(s, src_game)
-    positional = s.klass == POS
 
     if direction.startswith("alice"):
         if s.player != ALICE:
@@ -121,10 +115,8 @@ def translate_b1(
         # a point maps to its block index, a block to its representative
         out_move = part.index_of if direction == "alice-pc-to-qc" else reps.__getitem__
 
-        def move(history: tuple, covered: int, left: int) -> int:
-            return out_move(s.move_for((covered, left) if positional else history))
-
-        out = unfold(tgt_game, ALICE, move)
+        def choose(history: tuple, covered: int, rnd: int) -> int:
+            return out_move(s.move_at(history, covered, rnd, horizon))
     else:
         if s.player != BOB:
             raise IllegalSourceStrategy("direction names Bob but strategy is Alice's")
@@ -132,15 +124,12 @@ def translate_b1(
         src_alice = reps.__getitem__ if direction == "bob-pc-to-qc" else part.index_of
         tgt_menus = range(len(tgt_game.menus.menus))
 
-        def picks(history: tuple, covered: int, left: int) -> tuple:
-            if positional:
-                src_picks = s.move_for((covered, left))
-                return tuple(src_picks[src_alice(mi)] for mi in tgt_menus)
-            ctx = tuple(src_alice(mi) for mi in history)
-            return tuple(s.move_for(ctx + (src_alice(mi),)) for mi in tgt_menus)
+        def choose(history: tuple, covered: int, rnd: int) -> tuple:
+            # Bob's pick from each target menu
+            src = tuple(src_alice(mi) for mi in history)
+            return tuple(s.move_at(src + (src_alice(mi),), covered, rnd, horizon) for mi in tgt_menus)
 
-        out = unfold(tgt_game, BOB, picks)
-
+    out = unfold(tgt_game, s.player, choose)
     input_winning = verify_winning(src_game, s)
     output_winning = verify_winning(tgt_game, out)
     return TranslationReport(
@@ -187,10 +176,11 @@ def extract_qs_tree(
     the indexed family of blocks it can name when Bob answers only from
     the given clopen sequences.
 
-    clopen_seqs maps each block index to clopen supersets of the block
-    whose intersection equals it (the singleton [block] always qualifies).
-    If the unfolded blocks fail to cover, the uncovered point yields a
-    legal play following phi that Alice loses.
+    phi may be of any class; it is read as playing the game of horizon
+    `depth`. clopen_seqs maps each block index to clopen supersets of the
+    block whose intersection equals it (the singleton [block] always
+    qualifies). If the unfolded blocks fail to cover, the uncovered point
+    yields a legal play following phi that Alice loses.
     """
     blocks = quasi_components(space).blocks
     for bi, seq in clopen_seqs.items():
@@ -205,24 +195,26 @@ def extract_qs_tree(
 
     tree: dict[tuple, int] = {}
     count = 0
-    frontier: list[tuple[tuple, tuple]] = [((), ())]  # (index sequence, bob moves)
+    # (index sequence, Bob's moves, the mask they cover)
+    frontier: list[tuple[tuple, tuple, int]] = [((), (), 0)]
     while frontier:
         nxt = []
-        for s, ctx in frontier:
-            bi = phi.table.get(ctx)
-            if bi is None:
-                # a strategy built for horizon d labels nodes only up to
-                # depth d-1; the final layer may fall outside its domain
+        for s, ctx, covered in frontier:
+            try:
+                bi = phi.move_at(ctx, covered, len(s), depth)
+            except IllegalMove:
+                # a strategy for horizon d moves only up to depth d-1; the
+                # final layer may fall outside its domain
                 if len(s) == depth:
                     continue
-                raise IllegalMove(ctx)
+                raise
             tree[s] = blocks[bi]
             count += 1
             if count > EXTRACTION_NODE_CAP:
                 raise DepthCapExceeded(f"extraction node cap {EXTRACTION_NODE_CAP} exceeded")
             if len(s) < depth:
                 for k, v in enumerate(clopen_seqs[bi]):
-                    nxt.append((s + (k,), ctx + (v,)))
+                    nxt.append((s + (k,), ctx + (v,), covered | v))
         frontier = nxt
 
     union = 0
@@ -235,11 +227,13 @@ def extract_qs_tree(
     ybit = 1 << y
     rounds = []
     ctx: tuple = ()
-    for _ in range(depth):
-        bi = phi.move_for(ctx)
-        k, v = next((k, v) for k, v in enumerate(clopen_seqs[bi]) if not v & ybit)
+    covered = 0
+    for rnd in range(depth):
+        bi = phi.move_at(ctx, covered, rnd, depth)
+        v = next(v for v in clopen_seqs[bi] if not v & ybit)
         rounds.append((bi, v))
         ctx = ctx + (v,)
+        covered |= v
     transcript = Transcript(rounds=tuple(rounds), outcome=BOB)
     return ExtractionResult(tree=tree, covers=False, counterexample=(y, transcript))
 
@@ -428,14 +422,15 @@ def check_b3(space: FiniteSpace) -> dict:
     s = b3_markov_strategy(space)
     game = make_mildly_rothberger(space, nblocks)
     won = verify_winning(game, s)
-    facts = {"blocks": nblocks, "markov_class": s.klass == MARKOV, "winning": won}
-    return {"check": "b3", "horizon": nblocks, "facts": facts, "pass": won and s.klass == MARKOV}
+    markov = s.klass == MARKOV
+    facts = {"blocks": nblocks, "markov_class": markov, "winning": won}
+    return {"check": "b3", "horizon": nblocks, "facts": facts, "pass": won and markov}
 
 
 def check_extraction(space: FiniteSpace) -> dict:
     """Unfold the solver's winning Alice strategy for the block game with
     singleton clopen sequences; also exercise the failure branch with the
-    planted strategy that repeats the first block."""
+    planted predetermined strategy that names the first block every round."""
     blocks = quasi_components(space).blocks
     nblocks = len(blocks)
     kstar = max(saturating_horizon(space), nblocks)
@@ -445,11 +440,11 @@ def check_extraction(space: FiniteSpace) -> dict:
     ok = True
     seqs = {bi: [blocks[bi]] for bi in range(nblocks)}
     if verdict.winner == ALICE:
-        result = extract_qs_tree(space, history_view(game, verdict.witness), seqs, kstar)
+        result = extract_qs_tree(space, verdict.witness, seqs, kstar)
         facts["covers"] = result.covers
         ok = ok and result.covers
     if nblocks >= 2:
-        planted = _constant_block_strategy(space, kstar)
+        planted = Strategy(player=ALICE, klass=PRE, table=dict.fromkeys(range(kstar), 0))
         result = extract_qs_tree(space, planted, seqs, kstar)
         facts["planted_covers"] = result.covers
         ok = ok and not result.covers and result.counterexample is not None
@@ -461,20 +456,12 @@ def check_extraction(space: FiniteSpace) -> dict:
     return {"check": "extraction", "horizon": kstar, "facts": facts, "pass": ok}
 
 
-def _constant_block_strategy(space: FiniteSpace, horizon: int) -> Strategy:
-    """Alice strategy that always names block 0; loses whenever there are
-    two or more quasi-components."""
-    return unfold(make_quasi_component_clopen(space, horizon), ALICE, lambda *node: 0)
-
-
 def _replay_is_losing(game: GameSpec, phi: Strategy, transcript: Transcript, y: int) -> bool:
     """The counterexample transcript must follow phi, stay legal, and miss y."""
     ctx: tuple = ()
     union = 0
-    for mi, v in transcript.rounds:
-        if phi.move_for(ctx) != mi:
-            return False
-        if v not in game.menus.menus[mi]:
+    for rnd, (mi, v) in enumerate(transcript.rounds):
+        if phi.move_at(ctx, union, rnd, game.horizon) != mi or v not in game.menus.menus[mi]:
             return False
         union |= v
         ctx = ctx + (v,)

@@ -6,9 +6,11 @@ neighbourhood per point, pruned as it goes; the oracle brute-forces every
 reflexive transitive relation and reads off its up-sets. Components come
 from definitional split search rather than from quasi-components, and the
 game value from an unabstracted history tree, and `playout` replays two
-strategy tables without the solver's lookups. `closed_form_verdict` gives
-every game's verdict on a finite space, in all three strategy classes,
-from two counts read off the open sets, with no search at all.
+strategy tables by its own keying (`reference_move`), not by
+`Strategy.move_at`. `history_view` unfolds a positional strategy into its
+full-history table. `closed_form_verdict` gives every game's verdict on a
+finite space, in all three strategy classes, from two counts read off the
+open sets, with no search at all.
 `random_alexandrov` samples spaces past the enumerated sizes;
 `discrete_space`, `sierpinski_space` and `dump_space` build and write the
 fixed spaces the tests use.
@@ -24,7 +26,7 @@ from typing import Iterable
 
 from topogame.covers import DEFAULT_CAP, Cover, MenuFamily
 from topogame.errors import CapExceeded, IllegalMove
-from topogame.games import GameSpec, Strategy, Transcript
+from topogame.games import GameSpec, Strategy, Transcript, unfold
 from topogame.serialize import space_to_json
 from topogame.topology import FiniteSpace, clopen_algebra, full_mask, validate_topology
 
@@ -235,36 +237,51 @@ def reversed_game(game: GameSpec) -> GameSpec:
     return dataclasses.replace(game, menus=MenuFamily(menus=menus))
 
 
+def reference_move(s: Strategy, alice_moves: tuple, bob_moves: tuple, covered: int,
+                   rnd: int, horizon: int):
+    """The table entry `playout` reads for s: Alice's menu index, or Bob's
+    member for the last of `alice_moves`. A predetermined Alice is looked
+    up by the round, a Markov Bob by Alice's current menu and the round, a
+    positional table by the covered mask and the rounds left (a positional
+    Bob's entry lists a pick per menu), and every other table by the
+    history. Raises IllegalMove on a missing entry."""
+    if s.klass == "positional":
+        key = (covered, horizon - rnd)
+    elif s.player == "alice":
+        key = rnd if s.klass == "pre" else bob_moves
+    else:
+        key = (alice_moves[-1], rnd) if s.klass == "markov" else alice_moves
+    if key not in s.table:
+        raise IllegalMove(key)
+    move = s.table[key]
+    return move[alice_moves[-1]] if s.player == "bob" and s.klass == "positional" else move
+
+
 def playout(game: GameSpec, alice: Strategy, bob: Strategy) -> Transcript:
-    """Reference replay of two strategy tables, one round at a time. A
-    predetermined Alice is looked up by the round, a Markov Bob by Alice's
-    current menu and the round, a positional table by the covered mask and
-    the rounds left (a positional Bob's entry lists a pick per menu), and
-    every other table by the history."""
+    """Reference replay of two strategy tables, one round at a time, each
+    read through `reference_move`."""
     menus = game.menus.menus
     rounds = []
     alice_moves: tuple = ()
     bob_moves: tuple = ()
     covered = 0
     for rnd in range(game.horizon if menus else 0):
-        position = (covered, game.horizon - rnd)
-        if alice.klass == "positional":
-            mi = alice.move_for(position)
-        else:
-            mi = alice.move_for(rnd if alice.klass == "pre" else bob_moves)
+        mi = reference_move(alice, alice_moves, bob_moves, covered, rnd, game.horizon)
         if not 0 <= mi < len(menus):
             raise IllegalMove(bob_moves, mi)
         alice_moves += (mi,)
-        if bob.klass == "positional":
-            b = bob.move_for(position)[mi]
-        else:
-            b = bob.move_for((mi, rnd) if bob.klass == "markov" else alice_moves)
+        b = reference_move(bob, alice_moves, bob_moves, covered, rnd, game.horizon)
         if b not in menus[mi]:
             raise IllegalMove(alice_moves, b)
         bob_moves += (b,)
         covered |= b
         rounds.append((mi, b))
     return Transcript(rounds=tuple(rounds), outcome="bob" if game.bob_wins(covered) else "alice")
+
+
+def history_view(game: GameSpec, s: Strategy) -> Strategy:
+    """The full-history table that plays as the positional strategy s."""
+    return unfold(game, s.player, lambda history, covered, rnd: s.table[(covered, game.horizon - rnd)])
 
 
 def history_tree_winner(game: GameSpec) -> str:

@@ -5,13 +5,15 @@ import json
 import pytest
 
 from oracles import dump_space
+from topogame import cli
 from topogame.cli import main
-from topogame.lab import check_pc_qc_equivalence
+from topogame.errors import CapExceeded
+from topogame.lab import check_b3, check_pc_qc_equivalence
 from topogame.serialize import (
     space_to_json,
     strategy_to_json,
 )
-from topogame.games import make_point_clopen, solve
+from topogame.games import STATE_CAP, make_point_clopen, solve
 from topogame.topology import validate_topology
 
 
@@ -259,6 +261,22 @@ class TestCheck:
         assert code == 3
         assert out == "" and err.startswith("error: ")
 
+    def test_cap_hit_names_suite_and_space(self, capsys, monkeypatch):
+        calls = []
+
+        def capped(space):
+            calls.append(space)
+            if len(calls) == 2:
+                raise CapExceeded(f"verification cap {STATE_CAP} exceeded")
+            return check_b3(space)
+
+        monkeypatch.setitem(cli._SUITE_CHECKS, "b3", capped)
+        code, out, err = run(capsys, "check", "b3", "--nmax", "2")
+        assert code == 3
+        # the row of the first space is already out
+        assert [json.loads(line)["space_id"] for line in out.splitlines()] == ["n1#0"]
+        assert err == f"error: check b3 on n2#0: verification cap {STATE_CAP} exceeded\n"
+
     def test_unknown_suite(self):
         with pytest.raises(SystemExit) as exc:
             main(["check", "nonsense"])
@@ -426,7 +444,7 @@ class TestTranslate:
                              "--space", "enum:n=3:i=0", "--horizon", "2")
         assert code == 2
         assert out == ""
-        assert err == "error: strategy has no entry at context (1,)\n"
+        assert err == "error: strategy has no entry at context [1]\n"
 
     def test_missing_positional_entry_is_named(self, capsys, tmp_path):
         # after the first round every point is covered, with one round left
@@ -438,7 +456,7 @@ class TestTranslate:
                              "--space", "enum:n=3:i=0", "--horizon", "2")
         assert code == 2
         assert out == ""
-        assert err == "error: strategy has no entry at context (7, 1)\n"
+        assert err == "error: strategy has no entry at context [[0, 1, 2], 1]\n"
 
     @pytest.mark.parametrize("witness_only", [False, True])
     def test_translates_what_solve_wrote(self, capsys, tmp_path, space_file, witness_only):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -10,10 +11,12 @@ from oracles import (
     closed_form_verdict,
     discrete_space,
     history_tree_winner,
+    history_view,
     is_selection_basis,
     markov_bob_oracle,
     playout,
     random_alexandrov,
+    reference_move,
     reversed_game,
     selection_principle,
 )
@@ -32,7 +35,6 @@ from topogame.games import (
     Solver,
     Strategy,
     _dominant_menus,
-    history_view,
     make_mildly_rothberger,
     make_point_clopen,
     make_point_open,
@@ -45,6 +47,7 @@ from topogame.games import (
     verify_winning,
     winners,
 )
+from topogame.lab import b3_markov_strategy
 from topogame.serialize import dumps_stable, strategy_from_json, strategy_to_json, verdict_to_json
 from topogame.topology import (
     enumerate_topologies,
@@ -560,6 +563,72 @@ class TestPositionalWitnesses:
         assert not verify_winning(game, Strategy(player=BOB, klass=POS, table=table))
         table[(0b001, 1)] = (0b111,)  # one pick for two menus
         assert not verify_winning(game, Strategy(player=BOB, klass=POS, table=table))
+
+    def test_verify_stops_at_a_full_mask(self, two_block3):
+        # a full covered mask decides the play, so no move is asked for there
+        game = make_mildly_rothberger(two_block3, 2)
+        table = dict(solve(game).witness.table)
+        del table[(0b111, 1)]
+        assert verify_winning(game, Strategy(player=BOB, klass=POS, table=table))
+
+
+def _reference_nodes(game, s) -> list:
+    """Every node the opponent can reach against s, as (history, covered,
+    round, move): the arguments of `Strategy.move_at` there, and the entry
+    `oracles.playout` reads."""
+    menus = game.menus.menus
+    k = game.horizon
+    nodes = []
+    frontier = [((), (), 0)]  # (Alice's menus, Bob's masks, covered mask)
+    for rnd in range(k if menus else 0):
+        nxt = []
+        for alice_moves, bob_moves, covered in frontier:
+            if s.player == ALICE:
+                mi = reference_move(s, alice_moves, bob_moves, covered, rnd, k)
+                nodes.append((bob_moves, covered, rnd, mi))
+                replies = [(mi, b) for b in menus[mi]]
+            else:
+                replies = []
+                for mi in range(len(menus)):
+                    b = reference_move(s, alice_moves + (mi,), bob_moves, covered, rnd, k)
+                    nodes.append((alice_moves + (mi,), covered, rnd, b))
+                    replies.append((mi, b))
+            nxt += [(alice_moves + (mi,), bob_moves + (b,), covered | b) for mi, b in replies]
+        frontier = nxt
+    return nodes
+
+
+class TestMoveAt:
+    def test_matches_the_reference_lookup_n3(self, corpus3):
+        # every class, at every node the opponent can reach, horizons 0..n
+        spaces = [validate_topology([0], 0)] + [sp for _, sp in corpus3]
+        classes, nodes = Counter(), 0
+        for sp in spaces:
+            for name in sorted(GAME_BUILDERS):
+                for k in range(sp.n + 1):
+                    try:
+                        game = GAME_BUILDERS[name](sp, k)
+                    except EmptySpace:
+                        continue
+                    witness = solve(game).witness
+                    strategies = [
+                        witness,
+                        history_view(game, witness),
+                        predetermined_alice_search(game),
+                        markov_bob_search(game),
+                    ]
+                    if name == "mildly-rothberger" and sp.n:
+                        strategies.append(b3_markov_strategy(sp, k))
+                    for s in filter(None, strategies):
+                        classes[s.player, s.klass] += 1
+                        for history, covered, rnd, move in _reference_nodes(game, s):
+                            assert s.move_at(history, covered, rnd, k) == move, (sp, name, k, s.klass)
+                            nodes += 1
+        assert classes == {
+            (ALICE, FULL): 344, (ALICE, POS): 344, (ALICE, PRE): 344,
+            (BOB, FULL): 308, (BOB, MARKOV): 438, (BOB, POS): 308,
+        }
+        assert nodes == 10078
 
 
 class TestClosedForm:

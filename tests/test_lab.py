@@ -2,20 +2,21 @@ import hashlib
 
 import pytest
 
-from oracles import discrete_space
-from topogame.errors import EmptySpace, IllegalSourceStrategy
+from oracles import discrete_space, history_view
+from topogame.errors import EmptySpace, IllegalMove, IllegalSourceStrategy
 from topogame.games import (
     ALICE,
     BOB,
     FULL,
     MARKOV,
     POS,
+    PRE,
     Strategy,
-    history_view,
     make_mildly_rothberger,
     make_point_clopen,
     make_quasi_component_clopen,
     solve,
+    unfold,
     verify_winning,
 )
 from topogame.lab import (
@@ -195,6 +196,38 @@ class TestExtraction:
         phi = Strategy(player=ALICE, klass=FULL, table={(): 0})
         with pytest.raises(ValueError):
             extract_qs_tree(two_block3, phi, {0: [0b110], 1: [0b110]}, 1)
+
+    def test_missing_entry_above_the_final_layer_raises(self):
+        d2 = discrete_space(2)
+        seqs = {0: [0b11, 0b01], 1: [0b10]}
+        # Bob's reply {0} in round 0 has no entry
+        phi = Strategy(player=ALICE, klass=FULL, table={(): 0, (0b11,): 1})
+        with pytest.raises(IllegalMove):
+            extract_qs_tree(d2, phi, seqs, 2)
+        # at depth 1 that reply is on the final layer
+        assert extract_qs_tree(d2, phi, seqs, 1).tree == {(): 0b01, (0,): 0b10}
+
+    def test_any_class_reads_as_its_history_view_n4(self, corpus3, corpus4):
+        # the positional witness and the predetermined planted strategy of
+        # the extraction check give the tree and counterexample of their
+        # full-history tables
+        counterexamples = 0
+        for _, sp in corpus3 + corpus4:
+            blocks = quasi_components(sp).blocks
+            k = max(sp.n, len(blocks))
+            game = make_quasi_component_clopen(sp, k)
+            seqs = {bi: [b] for bi, b in enumerate(blocks)}
+            witness = solve(game).witness
+            assert witness.player == ALICE
+            planted = Strategy(player=ALICE, klass=PRE, table=dict.fromkeys(range(k), 0))
+            for phi, view in (
+                (witness, history_view(game, witness)),
+                (planted, unfold(game, ALICE, lambda *node: 0)),
+            ):
+                result = extract_qs_tree(sp, phi, seqs, k)
+                assert result == extract_qs_tree(sp, view, seqs, k)
+                counterexamples += result.counterexample is not None
+        assert counterexamples == 133  # the planted strategy, on each space of two or more blocks
 
 
 class TestChecks:

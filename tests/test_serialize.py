@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import discrete_space, playout
+from oracles import discrete_space, history_view, playout
 from topogame.errors import FormatError, MissingEmptyOrFull, PointOutOfRange
 from topogame.games import (
     ALICE,
@@ -16,7 +16,6 @@ from topogame.games import (
     POS,
     PRE,
     Strategy,
-    history_view,
     make_mildly_rothberger,
     make_rothberger,
     markov_bob_search,
