@@ -38,15 +38,10 @@ class DepthCapExceeded(CapExceeded):
 
 
 class IllegalMove(ValueError):
-    """A strategy named a move outside the current menu, or lacks an entry."""
+    """A strategy lacks an entry at a context it is asked about."""
 
-    def __init__(self, context, move=None):
-        if move is None:
-            super().__init__(f"strategy has no entry at context {context!r}")
-        else:
-            super().__init__(f"illegal move {move!r} at context {context!r}")
-        self.context = context
-        self.move = move
+    def __init__(self, context):
+        super().__init__(f"strategy has no entry at context {context!r}")
 
 
 class IllegalSourceStrategy(ValueError):

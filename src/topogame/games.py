@@ -39,12 +39,23 @@ those history tables alone: `unfold` raises CapExceeded past it.
 Restricted strategy classes (each search returns its PRE or MARKOV
 witness, or None when the class has no win):
   Predetermined Alice: a knowledge-set search. She commits to a menu per
-    round, so the masks Bob can reach are tracked as a set.
+    round, so the masks Bob can reach are tracked as a set: an int bitset
+    over covered masks, cut to the antichain of the masks best for Bob.
   Markov Bob, cover target: closed form. He wins at horizon k iff the
     points split into at most k groups, each inside a member of every menu.
   Markov Bob, negated target: the same knowledge-set search over choice
     vectors (one member per menu), with each menu first cut to its
     subset-minimal members.
+There is one knowledge-set search per menu family, target and player
+(`_committed_search`, cached). It is memoized on (knowledge set, rounds
+left), so it answers every horizon, and every check that asks about the
+same family shares it. Before it runs, Alice's menus lose each menu that
+an earlier menu beats or equals for her, and each member that another
+member of its menu beats for Bob. That keeps her first winning move: the
+earlier menu is tried first at every knowledge set, so where it wins the
+later one is never reached, and where it loses the later one loses too.
+Her witnesses are therefore those of the full family. The dominant-menu
+cut would not keep them, since it can drop an earlier menu for a later.
 Verification of every class but the full-history one is memoized on
 (covered mask, round), since their moves depend on nothing else.
 """
@@ -55,7 +66,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .covers import (
     DEFAULT_CAP,
@@ -331,10 +342,24 @@ def _dominant_menus(menus: tuple, negated: bool) -> tuple:
     # complements reverse inclusion, so a negated target is a cover target
     # on the complemented members
     flip = (1 << width) - 1 if negated else 0
-    below = _subsets(width)
     kept: list = []  # (members kept, their bitset over masks, its down-closure)
+    for top, bits, reach in _menu_tops(menus, flip, _subsets(width)):
+        if any(not k_bits & ~reach for _, k_bits, _ in kept):
+            continue  # an earlier kept menu is at least as good for Alice
+        # drop the kept menus this one beats (none of them equals it)
+        kept = [k for k in kept if bits & ~k[2]]
+        kept.append((top, bits, reach))
+    return tuple(top for top, _, _ in kept)
+
+
+def _menu_tops(menus: tuple, flip: int, below: tuple) -> list:
+    """For each menu: the members whose XOR with `flip` no other member's
+    strictly contains, in menu order; the bitset of those flipped members;
+    and its down-closure. Menu A is at least as good for Alice as menu B
+    when A's bitset lies inside B's down-closure."""
+    out = []
     for menu in menus:
-        strict = 0  # bitset of the masks strictly inside some member
+        strict = 0  # bitset of the flipped masks strictly inside some member
         for b in menu:
             f = b ^ flip
             strict |= below[f] ^ (1 << f)
@@ -342,13 +367,8 @@ def _dominant_menus(menus: tuple, negated: bool) -> tuple:
         bits = 0
         for b in top:
             bits |= 1 << (b ^ flip)
-        reach = strict | bits
-        if any(not k_bits & ~reach for _, k_bits, _ in kept):
-            continue  # an earlier kept menu is at least as good for Alice
-        # drop the kept menus this one beats (none of them equals it)
-        kept = [k for k in kept if bits & ~k[2]]
-        kept.append((top, bits, reach))
-    return tuple(top for top, _, _ in kept)
+        out.append((top, bits, strict | bits))
+    return out
 
 
 def _extract_witness(game: GameSpec, solver: Solver, winner: str) -> Strategy:
@@ -418,77 +438,110 @@ def unfold(game: GameSpec, player: str, choose: Callable) -> Strategy:
 # restricted strategy classes
 
 
-def _antichain(masks, keep_max: bool) -> list:
-    """The masks no other mask strictly contains (keep_max) or is strictly
-    contained in (otherwise), in input order. Runs in the innermost loop of
-    the committed search, so it is an explicit loop."""
-    out = []
-    for s in masks:
-        dominated = False
-        for t in masks:
-            if t != s and ((s | t == t) if keep_max else (t | s == s)):
-                dominated = True
-                break
-        if not dominated:
-            out.append(s)
-    return out
-
-
+@lru_cache(maxsize=None)
 def _committed_search(
-    game: GameSpec, player: str, options: Callable[[], Iterable]
-) -> Optional[list]:
-    """Does `player` win by committing to one move per round, blind to the
-    opponent's replies, against an opponent with full information?
+    menus: tuple, n: int, negated: bool, player: str
+) -> Callable[[int], Optional[list]]:
+    """The knowledge-set search of `player` committing to one move per
+    round, blind to the opponent's replies, against an opponent with full
+    information. Returns a function from a horizon to the winning move of
+    each round, or to None when there is no winning commitment.
 
-    options() lists the player's moves for a round as (move, masks) pairs,
-    where masks are the selections the opponent can answer the move with.
-    The search tracks the set of covered masks the opponent can reach; the
-    player wins when every final mask is a win for them. Returns the
-    winning move of each round, or None when there is no winning commitment.
+    Alice's moves are menu indices; Bob's are choice vectors, one minimal
+    member of every menu (`_minimal_members`). A knowledge set is the bitset
+    of the covered masks the opponent can reach, and the player wins when
+    every final mask is a win for them. `wins` is memoized on (knowledge
+    set, rounds left), so one search answers every horizon, and every
+    caller that asks about the same menu family shares it.
     """
-    goal = player == BOB  # the committing player wins when bob_wins(final) == goal
-    if game.horizon == 0 or not game.menus.menus:
-        return [] if game.bob_wins(0) == goal else None
+    alice = player == ALICE
+    goal = not alice  # the committing player wins when bob_wins(final) == goal
+    full = (1 << n) - 1
     # the opponent's goal is monotone in the covered mask (antitone when
-    # negated), so only the reachable masks best for them matter
-    keep_max = goal == game.negated
+    # negated), so only the reachable masks best for them matter: the
+    # maximal ones, or the minimal ones, which are maximal once complemented.
+    # A knowledge set holds each mask XOR flip.
+    flip = 0 if goal == negated else full
+    bit, under = _flipped(n, flip)
+    bad = 0  # the final masks the committing player loses
+    for x in range(full + 1):
+        if ((x == full) != negated) != goal:
+            bad |= bit[x]
+    if alice:
+        # Drop each menu an earlier menu beats or equals for Alice, and each
+        # member another member of its menu beats for Bob. The earlier menu
+        # is tried first at every knowledge set: where it wins the later one
+        # is never reached, and where it loses the later one loses too. So
+        # the first winning move is that of the full family.
+        kept: list = []  # (menu index, members kept, their bitset)
+        for mi, (top, bits, reach) in enumerate(_menu_tops(menus, flip, _subsets(n))):
+            if all(k_bits & ~reach for _, _, k_bits in kept):
+                kept.append((mi, top, bits))
+        moves = tuple((mi, top) for mi, top, _ in kept)
+    else:
+        minimal = _minimal_members(menus)
+    name = "predetermined-Alice" if alice else "Markov-Bob"
     memo: dict = {}
 
-    def wins(states: frozenset, rnd: int):
-        # returns (winning move, next knowledge set) for this round, or None
-        key = (states, rnd)
+    def wins(states: int, left: int):
+        # (winning move, next knowledge set) with `left` rounds to play, or None
+        key = (states, left)
         if key in memo:
             return memo[key]
+        if len(memo) > STATE_CAP:
+            raise CapExceeded(f"{name} knowledge-set search state cap {STATE_CAP} exceeded")
+        masks = []
+        rest = states
+        while rest:
+            low = rest & -rest
+            masks.append((low.bit_length() - 1) ^ flip)
+            rest ^= low
         result = None
-        for move, masks in options():
-            nxt = frozenset(_antichain({s | b for s in states for b in masks}, keep_max))
-            if rnd + 1 >= game.horizon:
-                good = all(game.bob_wins(s) == goal for s in nxt)
-            else:
-                good = wins(nxt, rnd + 1) is not None
-            if good:
+        for move, members in moves if alice else ((v, v) for v in itertools.product(*minimal)):
+            reach = strict = 0
+            for s in masks:
+                for b in members:
+                    x = s | b
+                    reach |= bit[x]
+                    strict |= under[x]
+            nxt = reach & ~strict
+            if not nxt & bad if left == 1 else wins(nxt, left - 1) is not None:
                 result = (move, nxt)
                 break
         memo[key] = result
         return result
 
-    # unroll the recorded choices into the move list
-    seq = []
-    states = frozenset([0])
-    for rnd in range(game.horizon):
-        found = wins(states, rnd)
-        if found is None:
-            return None
-        move, states = found
-        seq.append(move)
-    return seq
+    def commit(horizon: int) -> Optional[list]:
+        if horizon == 0 or not menus:
+            return None if bad & bit[0] else []
+        # unroll the recorded choices into the move list
+        seq = []
+        states = bit[0]
+        for left in range(horizon, 0, -1):
+            found = wins(states, left)
+            if found is None:
+                return None
+            move, states = found
+            seq.append(move)
+        return seq
+
+    return commit
+
+
+@lru_cache(maxsize=None)
+def _flipped(n: int, flip: int) -> tuple:
+    """For each n-bit mask x: the bitset holding x ^ flip, and the bitset of
+    the masks strictly inside x ^ flip."""
+    below = _subsets(n)
+    bit = tuple(1 << (x ^ flip) for x in range(1 << n))
+    return bit, tuple(below[x ^ flip] ^ bit[x] for x in range(1 << n))
 
 
 def predetermined_alice_search(game: GameSpec) -> Optional[Strategy]:
     """Alice's winning strategy that only looks at the round number, or
     None when she has none. Bob plays with full information against the
     fixed menu list."""
-    seq = _committed_search(game, ALICE, lambda: enumerate(game.menus.menus))
+    seq = _committed_search(game.menus.menus, game.space.n, game.negated, ALICE)(game.horizon)
     return None if seq is None else Strategy(player=ALICE, klass=PRE, table=dict(enumerate(seq)))
 
 
@@ -501,12 +554,11 @@ def markov_bob_search(game: GameSpec) -> Optional[Strategy]:
         return Strategy(player=BOB, klass=MARKOV, table={}) if game.bob_wins(0) else None
     if not game.negated:
         return _markov_bob_cover(game)
-    menus = _minimal_members(game.menus.menus)
-    vectors = math.prod(len(menu) for menu in menus)
+    vectors = math.prod(len(menu) for menu in _minimal_members(game.menus.menus))
     if vectors > DEFAULT_CAP:
         raise CapExceeded(f"more than {DEFAULT_CAP} Markov choice vectors per round")
     # a round's move is a choice vector: one member of every menu
-    seq = _committed_search(game, BOB, lambda: ((v, v) for v in itertools.product(*menus)))
+    seq = _committed_search(game.menus.menus, game.space.n, True, BOB)(game.horizon)
     if seq is None:
         return None
     table = {(mi, rnd): b for rnd, vector in enumerate(seq) for mi, b in enumerate(vector)}
@@ -518,7 +570,8 @@ def _minimal_members(menus: tuple) -> tuple:
     """Each menu cut to its subset-minimal members, in menu order. Bob wants
     to avoid covering, and a smaller selection never helps Alice, so only
     these are worth committing to."""
-    return tuple(tuple(_antichain(menu, keep_max=False)) for menu in menus)
+    width = max((b.bit_length() for menu in menus for b in menu), default=0)
+    return tuple(top for top, _, _ in _menu_tops(menus, (1 << width) - 1, _subsets(width)))
 
 
 def _markov_bob_cover(game: GameSpec) -> Optional[Strategy]:

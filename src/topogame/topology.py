@@ -13,7 +13,7 @@ point. In a finite space the components are the quasi-components.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -59,10 +59,12 @@ class FiniteSpace:
 
     n: int
     opens: tuple[int, ...]
+    # the mask of all points, set once per space: solvers and verifiers
+    # read it per node. It takes no part in equality, hashing or repr.
+    full: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def full(self) -> int:
-        return full_mask(self.n)
+    def __post_init__(self):
+        object.__setattr__(self, "full", full_mask(self.n))
 
     def is_open(self, mask: int) -> bool:
         return mask in self._open_set()

@@ -7,7 +7,9 @@ reflexive transitive relation and reads off its up-sets. Components come
 from definitional split search rather than from quasi-components, and the
 game value from an unabstracted history tree, and `playout` replays two
 strategy tables by its own keying (`reference_move`), not by
-`Strategy.move_at`. `history_view` unfolds a positional strategy into its
+`Strategy.move_at`. `reference_committed_search` is the restricted
+searches' knowledge-set search as one fresh frozenset search per call,
+with no move cut. `history_view` unfolds a positional strategy into its
 full-history table. `closed_form_verdict` gives every game's verdict on a
 finite space, in all three strategy classes, from two counts read off the
 open sets, with no search at all.
@@ -22,7 +24,7 @@ import dataclasses
 import itertools
 import json
 import random
-from typing import Iterable
+from typing import Iterable, Optional
 
 from topogame.covers import DEFAULT_CAP, Cover, MenuFamily
 from topogame.errors import CapExceeded, IllegalMove
@@ -257,9 +259,13 @@ def reference_move(s: Strategy, alice_moves: tuple, bob_moves: tuple, covered: i
     return move[alice_moves[-1]] if s.player == "bob" and s.klass == "positional" else move
 
 
+class OffMenuMove(ValueError):
+    """`playout` met a menu index out of range, or a pick off its menu."""
+
+
 def playout(game: GameSpec, alice: Strategy, bob: Strategy) -> Transcript:
     """Reference replay of two strategy tables, one round at a time, each
-    read through `reference_move`."""
+    read through `reference_move`. Raises OffMenuMove on an illegal move."""
     menus = game.menus.menus
     rounds = []
     alice_moves: tuple = ()
@@ -268,11 +274,11 @@ def playout(game: GameSpec, alice: Strategy, bob: Strategy) -> Transcript:
     for rnd in range(game.horizon if menus else 0):
         mi = reference_move(alice, alice_moves, bob_moves, covered, rnd, game.horizon)
         if not 0 <= mi < len(menus):
-            raise IllegalMove(bob_moves, mi)
+            raise OffMenuMove(f"menu {mi} out of range after {bob_moves}")
         alice_moves += (mi,)
         b = reference_move(bob, alice_moves, bob_moves, covered, rnd, game.horizon)
         if b not in menus[mi]:
-            raise IllegalMove(alice_moves, b)
+            raise OffMenuMove(f"pick {b} off menu {mi} after {alice_moves}")
         bob_moves += (b,)
         covered |= b
         rounds.append((mi, b))
@@ -312,6 +318,74 @@ def selection_principle(game: GameSpec) -> bool:
         any(game.bob_wins(_union(picks)) for picks in itertools.product(*(menus[mi] for mi in seq)))
         for seq in itertools.product(range(len(menus)), repeat=game.horizon)
     )
+
+
+def _antichain(masks, keep_max: bool) -> list:
+    """The masks no other mask strictly contains (keep_max) or is strictly
+    contained in (otherwise), in input order."""
+    out = []
+    for s in masks:
+        dominated = False
+        for t in masks:
+            if t != s and ((s | t == t) if keep_max else (t | s == s)):
+                dominated = True
+                break
+        if not dominated:
+            out.append(s)
+    return out
+
+
+def reference_committed_search(game: GameSpec, player: str) -> Optional[dict]:
+    """The restricted searches' table, by a fresh knowledge-set search per
+    call: predetermined Alice's {round: menu index}, or Markov Bob's
+    {(menu index, round): member}; None when the class has no win.
+
+    The committing player's moves are Alice's menus, every one tried in
+    menu order, or Bob's choice vectors over the subset-minimal members of
+    each menu. Knowledge sets are frozensets keyed with the round number,
+    and the opponent's reachable masks are cut to those best for them.
+    """
+    menus = game.menus.menus
+    goal = player == "bob"  # the committing player wins when bob_wins(final) == goal
+    if game.horizon == 0 or not menus:
+        if game.bob_wins(0) != goal:
+            return None
+        return {}
+    if goal:
+        minimal = [_antichain(menu, keep_max=False) for menu in menus]
+        options = [(v, v) for v in itertools.product(*minimal)]
+    else:
+        options = list(enumerate(menus))
+    keep_max = goal == game.negated
+    memo: dict = {}
+
+    def wins(states: frozenset, rnd: int):
+        # (winning move, next knowledge set) for this round, or None
+        key = (states, rnd)
+        if key not in memo:
+            memo[key] = None
+            for move, masks in options:
+                nxt = frozenset(_antichain({s | b for s in states for b in masks}, keep_max))
+                if rnd + 1 >= game.horizon:
+                    good = all(game.bob_wins(s) == goal for s in nxt)
+                else:
+                    good = wins(nxt, rnd + 1) is not None
+                if good:
+                    memo[key] = (move, nxt)
+                    break
+        return memo[key]
+
+    seq = []
+    states = frozenset([0])
+    for rnd in range(game.horizon):
+        found = wins(states, rnd)
+        if found is None:
+            return None
+        move, states = found
+        seq.append(move)
+    if goal:
+        return {(mi, rnd): b for rnd, vector in enumerate(seq) for mi, b in enumerate(vector)}
+    return dict(enumerate(seq))
 
 
 def markov_bob_oracle(game: GameSpec):

@@ -14,14 +14,16 @@ from oracles import (
     history_view,
     is_selection_basis,
     markov_bob_oracle,
+    OffMenuMove,
     playout,
     random_alexandrov,
+    reference_committed_search,
     reference_move,
     reversed_game,
     selection_principle,
 )
 from topogame.covers import DEFAULT_CAP, MenuFamily, reduced_covers
-from topogame.errors import CapExceeded, EmptySpace, IllegalMove
+from topogame.errors import CapExceeded, EmptySpace
 from topogame.games import (
     ALICE,
     BOB,
@@ -34,6 +36,7 @@ from topogame.games import (
     GameSpec,
     Solver,
     Strategy,
+    _committed_search,
     _dominant_menus,
     make_mildly_rothberger,
     make_point_clopen,
@@ -184,8 +187,101 @@ class TestRestrictedClasses:
         pairs = tuple(m for m in range(16) if bin(m).count("1") == 2)
         menus = MenuFamily(menus=(pairs,) * 8)
         assert len(pairs) ** 8 > DEFAULT_CAP
-        with pytest.raises(CapExceeded):
-            markov_bob_search(GameSpec(d4, menus, True, 1))
+        # the guard runs before the cached search, so on every call
+        for _ in range(2):
+            with pytest.raises(CapExceeded):
+                markov_bob_search(GameSpec(d4, menus, True, 1))
+
+
+def _search_tables(game) -> tuple:
+    """Predetermined Alice's table, then, in a point or block game (where
+    Markov Bob runs the knowledge-set search), Markov Bob's; None for a
+    class with no win."""
+    found = [predetermined_alice_search(game)]
+    if game.negated:
+        found.append(markov_bob_search(game))
+    return tuple(None if s is None else s.table for s in found)
+
+
+def _reference_tables(game) -> tuple:
+    players = (ALICE, BOB) if game.negated else (ALICE,)
+    return tuple(reference_committed_search(game, player) for player in players)
+
+
+class TestKnowledgeSearch:
+    """One memoized knowledge-set search per menu family answers every
+    horizon, and returns the tables of a fresh per-call search."""
+
+    @pytest.fixture
+    def fresh_searches(self):
+        _committed_search.cache_clear()
+        yield
+        _committed_search.cache_clear()
+
+    def test_matches_the_per_call_search_n4(self, corpus3, corpus4):
+        spaces = [validate_topology([0], 0)] + [sp for _, sp in corpus3 + corpus4]
+        checked = 0
+        for sp in spaces:
+            for name in sorted(GAME_BUILDERS):
+                for k in range(sp.n + 2):
+                    try:
+                        game = GAME_BUILDERS[name](sp, k)
+                    except EmptySpace:
+                        continue
+                    assert _search_tables(game) == _reference_tables(game), (sp, name, k)
+                    checked += 1
+        assert checked == 11474
+
+    def test_matches_the_per_call_search_random5(self):
+        # each (menu family, target, horizon) once: the per-call search
+        # takes seconds on the large cover families of near-discrete spaces
+        seen = set()
+        for sp in _distinct_random5(300):
+            for name in sorted(GAME_BUILDERS):
+                for k in range(6):
+                    game = GAME_BUILDERS[name](sp, k)
+                    key = (game.menus.menus, game.negated, k)
+                    if key not in seen:
+                        seen.add(key)
+                        assert _search_tables(game) == _reference_tables(game), (sp, name, k)
+        assert len(seen) == 3678
+
+    def test_horizons_in_any_order(self, corpus3, corpus4, fresh_searches):
+        spaces = [sp for _, sp in corpus3 + corpus4]
+
+        def tables(order) -> dict:
+            _committed_search.cache_clear()
+            return {
+                (i, name, k): _search_tables(GAME_BUILDERS[name](sp, k))
+                for i, sp in enumerate(spaces)
+                for name in sorted(GAME_BUILDERS)
+                for k in order(sp.n + 1)
+            }
+
+        ascending = tables(lambda top: range(top + 1))
+        assert tables(lambda top: range(top, -1, -1)) == ascending
+
+    def test_a_later_better_menu_does_not_replace_a_winning_one(self):
+        # menu 1 beats menu 0 for Alice: its one member lies inside a member
+        # of menu 0, which has another member. At horizon 1 both win and
+        # menu 0 is returned; at horizon 2 only menu 1 wins.
+        d2 = discrete_space(2)
+        menus = MenuFamily(menus=((0b01, 0b10), (0b01,)))
+        assert _dominant_menus(menus.menus, False) == ((0b01,),)
+        for k, table in ((1, {0: 0}), (2, {0: 1, 1: 1})):
+            game = GameSpec(d2, menus, False, k)
+            assert predetermined_alice_search(game).table == table
+            assert reference_committed_search(game, ALICE) == table
+
+    def test_state_cap_names_the_search(self, monkeypatch, fresh_searches):
+        monkeypatch.setattr("topogame.games.STATE_CAP", 2)
+        message = "^{} knowledge-set search state cap 2 exceeded$"
+        with pytest.raises(CapExceeded, match=message.format("predetermined-Alice")):
+            predetermined_alice_search(make_mildly_rothberger(discrete_space(3), 3))
+        # Bob commits a 2-set per menu, and Alice covers with two of them
+        menus = MenuFamily(menus=((0b011, 0b110), (0b110, 0b101), (0b101, 0b011)))
+        with pytest.raises(CapExceeded, match=message.format("Markov-Bob")):
+            markov_bob_search(GameSpec(discrete_space(3), menus, True, 2))
 
 
 class TestMenuBasisInvariance:
@@ -360,8 +456,11 @@ class TestPlayoutAndVerify:
         game = make_mildly_rothberger(two_block3, 1)
         alice = Strategy(player=ALICE, klass=PRE, table={0: 1})
         bob = Strategy(player=BOB, klass=FULL, table={(1,): 0b010})  # {1} is not in the cover
-        with pytest.raises(IllegalMove):
+        with pytest.raises(OffMenuMove, match="pick 2 off menu 1"):
             playout(game, alice, bob)
+        far = Strategy(player=ALICE, klass=PRE, table={0: len(game.menus.menus)})
+        with pytest.raises(OffMenuMove, match="out of range"):
+            playout(game, far, bob)
 
     def test_zero_horizon_empty_space_bob_wins(self):
         empty = validate_topology([0], 0)
