@@ -28,13 +28,26 @@ A witness is positional (class POS): the winner's least optimal move at
 each (covered mask, rounds left) the winner's play can reach against every
 line of the loser. Alice's move there is a menu index; Bob's is his pick
 from each menu, in menu order. An n-point game of horizon k has at most
-2^n * k such positions, so no witness is ever skipped. Every reader
-(verification, translation, tree extraction) asks a strategy of any class
-for its move at a node through `Strategy.move_at`. A table keyed by the
-history of the loser's moves is built only for the output of a
-translation, by `unfold`: one round-by-round walk of every line of play
-that asks a `choose` callback for each node's move. WITNESS_CAP bounds
-those history tables alone: `unfold` raises CapExceeded past it.
+2^n * k such positions, so no witness is ever skipped. Extraction reads
+each child's value from the solver's memo and never asks the solver
+again. At a position the winner's play reaches, the solver's own loop has
+already looked at exactly the children the least-optimal-move scan reads,
+in the same order and with the same short-circuit: Alice's menus up to
+the first whose members all lead to positions she wins, or, at a position
+Bob wins, every menu up to its first member leading to a position he
+wins. So each such child is memoized, or decided without the memo by a
+full mask or by no rounds left. Extraction adds no memo entry, so
+`stats` counts the positions the value search explored.
+
+Every reader (verification, translation, tree extraction) asks a strategy
+of any class for its move at a node through `Strategy.move_at`. Tables
+are built round by round from a `choose` callback that gives each node's
+move. `walk_positions` keeps one node per covered mask and builds a
+positional table: the witnesses, and the translation of a positional
+strategy. `unfold` walks every line of play and builds a table keyed by
+the history of the loser's moves; it runs only for the translation of a
+full-history strategy. WITNESS_CAP bounds those history tables alone:
+`unfold` raises CapExceeded past it.
 
 Restricted strategy classes (each search returns its PRE or MARKOV
 witness, or None when the class has no win):
@@ -56,8 +69,10 @@ earlier menu is tried first at every knowledge set, so where it wins the
 later one is never reached, and where it loses the later one loses too.
 Her witnesses are therefore those of the full family. The dominant-menu
 cut would not keep them, since it can drop an earlier menu for a later.
-Verification of every class but the full-history one is memoized on
-(covered mask, round), since their moves depend on nothing else.
+Verification is one round-by-round frontier walk. Every class but the
+full-history one moves on the covered mask, the round and Alice's current
+menu alone, so its frontier keeps one node per covered mask; the
+full-history class keeps one node per line of play.
 """
 
 from __future__ import annotations
@@ -374,29 +389,77 @@ def _menu_tops(menus: tuple, flip: int, below: tuple) -> list:
 def _extract_witness(game: GameSpec, solver: Solver, winner: str) -> Strategy:
     """Positional table for the winner: the least optimal move at every
     (covered mask, rounds left) reached round by round over every legal
-    line of the loser."""
+    line of the loser.
+
+    Each child's value is read from `solver.memo`; a full child goes to
+    `full_winner` and a child with no rounds left to `short_winner`, as in
+    `Solver.value`. The solver's loop at a reached position read exactly
+    the children read here, in this order and with this short-circuit, so
+    every one of them is memoized (see the module docstring)."""
     menus = game.menus.menus
-    alice = winner == ALICE
-    moves: dict = {}  # (covered, left) -> Alice's menu index, or Bob's pick per menu
-    reached = {0}  # the covered masks of the current round
-    for left in range(game.horizon if menus else 0, 0, -1):
-        nxt = set()
-        for covered in reached:
-            if alice:
-                mi = moves[(covered, left)] = optimal_move(solver, covered, left)
-                replies = menus[mi]
-            else:
-                replies = moves[(covered, left)] = tuple(
-                    optimal_move(solver, covered, left, mi) for mi in range(len(menus))
-                )
-            nxt.update(covered | b for b in replies)
-        reached = nxt
-    return Strategy(player=winner, klass=POS, table=moves)
+    horizon = game.horizon
+    memo = solver.memo
+    full, full_winner, short_winner = solver.full, solver.full_winner, solver.short_winner
+
+    def bob_takes(covered: int, menu: tuple, left: int):
+        # the first member of menu whose child Bob wins, else None
+        for b in menu:
+            child = covered | b
+            if child == full:
+                if full_winner == BOB:
+                    return b
+            elif (short_winner if left <= 0 else memo[(child, left)]) == BOB:
+                return b
+        return None
+
+    if winner == ALICE:
+
+        def choose(_, covered: int, rnd: int) -> int:
+            left = horizon - rnd - 1  # rounds left after this one
+            for mi, menu in enumerate(menus):
+                if bob_takes(covered, menu, left) is None:
+                    return mi
+    else:
+
+        def choose(_, covered: int, rnd: int) -> tuple:
+            left = horizon - rnd - 1
+            return tuple(bob_takes(covered, menu, left) for menu in menus)
+
+    return walk_positions(game, winner, choose)
+
+
+def walk_positions(game: GameSpec, player: str, choose: Callable) -> Strategy:
+    """The positional table of `player`, built round by round over the
+    covered masks the opponent can reach, one node per mask.
+
+    choose is `unfold`'s callback, called once per (covered mask, round)
+    with an empty history, so it must read nothing but the covered mask and
+    the round. Masks are visited in the order in which `unfold` first meets
+    them, so the first entry `choose` finds missing is the one `unfold`
+    would find.
+    """
+    menus = game.menus.menus
+    alice = player == ALICE
+    horizon = game.horizon
+    table: dict = {}
+    masks = [0]  # the covered masks of the current round, in first-met order
+    for rnd in range(horizon if menus else 0):
+        left = horizon - rnd
+        nxt: dict = {}
+        for covered in masks:
+            move = table[(covered, left)] = choose((), covered, rnd)
+            if left > 1:
+                for b in menus[move] if alice else move:
+                    nxt[covered | b] = None
+        masks = nxt
+    return Strategy(player=player, klass=POS, table=table)
 
 
 def unfold(game: GameSpec, player: str, choose: Callable) -> Strategy:
     """The full-history table of `player`, built round by round over every
-    line of play to the horizon.
+    line of play to the horizon. It runs only for the translation of a
+    full-history strategy; every other table is positional
+    (`walk_positions`).
 
     choose(history, covered, rnd) is called once per node. For Alice it
     returns a menu index; for Bob it returns his pick from each menu, in
@@ -633,54 +696,67 @@ def _markov_bob_cover(game: GameSpec) -> Optional[Strategy]:
 
 
 def verify_winning(game: GameSpec, s: Strategy) -> bool:
-    """Exhaustively play s against every legal opponent line.
+    """Play s against every legal opponent line, round by round.
 
-    Every class but the full-history one moves on (covered mask, round)
-    and Alice's current menu alone, so for them the outcome below a
-    position depends only on (covered mask, round) and is memoized on it.
-    A missing entry or an illegal move loses.
+    The frontier holds the nodes of the current round whose covered mask
+    is not full; a full mask decides the play, so no move is asked for
+    there. Every class but the full-history one moves on the covered mask,
+    the round and Alice's current menu alone, so its frontier keeps one
+    node per covered mask; the full-history class keeps one per line of
+    play. A missing entry, an out-of-range menu or a pick off its menu
+    loses. Raises CapExceeded once more than STATE_CAP nodes are visited.
     """
     menus = game.menus.menus
     full = game.space.full
     horizon = game.horizon
     move_at = s.move_at
     alice = s.player == ALICE
-    # s wins a finished play iff its mask is full, or iff it is not
+    per_mask = s.klass != FULL
+    # s wins a play that reaches a full mask iff this holds, and a finished
+    # play short of one iff it does not
     wins_full = (not alice) != game.negated
-    counter = [0]
-    memo: dict = {}
-
-    def memoized(covered: int, rnd: int, history: tuple) -> bool:
-        key = (covered, rnd)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = explore(covered, rnd, history)
-        return hit
-
-    def explore(covered: int, rnd: int, history: tuple) -> bool:
-        # history: Bob's masks so far when s is Alice's, Alice's menus when Bob's
-        counter[0] += 1
-        if counter[0] > STATE_CAP:
-            raise CapExceeded(f"verification cap {STATE_CAP} exceeded")
-        if rnd >= horizon or not menus or covered == full:
-            return (covered == full) == wins_full
-        if alice:
-            mi = move_at(history, covered, rnd, horizon)
-            if not 0 <= mi < len(menus):
-                return False
-            return all(check(covered | b, rnd + 1, history + (b,)) for b in menus[mi])
-        for mi, menu in enumerate(menus):
-            ctx = history + (mi,)
-            b = move_at(ctx, covered, rnd, horizon)
-            if b not in menu or not check(covered | b, rnd + 1, ctx):
-                return False
-        return True
-
-    check = explore if s.klass == FULL else memoized
+    if not full:  # the empty space: the empty play covers it
+        return wins_full
+    nodes = [((), 0)]  # (history, covered mask); history as for Strategy.move_at
+    visited = 0
     try:
-        return check(0, 0, ())
+        for rnd in range(horizon if menus else 0):
+            visited += len(nodes)
+            if visited > STATE_CAP:
+                raise CapExceeded(
+                    f"verification of {s.player}'s {s.klass} strategy: state cap {STATE_CAP} exceeded"
+                )
+            nxt: list = []
+            seen: set = set()
+            for history, covered in nodes:
+                if alice:
+                    mi = move_at(history, covered, rnd, horizon)
+                    if not 0 <= mi < len(menus):
+                        return False
+                    picks = menus[mi]
+                else:
+                    picks = []
+                    for mi, menu in enumerate(menus):
+                        b = move_at(history + (mi,), covered, rnd, horizon)
+                        if b not in menu:
+                            return False
+                        picks.append(b)
+                for j, b in enumerate(picks):
+                    child = covered | b
+                    if child == full:
+                        if not wins_full:
+                            return False
+                    elif not per_mask:
+                        # s's history: Bob's masks when s is Alice's, Alice's menus when Bob's
+                        nxt.append((history + (b if alice else j,), child))
+                    elif child not in seen:
+                        seen.add(child)
+                        nxt.append(((), child))
+            nodes = nxt
     except IllegalMove:  # the move asked for is missing, and s loses there
         return False
+    # the plays left are finished short of a full mask
+    return not nodes or not wins_full
 
 
 def optimal_move(solver: Solver, covered: int, left: int, menu_index: Optional[int] = None):

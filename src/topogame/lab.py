@@ -30,6 +30,7 @@ from .games import (
     solve,
     unfold,
     verify_winning,
+    walk_positions,
     winners,
 )
 from .topology import (
@@ -86,15 +87,19 @@ def translate_b1(
     direction: str, s: Strategy, space: FiniteSpace, horizon: int
 ) -> TranslationReport:
     """Carry a full-history or positional winning strategy between the
-    point-clopen and quasi-component-clopen games; the result is a
-    full-history table.
+    point-clopen and quasi-component-clopen games. The output's class is
+    the input's: a positional source gives a positional table, built over
+    the target game's reachable (covered mask, rounds left) positions, and
+    only a full-history source is unfolded into a full-history table.
 
     Alice's point strategies map through Q[.] (a clopen neighborhood of a
     point is exactly a clopen superset of its quasi-component); Bob's
     strategies map through least-index representatives of the blocks.
     Both games offer Bob the same members for corresponding moves, so a
     line of play covers the same mask in both, and the source is read at
-    the node of its own game that the target node corresponds to.
+    the node of its own game that the target node corresponds to. Either
+    walk asks for the source's moves at the same (covered mask, round)
+    positions, so a missing entry raises IllegalMove at the same context.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
@@ -129,7 +134,7 @@ def translate_b1(
             src = tuple(src_alice(mi) for mi in history)
             return tuple(s.move_at(src + (src_alice(mi),), covered, rnd, horizon) for mi in tgt_menus)
 
-    out = unfold(tgt_game, s.player, choose)
+    out = (unfold if s.klass == FULL else walk_positions)(tgt_game, s.player, choose)
     input_winning = verify_winning(src_game, s)
     output_winning = verify_winning(tgt_game, out)
     return TranslationReport(

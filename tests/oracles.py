@@ -8,11 +8,14 @@ from definitional split search rather than from quasi-components, and the
 game value from an unabstracted history tree, and `playout` replays two
 strategy tables by its own keying (`reference_move`), not by
 `Strategy.move_at`. `reference_committed_search` is the restricted
-searches' knowledge-set search as one fresh frozenset search per call,
-with no move cut. `history_view` unfolds a positional strategy into its
-full-history table. `closed_form_verdict` gives every game's verdict on a
-finite space, in all three strategy classes, from two counts read off the
-open sets, with no search at all.
+searches' knowledge-set search over frozensets, with no move cut.
+`reference_verify` is verification as a depth-first recursion over the
+game tree, memoized on (covered mask, round) for every class but the
+full-history one, where `verify_winning` walks a frontier round by round.
+`history_view` unfolds a positional strategy into its full-history table.
+`closed_form_verdict` gives every game's verdict on a finite space, in all
+three strategy classes, from two counts read off the open sets, with no
+search at all.
 `random_alexandrov` samples spaces past the enumerated sizes;
 `discrete_space`, `sierpinski_space` and `dump_space` build and write the
 fixed spaces the tests use.
@@ -24,7 +27,7 @@ import dataclasses
 import itertools
 import json
 import random
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from topogame.covers import DEFAULT_CAP, Cover, MenuFamily
 from topogame.errors import CapExceeded, IllegalMove
@@ -290,6 +293,53 @@ def history_view(game: GameSpec, s: Strategy) -> Strategy:
     return unfold(game, s.player, lambda history, covered, rnd: s.table[(covered, game.horizon - rnd)])
 
 
+def reference_verify(game: GameSpec, s: Strategy) -> bool:
+    """Exhaustively play s against every legal opponent line, depth first.
+
+    Every class but the full-history one moves on (covered mask, round)
+    and Alice's current menu alone, so for them the outcome below a
+    position depends only on (covered mask, round) and is memoized on it.
+    A missing entry or an illegal move loses.
+    """
+    menus = game.menus.menus
+    full = game.space.full
+    horizon = game.horizon
+    move_at = s.move_at
+    alice = s.player == "alice"
+    # s wins a finished play iff its mask is full, or iff it is not
+    wins_full = (not alice) != game.negated
+    memo: dict = {}
+
+    def memoized(covered: int, rnd: int, history: tuple) -> bool:
+        key = (covered, rnd)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = explore(covered, rnd, history)
+        return hit
+
+    def explore(covered: int, rnd: int, history: tuple) -> bool:
+        # history: Bob's masks so far when s is Alice's, Alice's menus when Bob's
+        if rnd >= horizon or not menus or covered == full:
+            return (covered == full) == wins_full
+        if alice:
+            mi = move_at(history, covered, rnd, horizon)
+            if not 0 <= mi < len(menus):
+                return False
+            return all(check(covered | b, rnd + 1, history + (b,)) for b in menus[mi])
+        for mi, menu in enumerate(menus):
+            ctx = history + (mi,)
+            b = move_at(ctx, covered, rnd, horizon)
+            if b not in menu or not check(covered | b, rnd + 1, ctx):
+                return False
+        return True
+
+    check = explore if s.klass == "full" else memoized
+    try:
+        return check(0, 0, ())
+    except IllegalMove:  # the move asked for is missing, and s loses there
+        return False
+
+
 def history_tree_winner(game: GameSpec) -> str:
     """Game value with no state abstraction: plain recursion on the full
     move history, Bob's goal (the selections cover the space, negated for
@@ -321,71 +371,86 @@ def selection_principle(game: GameSpec) -> bool:
 
 
 def _antichain(masks, keep_max: bool) -> list:
-    """The masks no other mask strictly contains (keep_max) or is strictly
-    contained in (otherwise), in input order."""
-    out = []
-    for s in masks:
-        dominated = False
-        for t in masks:
-            if t != s and ((s | t == t) if keep_max else (t | s == s)):
-                dominated = True
+    """The distinct masks no other mask strictly contains (keep_max) or is
+    strictly contained in (otherwise), largest (smallest) first.
+
+    A mask is kept unless a kept mask contains it (lies inside it): taken
+    in this order, whatever dominates a mask comes before it, and is kept
+    or lies inside (contains) a kept mask."""
+    kept: list = []
+    for s in sorted(set(masks), key=int.bit_count, reverse=keep_max):
+        for t in kept:
+            if (s | t == t) if keep_max else (t | s == s):
                 break
-        if not dominated:
-            out.append(s)
-    return out
+        else:
+            kept.append(s)
+    return kept
 
 
-def reference_committed_search(game: GameSpec, player: str) -> Optional[dict]:
-    """The restricted searches' table, by a fresh knowledge-set search per
-    call: predetermined Alice's {round: menu index}, or Markov Bob's
-    {(menu index, round): member}; None when the class has no win.
+def reference_committed_search(game: GameSpec, player: str) -> Callable[[int], Optional[dict]]:
+    """The restricted searches' table at each horizon of the game's menu
+    family and target: a function from a horizon to predetermined Alice's
+    {round: menu index}, or Markov Bob's {(menu index, round): member};
+    None when the class has no win.
 
     The committing player's moves are Alice's menus, every one tried in
     menu order, or Bob's choice vectors over the subset-minimal members of
-    each menu. Knowledge sets are frozensets keyed with the round number,
-    and the opponent's reachable masks are cut to those best for them.
+    each menu. Knowledge sets are frozensets, and the opponent's reachable
+    masks are cut to those best for them. One memo, keyed on the knowledge
+    set and the rounds left, answers every horizon, and the knowledge set
+    each move leads to is computed once per knowledge set.
     """
     menus = game.menus.menus
     goal = player == "bob"  # the committing player wins when bob_wins(final) == goal
-    if game.horizon == 0 or not menus:
-        if game.bob_wins(0) != goal:
-            return None
-        return {}
     if goal:
-        minimal = [_antichain(menu, keep_max=False) for menu in menus]
+        minimal = []  # each menu's subset-minimal members, in menu order
+        for menu in menus:
+            keep = _antichain(menu, keep_max=False)
+            minimal.append([b for b in menu if b in keep])
         options = [(v, v) for v in itertools.product(*minimal)]
     else:
         options = list(enumerate(menus))
     keep_max = goal == game.negated
+    steps: dict = {}  # knowledge set -> the next knowledge set of each move tried so far
+    known: dict = {}
     memo: dict = {}
 
-    def wins(states: frozenset, rnd: int):
-        # (winning move, next knowledge set) for this round, or None
-        key = (states, rnd)
+    def wins(states: frozenset, left: int):
+        # (winning move, next knowledge set) with `left` rounds to play, or None
+        key = (states, left)
         if key not in memo:
             memo[key] = None
-            for move, masks in options:
-                nxt = frozenset(_antichain({s | b for s in states for b in masks}, keep_max))
-                if rnd + 1 >= game.horizon:
+            done = steps.setdefault(states, [])
+            for i, (move, masks) in enumerate(options):
+                if i == len(done):
+                    nxt = frozenset(_antichain({s | b for s in states for b in masks}, keep_max))
+                    done.append(known.setdefault(nxt, nxt))  # one object per knowledge set
+                nxt = done[i]
+                if left == 1:
                     good = all(game.bob_wins(s) == goal for s in nxt)
                 else:
-                    good = wins(nxt, rnd + 1) is not None
+                    good = wins(nxt, left - 1) is not None
                 if good:
                     memo[key] = (move, nxt)
                     break
         return memo[key]
 
-    seq = []
-    states = frozenset([0])
-    for rnd in range(game.horizon):
-        found = wins(states, rnd)
-        if found is None:
-            return None
-        move, states = found
-        seq.append(move)
-    if goal:
-        return {(mi, rnd): b for rnd, vector in enumerate(seq) for mi, b in enumerate(vector)}
-    return dict(enumerate(seq))
+    def table(horizon: int) -> Optional[dict]:
+        if horizon == 0 or not menus:
+            return {} if game.bob_wins(0) == goal else None
+        seq = []
+        states = frozenset([0])
+        for left in range(horizon, 0, -1):
+            found = wins(states, left)
+            if found is None:
+                return None
+            move, states = found
+            seq.append(move)
+        if goal:
+            return {(mi, rnd): b for rnd, vector in enumerate(seq) for mi, b in enumerate(vector)}
+        return dict(enumerate(seq))
+
+    return table
 
 
 def markov_bob_oracle(game: GameSpec):

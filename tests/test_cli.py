@@ -483,7 +483,7 @@ class TestTranslate:
         assert code == 0
         report = json.loads(out)
         assert report["input_winning"] and report["output_winning"] and report["preserved"]
-        assert (report["output"]["player"], report["output"]["class"]) == ("alice", "full")
+        assert (report["output"]["player"], report["output"]["class"]) == ("alice", "positional")
 
     def test_malformed_positional_file(self, capsys, tmp_path):
         strategy = {"player": "bob", "class": "positional", "entries": [{"context": [[], 0], "move": [[0]]}]}

@@ -19,6 +19,7 @@ from oracles import (
     random_alexandrov,
     reference_committed_search,
     reference_move,
+    reference_verify,
     reversed_game,
     selection_principle,
 )
@@ -203,14 +204,20 @@ def _search_tables(game) -> tuple:
     return tuple(None if s is None else s.table for s in found)
 
 
-def _reference_tables(game) -> tuple:
+def _reference_searches(game) -> tuple:
+    """The reference search of each class `_search_tables` reads, as a
+    function from a horizon to its table."""
     players = (ALICE, BOB) if game.negated else (ALICE,)
     return tuple(reference_committed_search(game, player) for player in players)
 
 
+def _reference_tables(game) -> tuple:
+    return tuple(table(game.horizon) for table in _reference_searches(game))
+
+
 class TestKnowledgeSearch:
     """One memoized knowledge-set search per menu family answers every
-    horizon, and returns the tables of a fresh per-call search."""
+    horizon, and returns the tables of the reference frozenset search."""
 
     @pytest.fixture
     def fresh_searches(self):
@@ -233,18 +240,22 @@ class TestKnowledgeSearch:
         assert checked == 11474
 
     def test_matches_the_per_call_search_random5(self):
-        # each (menu family, target, horizon) once: the per-call search
-        # takes seconds on the large cover families of near-discrete spaces
-        seen = set()
+        # each (menu family, target) once, at horizons 0..5 from one
+        # reference search: the large cover families of near-discrete
+        # spaces make a fresh reference search per horizon take seconds
+        families = set()
         for sp in _distinct_random5(300):
             for name in sorted(GAME_BUILDERS):
+                game = GAME_BUILDERS[name](sp, 0)
+                key = (game.menus.menus, game.negated)
+                if key in families:
+                    continue
+                families.add(key)
+                references = _reference_searches(game)
                 for k in range(6):
-                    game = GAME_BUILDERS[name](sp, k)
-                    key = (game.menus.menus, game.negated, k)
-                    if key not in seen:
-                        seen.add(key)
-                        assert _search_tables(game) == _reference_tables(game), (sp, name, k)
-        assert len(seen) == 3678
+                    expected = tuple(table(k) for table in references)
+                    assert _search_tables(GAME_BUILDERS[name](sp, k)) == expected, (sp, name, k)
+        assert 6 * len(families) == 3678
 
     def test_horizons_in_any_order(self, corpus3, corpus4, fresh_searches):
         spaces = [sp for _, sp in corpus3 + corpus4]
@@ -271,7 +282,7 @@ class TestKnowledgeSearch:
         for k, table in ((1, {0: 0}), (2, {0: 1, 1: 1})):
             game = GameSpec(d2, menus, False, k)
             assert predetermined_alice_search(game).table == table
-            assert reference_committed_search(game, ALICE) == table
+            assert reference_committed_search(game, ALICE)(k) == table
 
     def test_state_cap_names_the_search(self, monkeypatch, fresh_searches):
         monkeypatch.setattr("topogame.games.STATE_CAP", 2)
@@ -669,6 +680,91 @@ class TestPositionalWitnesses:
         table = dict(solve(game).witness.table)
         del table[(0b111, 1)]
         assert verify_winning(game, Strategy(player=BOB, klass=POS, table=table))
+
+
+def _off_menu(menu: tuple) -> int:
+    """The least mask that is not a member of menu."""
+    m = 0
+    while m in menu:
+        m += 1
+    return m
+
+
+def _corruptions(game, s, rng) -> list:
+    """Copies of s with one fault each, at entries drawn by rng: an entry
+    deleted; then Alice's menu index out of range, or Bob's pick off its
+    menu, and for a positional Bob also a pick tuple one short."""
+    if not s.table:
+        return []
+    menus = game.menus.menus
+
+    def replaced(key, move):
+        table = dict(s.table)
+        if move is None:
+            del table[key]
+        else:
+            table[key] = move
+        return dataclasses.replace(s, table=table)
+
+    keys = list(s.table)
+    out = [replaced(rng.choice(keys), None)]
+    key = rng.choice(keys)
+    move = s.table[key]
+    if s.player == ALICE:
+        out.append(replaced(key, len(menus)))
+    elif s.klass == POS:
+        mi = rng.randrange(len(move))
+        out.append(replaced(key, move[:mi] + (_off_menu(menus[mi]),) + move[mi + 1:]))
+        out.append(replaced(key, move[:-1]))
+    else:
+        mi = key[-1] if s.klass == FULL else key[0]  # Alice's current menu
+        out.append(replaced(key, _off_menu(menus[mi])))
+    return out
+
+
+class TestVerifyWalk:
+    """`verify_winning`'s round-by-round walk against the recursive
+    reference verifier."""
+
+    def test_agrees_with_the_recursive_verifier_n3(self):
+        # every space with n <= 3, five games, horizons 0..n+1: the solver
+        # witness and its history view, the restricted witnesses, the block
+        # strategy in the clopen cover game, and corrupted copies of each
+        rng = random.Random(0)
+        verdicts = Counter()
+        for n in range(4):
+            for sp in enumerate_topologies(n):
+                for name in sorted(GAME_BUILDERS):
+                    for k in range(n + 2):
+                        try:
+                            game = GAME_BUILDERS[name](sp, k)
+                        except EmptySpace:
+                            continue
+                        witness = solve(game).witness
+                        found = [witness, history_view(game, witness),
+                                 predetermined_alice_search(game), markov_bob_search(game)]
+                        if name == "mildly-rothberger" and n:
+                            found.append(b3_markov_strategy(sp, k))
+                        for s in found:
+                            if s is None:
+                                continue
+                            for t in [s] + _corruptions(game, s, rng):
+                                won = verify_winning(game, t)
+                                assert won == reference_verify(game, t), (sp, name, k, t)
+                                verdicts[won, t.klass] += 1
+        # every class both wins and loses
+        assert {klass for won, klass in verdicts if won} == {FULL, POS, PRE, MARKOV}
+        assert {klass for won, klass in verdicts if not won} == {FULL, POS, PRE, MARKOV}
+
+    def test_state_cap_names_the_strategy(self, monkeypatch):
+        game = make_rothberger(discrete_space(3), 3)
+        witness = solve(game).witness
+        view = history_view(game, witness)
+        monkeypatch.setattr("topogame.games.STATE_CAP", 2)
+        for s in (witness, view):
+            message = f"^verification of bob's {s.klass} strategy: state cap 2 exceeded$"
+            with pytest.raises(CapExceeded, match=message):
+                verify_winning(game, s)
 
 
 def _reference_nodes(game, s) -> list:

@@ -82,20 +82,26 @@ class TestTranslations:
 
     def test_positional_input_reads_as_its_history_view(self, corpus3):
         # a positional source is read at (covered mask, rounds left) of the
-        # target node; it must translate exactly as its history table does
+        # target node and gives a positional table; that table plays as the
+        # full-history translation of the source's history table
         for _, sp in corpus3:
             for k in range(sp.n + 1):
-                for make, directions in (
-                    (make_point_clopen, {ALICE: "alice-pc-to-qc", BOB: "bob-pc-to-qc"}),
-                    (make_quasi_component_clopen, {ALICE: "alice-qc-to-pc", BOB: "bob-qc-to-pc"}),
+                for make, target, directions in (
+                    (make_point_clopen, make_quasi_component_clopen,
+                     {ALICE: "alice-pc-to-qc", BOB: "bob-pc-to-qc"}),
+                    (make_quasi_component_clopen, make_point_clopen,
+                     {ALICE: "alice-qc-to-pc", BOB: "bob-qc-to-pc"}),
                 ):
                     game = make(sp, k)
                     v = solve(game)
                     direction = directions[v.winner]
                     positional = translate_b1(direction, v.witness, sp, k)
                     history = translate_b1(direction, history_view(game, v.witness), sp, k)
-                    assert positional == history
-                    assert positional.output.klass == FULL and positional.preserved
+                    assert history_view(target(sp, k), positional.output) == history.output
+                    assert (positional.output.klass, history.output.klass) == (POS, FULL)
+                    assert positional.input_winning == history.input_winning
+                    assert positional.output_winning == history.output_winning
+                    assert positional.preserved
 
     @pytest.mark.parametrize(
         "table",
@@ -296,21 +302,28 @@ class TestChecks:
 class TestPinnedTranslations:
     def test_translated_witnesses_n4(self, corpus3, corpus4):
         # the translation of each solver witness of the point-clopen, then
-        # the block game; null when the solver skips the witness
-        lines = []
+        # the block game: as it is, positional, and as its history view,
+        # which is the full-history table translations wrote before their
+        # output followed the class of their input
+        views, positional = [], []
         for _, sp in corpus3 + corpus4:
             for k in range(sp.n + 1):
-                for make, directions in (
-                    (make_point_clopen, {ALICE: "alice-pc-to-qc", BOB: "bob-pc-to-qc"}),
-                    (make_quasi_component_clopen, {ALICE: "alice-qc-to-pc", BOB: "bob-qc-to-pc"}),
+                for make, target, directions in (
+                    (make_point_clopen, make_quasi_component_clopen,
+                     {ALICE: "alice-pc-to-qc", BOB: "bob-pc-to-qc"}),
+                    (make_quasi_component_clopen, make_point_clopen,
+                     {ALICE: "alice-qc-to-pc", BOB: "bob-qc-to-pc"}),
                 ):
                     v = solve(make(sp, k))
-                    out = None
-                    if v.witness is not None:
-                        report = translate_b1(directions[v.winner], v.witness, sp, k)
-                        out = strategy_to_json(report.output)
-                    lines.append(dumps_stable(out) + "\n")
-        assert len(lines) == 3810
-        assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+                    out = translate_b1(directions[v.winner], v.witness, sp, k).output
+                    assert out.klass == POS
+                    positional.append(dumps_stable(strategy_to_json(out)) + "\n")
+                    view = history_view(target(sp, k), out)
+                    views.append(dumps_stable(strategy_to_json(view)) + "\n")
+        assert len(views) == len(positional) == 3810
+        assert hashlib.sha256("".join(views).encode()).hexdigest() == (
             "8644a2387951be81def8f28877d5c94c959396245e628d371ef29078911cc24c"
+        )
+        assert hashlib.sha256("".join(positional).encode()).hexdigest() == (
+            "4ef63f61ec2ba61e6eeada6ed521c09c95bbefc279bf210ccbe9daaa491a04bf"
         )
