@@ -21,8 +21,8 @@ for Alice. Cutting both leaves the value of every position unchanged.
 This is the finite form of refinement: on a finite space O cuts to the
 cover by the maximal minimal neighbourhoods, C_O to the quasi-component
 partition, and each point menu to its least member. Witnesses, `play`,
-`unfold`, the restricted searches and `verify_winning` use the full
-family, so move indices and witness tables are those of the full family.
+the restricted searches and `verify_winning` use the full family, so move
+indices and witness tables are those of the full family.
 
 A witness is positional (class POS): the winner's least optimal move at
 each (covered mask, rounds left) the winner's play can reach against every
@@ -39,15 +39,15 @@ wins. So each such child is memoized, or decided without the memo by a
 full mask or by no rounds left. Extraction adds no memo entry, so
 `stats` counts the positions the value search explored.
 
-Every reader (verification, translation, tree extraction) asks a strategy
-of any class for its move at a node through `Strategy.move_at`. Tables
-are built round by round from a `choose` callback that gives each node's
-move. `walk_positions` keeps one node per covered mask and builds a
-positional table: the witnesses, and the translation of a positional
-strategy. `unfold` walks every line of play and builds a table keyed by
-the history of the loser's moves; it runs only for the translation of a
-full-history strategy. WITNESS_CAP bounds those history tables alone:
-`unfold` raises CapExceeded past it.
+There are three strategy classes: positional, predetermined Alice and
+Markov Bob. Each moves on the covered mask, the round and Alice's current
+menu alone, and no reader keeps a history of moves. Every reader
+(verification, translation, tree extraction) asks a strategy of any class
+for its move at a node through `Strategy.move_at`. `walk_positions`
+builds a positional table round by round from a `choose` callback that
+gives each node's move, with one node per covered mask: the witnesses,
+and the translation of a positional strategy. No class is keyed on a
+history, so no table grows with the number of lines of play.
 
 Restricted strategy classes (each search returns its PRE or MARKOV
 witness, or None when the class has no win):
@@ -69,10 +69,8 @@ earlier menu is tried first at every knowledge set, so where it wins the
 later one is never reached, and where it loses the later one loses too.
 Her witnesses are therefore those of the full family. The dominant-menu
 cut would not keep them, since it can drop an earlier menu for a later.
-Verification is one round-by-round frontier walk. Every class but the
-full-history one moves on the covered mask, the round and Alice's current
-menu alone, so its frontier keeps one node per covered mask; the
-full-history class keeps one node per line of play.
+Verification is one round-by-round frontier walk that keeps one node
+per covered mask.
 """
 
 from __future__ import annotations
@@ -96,13 +94,11 @@ from .topology import FiniteSpace, points_of
 ALICE = "alice"
 BOB = "bob"
 
-FULL = "full"
 MARKOV = "markov"
 PRE = "pre"
 POS = "positional"
 
 STATE_CAP = 10**7
-WITNESS_CAP = 200_000  # max entries of a history-keyed table; unfold raises past it
 
 
 @dataclass(frozen=True)
@@ -126,9 +122,7 @@ class Strategy:
     """A finite decision table.
 
     Context keys by class:
-      Alice full:  tuple of Bob's prior moves (masks)
       Alice pre:   round number
-      Bob full:    tuple of Alice's moves up to and including this round
       Bob markov:  (Alice's current move, round number)
       positional:  (covered mask, rounds left), this round included
     Moves: Alice -> menu index, Bob -> member mask; a positional Bob's move
@@ -140,20 +134,20 @@ class Strategy:
     klass: str
     table: dict = field(hash=False)
 
-    def move_at(self, history: tuple, covered: int, rnd: int, horizon: int):
-        """Alice's menu index, or Bob's member, at a node of the game of this
-        horizon. `history` holds Bob's masks so far for Alice, and Alice's
-        menus up to this round's for Bob. Raises IllegalMove where the table
-        has no move; whether a move is legal is for the caller to check."""
+    def move_at(self, covered: int, rnd: int, horizon: int, menu: int = 0):
+        """Alice's menu index, or Bob's member of Alice's menu `menu`, in
+        round `rnd` of the game of this horizon, with `covered` covered so
+        far. Alice's lookups ignore `menu`. Raises IllegalMove where the
+        table has no move; whether a move is legal is for the caller to
+        check."""
         klass = self.klass
         if klass == POS:
             key = (covered, horizon - rnd)
             move = self.table.get(key)
             if move is not None and self.player == BOB:
-                mi = history[-1]
-                move = move[mi] if mi < len(move) else None
+                move = move[menu] if menu < len(move) else None
         else:
-            key = history if klass == FULL else rnd if klass == PRE else (history[-1], rnd)
+            key = rnd if klass == PRE else (menu, rnd)
             move = self.table.get(key)
         if move is None:
             raise IllegalMove(self._file_context(key))
@@ -163,8 +157,6 @@ class Strategy:
         """A table key as a strategy file writes its context."""
         if self.klass == POS:
             return [points_of(key[0]), key[1]]
-        if self.klass == FULL and self.player == ALICE:
-            return [points_of(m) for m in key]
         return key if self.klass == PRE else list(key)
 
 
@@ -414,14 +406,14 @@ def _extract_witness(game: GameSpec, solver: Solver, winner: str) -> Strategy:
 
     if winner == ALICE:
 
-        def choose(_, covered: int, rnd: int) -> int:
+        def choose(covered: int, rnd: int) -> int:
             left = horizon - rnd - 1  # rounds left after this one
             for mi, menu in enumerate(menus):
                 if bob_takes(covered, menu, left) is None:
                     return mi
     else:
 
-        def choose(_, covered: int, rnd: int) -> tuple:
+        def choose(covered: int, rnd: int) -> tuple:
             left = horizon - rnd - 1
             return tuple(bob_takes(covered, menu, left) for menu in menus)
 
@@ -432,11 +424,11 @@ def walk_positions(game: GameSpec, player: str, choose: Callable) -> Strategy:
     """The positional table of `player`, built round by round over the
     covered masks the opponent can reach, one node per mask.
 
-    choose is `unfold`'s callback, called once per (covered mask, round)
-    with an empty history, so it must read nothing but the covered mask and
-    the round. Masks are visited in the order in which `unfold` first meets
-    them, so the first entry `choose` finds missing is the one `unfold`
-    would find.
+    choose(covered, rnd) is called once per node. For Alice it returns a
+    menu index; for Bob it returns his pick from each menu, in menu order.
+    Each round visits its masks in the order in which the nodes of the
+    round before first reach them, so the first missing entry that a
+    translation's `choose` meets does not vary from run to run.
     """
     menus = game.menus.menus
     alice = player == ALICE
@@ -447,54 +439,12 @@ def walk_positions(game: GameSpec, player: str, choose: Callable) -> Strategy:
         left = horizon - rnd
         nxt: dict = {}
         for covered in masks:
-            move = table[(covered, left)] = choose((), covered, rnd)
+            move = table[(covered, left)] = choose(covered, rnd)
             if left > 1:
                 for b in menus[move] if alice else move:
                     nxt[covered | b] = None
         masks = nxt
     return Strategy(player=player, klass=POS, table=table)
-
-
-def unfold(game: GameSpec, player: str, choose: Callable) -> Strategy:
-    """The full-history table of `player`, built round by round over every
-    line of play to the horizon. It runs only for the translation of a
-    full-history strategy; every other table is positional
-    (`walk_positions`).
-
-    choose(history, covered, rnd) is called once per node. For Alice it
-    returns a menu index; for Bob it returns his pick from each menu, in
-    menu order. Alice's table is keyed by Bob's replies. Raises
-    CapExceeded once the table passes WITNESS_CAP entries; going round by
-    round, a table too large to build is found before any entry deep in
-    it is asked for.
-    """
-    menus = game.menus.menus
-    alice = player == ALICE
-    table: dict = {}
-    histories, masks = [()], [0]  # the nodes of the current round
-    # without menus no round can be played, so the table is empty
-    for rnd in range(game.horizon if menus else 0):
-        next_histories, next_masks = [], []
-        more = rnd + 1 < game.horizon  # whether the moves made now lead to further nodes
-        for history, covered in zip(histories, masks):
-            move = choose(history, covered, rnd)
-            if alice:
-                table[history] = move
-                if more:
-                    for b in menus[move]:
-                        next_histories.append(history + (b,))
-                        next_masks.append(covered | b)
-            else:
-                for mi, b in enumerate(move):
-                    ctx = history + (mi,)
-                    table[ctx] = b
-                    if more:
-                        next_histories.append(ctx)
-                        next_masks.append(covered | b)
-            if len(table) > WITNESS_CAP:
-                raise CapExceeded(f"strategy table passed {WITNESS_CAP} entries")
-        histories, masks = next_histories, next_masks
-    return Strategy(player=player, klass=FULL, table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -698,65 +648,58 @@ def _markov_bob_cover(game: GameSpec) -> Optional[Strategy]:
 def verify_winning(game: GameSpec, s: Strategy) -> bool:
     """Play s against every legal opponent line, round by round.
 
-    The frontier holds the nodes of the current round whose covered mask
-    is not full; a full mask decides the play, so no move is asked for
-    there. Every class but the full-history one moves on the covered mask,
-    the round and Alice's current menu alone, so its frontier keeps one
-    node per covered mask; the full-history class keeps one per line of
-    play. A missing entry, an out-of-range menu or a pick off its menu
-    loses. Raises CapExceeded once more than STATE_CAP nodes are visited.
+    Every class moves on the covered mask, the round and Alice's current
+    menu alone, so the frontier holds the distinct covered masks of the
+    current round that are not full; a full mask decides the play, so no
+    move is asked for there. A missing entry, an out-of-range menu or a
+    pick off its menu loses. Raises CapExceeded once more than STATE_CAP
+    nodes are visited.
     """
     menus = game.menus.menus
     full = game.space.full
     horizon = game.horizon
     move_at = s.move_at
     alice = s.player == ALICE
-    per_mask = s.klass != FULL
     # s wins a play that reaches a full mask iff this holds, and a finished
     # play short of one iff it does not
     wins_full = (not alice) != game.negated
     if not full:  # the empty space: the empty play covers it
         return wins_full
-    nodes = [((), 0)]  # (history, covered mask); history as for Strategy.move_at
+    masks = [0]  # the covered masks of the current round, in first-met order
     visited = 0
     try:
         for rnd in range(horizon if menus else 0):
-            visited += len(nodes)
+            visited += len(masks)
             if visited > STATE_CAP:
                 raise CapExceeded(
                     f"verification of {s.player}'s {s.klass} strategy: state cap {STATE_CAP} exceeded"
                 )
-            nxt: list = []
-            seen: set = set()
-            for history, covered in nodes:
+            nxt: dict = {}
+            for covered in masks:
                 if alice:
-                    mi = move_at(history, covered, rnd, horizon)
+                    mi = move_at(covered, rnd, horizon)
                     if not 0 <= mi < len(menus):
                         return False
                     picks = menus[mi]
                 else:
                     picks = []
                     for mi, menu in enumerate(menus):
-                        b = move_at(history + (mi,), covered, rnd, horizon)
+                        b = move_at(covered, rnd, horizon, mi)
                         if b not in menu:
                             return False
                         picks.append(b)
-                for j, b in enumerate(picks):
+                for b in picks:
                     child = covered | b
                     if child == full:
                         if not wins_full:
                             return False
-                    elif not per_mask:
-                        # s's history: Bob's masks when s is Alice's, Alice's menus when Bob's
-                        nxt.append((history + (b if alice else j,), child))
-                    elif child not in seen:
-                        seen.add(child)
-                        nxt.append(((), child))
-            nodes = nxt
+                    else:
+                        nxt[child] = None
+            masks = nxt
     except IllegalMove:  # the move asked for is missing, and s loses there
         return False
     # the plays left are finished short of a full mask
-    return not nodes or not wins_full
+    return not masks or not wins_full
 
 
 def optimal_move(solver: Solver, covered: int, left: int, menu_index: Optional[int] = None):

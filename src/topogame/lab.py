@@ -12,7 +12,6 @@ from .errors import DepthCapExceeded, IllegalMove, IllegalSourceStrategy
 from .games import (
     ALICE,
     BOB,
-    FULL,
     MARKOV,
     POS,
     PRE,
@@ -28,7 +27,6 @@ from .games import (
     predetermined_alice_search,
     saturating_horizon,
     solve,
-    unfold,
     verify_winning,
     walk_positions,
     winners,
@@ -71,40 +69,34 @@ def _check_source_entries(s: Strategy, game: GameSpec) -> None:
         if s.player == ALICE:
             if not 0 <= move < len(menus):
                 raise IllegalSourceStrategy(f"menu index {move} out of range at {ctx!r}")
-        elif s.klass == POS:
+        else:
             if len(move) != len(menus):
                 raise IllegalSourceStrategy(f"{len(move)} picks for {len(menus)} menus at {ctx!r}")
             for mi, b in enumerate(move):
                 if b not in menus[mi]:
                     raise IllegalSourceStrategy(f"move {b:#x} not in menu {mi} at {ctx!r}")
-        else:
-            mi = ctx[-1]  # Alice's current menu
-            if not 0 <= mi < len(menus) or move not in menus[mi]:
-                raise IllegalSourceStrategy(f"move {move:#x} not in menu {mi} at {ctx!r}")
 
 
 def translate_b1(
     direction: str, s: Strategy, space: FiniteSpace, horizon: int
 ) -> TranslationReport:
-    """Carry a full-history or positional winning strategy between the
-    point-clopen and quasi-component-clopen games. The output's class is
-    the input's: a positional source gives a positional table, built over
-    the target game's reachable (covered mask, rounds left) positions, and
-    only a full-history source is unfolded into a full-history table.
+    """Carry a positional winning strategy between the point-clopen and
+    quasi-component-clopen games. The output is a positional table, built
+    over the target game's reachable (covered mask, rounds left) positions
+    (`walk_positions`).
 
     Alice's point strategies map through Q[.] (a clopen neighborhood of a
     point is exactly a clopen superset of its quasi-component); Bob's
     strategies map through least-index representatives of the blocks.
     Both games offer Bob the same members for corresponding moves, so a
     line of play covers the same mask in both, and the source is read at
-    the node of its own game that the target node corresponds to. Either
-    walk asks for the source's moves at the same (covered mask, round)
-    positions, so a missing entry raises IllegalMove at the same context.
+    the same (covered mask, round), facing the source menu that Alice's
+    target menu corresponds to. A missing source entry raises IllegalMove.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
-    if s.klass not in (FULL, POS):
-        raise IllegalSourceStrategy("translations require full-history or positional strategies")
+    if s.klass != POS:
+        raise IllegalSourceStrategy("translations require positional strategies")
     pc = make_point_clopen(space, horizon)
     qc = make_quasi_component_clopen(space, horizon)
     part = quasi_components(space)
@@ -120,8 +112,8 @@ def translate_b1(
         # a point maps to its block index, a block to its representative
         out_move = part.index_of if direction == "alice-pc-to-qc" else reps.__getitem__
 
-        def choose(history: tuple, covered: int, rnd: int) -> int:
-            return out_move(s.move_at(history, covered, rnd, horizon))
+        def choose(covered: int, rnd: int) -> int:
+            return out_move(s.move_at(covered, rnd, horizon))
     else:
         if s.player != BOB:
             raise IllegalSourceStrategy("direction names Bob but strategy is Alice's")
@@ -129,12 +121,11 @@ def translate_b1(
         src_alice = reps.__getitem__ if direction == "bob-pc-to-qc" else part.index_of
         tgt_menus = range(len(tgt_game.menus.menus))
 
-        def choose(history: tuple, covered: int, rnd: int) -> tuple:
+        def choose(covered: int, rnd: int) -> tuple:
             # Bob's pick from each target menu
-            src = tuple(src_alice(mi) for mi in history)
-            return tuple(s.move_at(src + (src_alice(mi),), covered, rnd, horizon) for mi in tgt_menus)
+            return tuple(s.move_at(covered, rnd, horizon, src_alice(mi)) for mi in tgt_menus)
 
-    out = (unfold if s.klass == FULL else walk_positions)(tgt_game, s.player, choose)
+    out = walk_positions(tgt_game, s.player, choose)
     input_winning = verify_winning(src_game, s)
     output_winning = verify_winning(tgt_game, out)
     return TranslationReport(
@@ -181,11 +172,11 @@ def extract_qs_tree(
     the indexed family of blocks it can name when Bob answers only from
     the given clopen sequences.
 
-    phi may be of any class; it is read as playing the game of horizon
-    `depth`. clopen_seqs maps each block index to clopen supersets of the
-    block whose intersection equals it (the singleton [block] always
-    qualifies). If the unfolded blocks fail to cover, the uncovered point
-    yields a legal play following phi that Alice loses.
+    phi may be positional or predetermined; it is read as playing the
+    game of horizon `depth`. clopen_seqs maps each block index to clopen
+    supersets of the block whose intersection equals it (the singleton
+    [block] always qualifies). If the blocks it names fail to cover, the
+    uncovered point yields a legal play following phi that Alice loses.
     """
     blocks = quasi_components(space).blocks
     for bi, seq in clopen_seqs.items():
@@ -200,13 +191,13 @@ def extract_qs_tree(
 
     tree: dict[tuple, int] = {}
     count = 0
-    # (index sequence, Bob's moves, the mask they cover)
-    frontier: list[tuple[tuple, tuple, int]] = [((), (), 0)]
+    # (index sequence, the mask Bob's moves cover)
+    frontier: list[tuple[tuple, int]] = [((), 0)]
     while frontier:
         nxt = []
-        for s, ctx, covered in frontier:
+        for s, covered in frontier:
             try:
-                bi = phi.move_at(ctx, covered, len(s), depth)
+                bi = phi.move_at(covered, len(s), depth)
             except IllegalMove:
                 # a strategy for horizon d moves only up to depth d-1; the
                 # final layer may fall outside its domain
@@ -219,7 +210,7 @@ def extract_qs_tree(
                 raise DepthCapExceeded(f"extraction node cap {EXTRACTION_NODE_CAP} exceeded")
             if len(s) < depth:
                 for k, v in enumerate(clopen_seqs[bi]):
-                    nxt.append((s + (k,), ctx + (v,), covered | v))
+                    nxt.append((s + (k,), covered | v))
         frontier = nxt
 
     union = 0
@@ -231,13 +222,11 @@ def extract_qs_tree(
     y = points_of(space.full & ~union)[0]
     ybit = 1 << y
     rounds = []
-    ctx: tuple = ()
     covered = 0
     for rnd in range(depth):
-        bi = phi.move_at(ctx, covered, rnd, depth)
+        bi = phi.move_at(covered, rnd, depth)
         v = next(v for v in clopen_seqs[bi] if not v & ybit)
         rounds.append((bi, v))
-        ctx = ctx + (v,)
         covered |= v
     transcript = Transcript(rounds=tuple(rounds), outcome=BOB)
     return ExtractionResult(tree=tree, covers=False, counterexample=(y, transcript))
@@ -463,11 +452,9 @@ def check_extraction(space: FiniteSpace) -> dict:
 
 def _replay_is_losing(game: GameSpec, phi: Strategy, transcript: Transcript, y: int) -> bool:
     """The counterexample transcript must follow phi, stay legal, and miss y."""
-    ctx: tuple = ()
     union = 0
     for rnd, (mi, v) in enumerate(transcript.rounds):
-        if phi.move_at(ctx, union, rnd, game.horizon) != mi or v not in game.menus.menus[mi]:
+        if phi.move_at(union, rnd, game.horizon) != mi or v not in game.menus.menus[mi]:
             return False
         union |= v
-        ctx = ctx + (v,)
     return not union & (1 << y) and transcript.outcome == BOB

@@ -2,13 +2,16 @@
 
 Spaces:      {"n": int, "opens": [[points ascending], ...]}
 Strategies:  {"player": "alice"|"bob",
-              "class": "full"|"markov"|"pre"|"positional",
+              "class": "pre"|"markov"|"positional",
               "entries": [{"context": ..., "move": ...}]}
-             (Alice plays "full", "pre" or "positional", Bob "full",
-             "markov" or "positional"); a strategy is read against the
-             space it is for, and its points must lie in 0..n-1, as a
-             space's do; a Bob context is never empty, and no context is
-             listed twice. `solve` writes its witness as "positional":
+             (Alice plays "pre" or "positional", Bob "markov" or
+             "positional"); a strategy is read against the space it is
+             for, and its points must lie in 0..n-1, as a space's do; no
+             context is listed twice.
+               Alice pre    {"context": round, "move": index}
+               Bob markov   {"context": [menu index, round],
+                             "move": [points of his pick]}
+             `solve` writes its witness as "positional":
                Alice {"context": [covered points, left], "move": index}
                Bob   {"context": [covered points, left],
                       "move": [[points of his pick], ... one per menu]}
@@ -30,7 +33,7 @@ import json
 from typing import Any
 
 from .errors import FormatError
-from .games import ALICE, BOB, FULL, MARKOV, POS, PRE, Strategy, Transcript, Verdict
+from .games import ALICE, BOB, MARKOV, POS, PRE, Strategy, Transcript, Verdict
 from .topology import FiniteSpace, mask_of, points_of, validate_topology
 
 
@@ -71,16 +74,11 @@ def strategy_to_json(s: Strategy) -> dict:
         return {"player": s.player, "class": POS, "entries": _positional_entries(s)}
     table = s.table
     contexts = sorted(table)
-    if s.klass == FULL:
-        contexts.sort(key=len)  # stable: shorter histories first, each length in order
     if s.player == BOB:
         pts = {m: points_of(m) for m in set(table.values())}
         entries = [{"context": list(ctx), "move": pts[table[ctx]]} for ctx in contexts]
-    elif s.klass == PRE:
+    else:
         entries = [{"context": ctx, "move": table[ctx]} for ctx in contexts]
-    else:  # Alice full: contexts are Bob's prior moves
-        pts = {m: points_of(m) for m in set().union(*table)}
-        entries = [{"context": [pts[m] for m in ctx], "move": table[ctx]} for ctx in contexts]
     return {"player": s.player, "class": s.klass, "entries": entries}
 
 
@@ -106,9 +104,7 @@ def strategy_from_json(obj: Any, n: int) -> Strategy:
         entries = obj["entries"]
     except (TypeError, KeyError) as exc:
         raise FormatError("strategy needs 'player', 'class' and 'entries'") from exc
-    if (player, klass) not in (
-        (ALICE, FULL), (ALICE, PRE), (ALICE, POS), (BOB, FULL), (BOB, MARKOV), (BOB, POS)
-    ):
+    if (player, klass) not in ((ALICE, PRE), (ALICE, POS), (BOB, MARKOV), (BOB, POS)):
         raise FormatError(f"bad player/class pair {player!r}/{klass!r}")
     if not isinstance(entries, list):
         raise FormatError("strategy 'entries' must be a list")
@@ -116,14 +112,14 @@ def strategy_from_json(obj: Any, n: int) -> Strategy:
     for entry in entries:
         if not isinstance(entry, dict) or "context" not in entry or "move" not in entry:
             raise FormatError(f"strategy entry {entry!r} needs 'context' and 'move'")
-        ctx = _context_from_json(player, klass, entry["context"], n)
+        ctx = _context_from_json(klass, entry["context"], n)
         if ctx in table:
             raise FormatError(f"strategy lists context {entry['context']!r} twice")
         table[ctx] = _move_from_json(player, klass, entry["move"], n)
     return Strategy(player=player, klass=klass, table=table)
 
 
-def _context_from_json(player: str, klass: str, raw, n: int):
+def _context_from_json(klass: str, raw, n: int):
     if klass == PRE:
         if type(raw) is not int:
             raise FormatError("predetermined context must be a round number")
@@ -132,13 +128,8 @@ def _context_from_json(player: str, klass: str, raw, n: int):
         if not isinstance(raw, list) or len(raw) != 2 or type(raw[1]) is not int or raw[1] < 1:
             raise FormatError("positional context must be [covered points, rounds left >= 1]")
         return mask_of(_points(raw[0]), n), raw[1]
-    if not isinstance(raw, list):
-        raise FormatError("history context must be a list")
-    if player == ALICE:
-        return tuple(mask_of(_points(entry), n) for entry in raw)
-    # a Bob context ends with Alice's current menu index, so it is never empty
-    if not raw or not all(type(x) is int for x in raw):
-        raise FormatError("bob context must be a nonempty list of integers")
+    if not isinstance(raw, list) or len(raw) != 2 or not all(type(x) is int for x in raw):
+        raise FormatError("markov context must be [menu index, round]")
     return tuple(raw)
 
 

@@ -10,9 +10,15 @@ strategy tables by its own keying (`reference_move`), not by
 `Strategy.move_at`. `reference_committed_search` is the restricted
 searches' knowledge-set search over frozensets, with no move cut.
 `reference_verify` is verification as a depth-first recursion over the
-game tree, memoized on (covered mask, round) for every class but the
-full-history one, where `verify_winning` walks a frontier round by round.
-`history_view` unfolds a positional strategy into its full-history table.
+game tree, memoized on (covered mask, round), where `verify_winning`
+walks a frontier round by round.
+The package has no full-history strategy class; the tests keep one, of
+class "full", as the old form of every witness. `unfold` builds such a
+table over every line of play, up to HISTORY_CAP entries, and
+`history_view` unfolds a positional strategy into it. `history_to_json`
+writes it as the package once wrote full-history files, so the hashes
+pinned on those files still hold, and `reference_extract` reads it to
+build the indexed tree that `lab.extract_qs_tree` builds from positions.
 `closed_form_verdict` gives every game's verdict on a finite space, in all
 three strategy classes, from two counts read off the open sets, with no
 search at all.
@@ -31,9 +37,19 @@ from typing import Callable, Iterable, Optional
 
 from topogame.covers import DEFAULT_CAP, Cover, MenuFamily
 from topogame.errors import CapExceeded, IllegalMove
-from topogame.games import GameSpec, Strategy, Transcript, unfold
+from topogame.games import GameSpec, Strategy, Transcript
+from topogame.lab import ExtractionResult
 from topogame.serialize import space_to_json
-from topogame.topology import FiniteSpace, clopen_algebra, full_mask, validate_topology
+from topogame.topology import (
+    FiniteSpace,
+    clopen_algebra,
+    full_mask,
+    points_of,
+    quasi_components,
+    validate_topology,
+)
+
+HISTORY_CAP = 200_000  # max entries of a history table; unfold raises past it
 
 
 def discrete_space(n: int) -> FiniteSpace:
@@ -288,18 +304,108 @@ def playout(game: GameSpec, alice: Strategy, bob: Strategy) -> Transcript:
     return Transcript(rounds=tuple(rounds), outcome="bob" if game.bob_wins(covered) else "alice")
 
 
+def unfold(game: GameSpec, player: str, choose: Callable) -> Strategy:
+    """The full-history table of `player`, built round by round over every
+    line of play to the horizon.
+
+    choose(history, covered, rnd) is called once per node. For Alice it
+    returns a menu index; for Bob it returns his pick from each menu, in
+    menu order. Alice's table is keyed by Bob's replies so far, Bob's by
+    Alice's menus up to this round's. Raises CapExceeded once the table
+    passes HISTORY_CAP entries.
+    """
+    menus = game.menus.menus
+    alice = player == "alice"
+    table: dict = {}
+    histories, masks = [()], [0]  # the nodes of the current round
+    for rnd in range(game.horizon if menus else 0):
+        next_histories, next_masks = [], []
+        more = rnd + 1 < game.horizon  # whether the moves made now lead to further nodes
+        for history, covered in zip(histories, masks):
+            move = choose(history, covered, rnd)
+            if alice:
+                table[history] = move
+                if more:
+                    for b in menus[move]:
+                        next_histories.append(history + (b,))
+                        next_masks.append(covered | b)
+            else:
+                for mi, b in enumerate(move):
+                    ctx = history + (mi,)
+                    table[ctx] = b
+                    if more:
+                        next_histories.append(ctx)
+                        next_masks.append(covered | b)
+            if len(table) > HISTORY_CAP:
+                raise CapExceeded(f"strategy table passed {HISTORY_CAP} entries")
+        histories, masks = next_histories, next_masks
+    return Strategy(player=player, klass="full", table=table)
+
+
 def history_view(game: GameSpec, s: Strategy) -> Strategy:
     """The full-history table that plays as the positional strategy s."""
     return unfold(game, s.player, lambda history, covered, rnd: s.table[(covered, game.horizon - rnd)])
 
 
+def history_to_json(s: Strategy) -> dict:
+    """A full-history table as a strategy file: shorter histories first,
+    each length in key order; Alice's contexts list Bob's masks as point
+    lists, Bob's list Alice's menu indices."""
+    table = s.table
+    contexts = sorted(table)
+    contexts.sort(key=len)
+    # one point list per distinct mask, shared between entries
+    if s.player == "alice":
+        pts = {m: points_of(m) for m in set().union(*table)}
+        entries = [{"context": [pts[m] for m in ctx], "move": table[ctx]} for ctx in contexts]
+    else:
+        pts = {m: points_of(m) for m in set(table.values())}
+        entries = [{"context": list(ctx), "move": pts[table[ctx]]} for ctx in contexts]
+    return {"player": s.player, "class": "full", "entries": entries}
+
+
+def reference_extract(space: FiniteSpace, view: Strategy, clopen_seqs: dict,
+                      depth: int) -> ExtractionResult:
+    """`lab.extract_qs_tree`, read off Alice's full-history table `view`:
+    each index sequence names the block that `view` plays after the
+    replies it picks from the clopen sequences, depth first. A missing
+    entry is skipped on the final layer and raises IllegalMove above it."""
+    blocks = quasi_components(space).blocks
+    tree = {}
+
+    def name(seq: tuple, replies: tuple) -> None:
+        if replies not in view.table:
+            if len(seq) == depth:
+                return
+            raise IllegalMove(replies)
+        bi = view.table[replies]
+        tree[seq] = blocks[bi]
+        if len(seq) < depth:
+            for k, v in enumerate(clopen_seqs[bi]):
+                name(seq + (k,), replies + (v,))
+
+    name((), ())
+    missed = [x for x in range(space.n) if not any(b >> x & 1 for b in tree.values())]
+    if not missed:
+        return ExtractionResult(tree=tree, covers=True, counterexample=None)
+    # every round, Bob takes the first set of the named block's sequence that misses y
+    y = missed[0]
+    replies: tuple = ()
+    rounds = []
+    for _ in range(depth):
+        bi = view.table[replies]
+        v = next(v for v in clopen_seqs[bi] if not v >> y & 1)
+        rounds.append((bi, v))
+        replies += (v,)
+    return ExtractionResult(tree=tree, covers=False, counterexample=(y, Transcript(tuple(rounds), "bob")))
+
+
 def reference_verify(game: GameSpec, s: Strategy) -> bool:
     """Exhaustively play s against every legal opponent line, depth first.
 
-    Every class but the full-history one moves on (covered mask, round)
-    and Alice's current menu alone, so for them the outcome below a
-    position depends only on (covered mask, round) and is memoized on it.
-    A missing entry or an illegal move loses.
+    Every class moves on (covered mask, round) and Alice's current menu
+    alone, so the outcome below a position depends only on (covered mask,
+    round) and is memoized on it. A missing entry or an illegal move loses.
     """
     menus = game.menus.menus
     full = game.space.full
@@ -310,32 +416,29 @@ def reference_verify(game: GameSpec, s: Strategy) -> bool:
     wins_full = (not alice) != game.negated
     memo: dict = {}
 
-    def memoized(covered: int, rnd: int, history: tuple) -> bool:
+    def check(covered: int, rnd: int) -> bool:
         key = (covered, rnd)
         hit = memo.get(key)
         if hit is None:
-            hit = memo[key] = explore(covered, rnd, history)
+            hit = memo[key] = explore(covered, rnd)
         return hit
 
-    def explore(covered: int, rnd: int, history: tuple) -> bool:
-        # history: Bob's masks so far when s is Alice's, Alice's menus when Bob's
+    def explore(covered: int, rnd: int) -> bool:
         if rnd >= horizon or not menus or covered == full:
             return (covered == full) == wins_full
         if alice:
-            mi = move_at(history, covered, rnd, horizon)
+            mi = move_at(covered, rnd, horizon)
             if not 0 <= mi < len(menus):
                 return False
-            return all(check(covered | b, rnd + 1, history + (b,)) for b in menus[mi])
+            return all(check(covered | b, rnd + 1) for b in menus[mi])
         for mi, menu in enumerate(menus):
-            ctx = history + (mi,)
-            b = move_at(ctx, covered, rnd, horizon)
-            if b not in menu or not check(covered | b, rnd + 1, ctx):
+            b = move_at(covered, rnd, horizon, mi)
+            if b not in menu or not check(covered | b, rnd + 1):
                 return False
         return True
 
-    check = explore if s.klass == "full" else memoized
     try:
-        return check(0, 0, ())
+        return check(0, 0)
     except IllegalMove:  # the move asked for is missing, and s loses there
         return False
 

@@ -375,7 +375,7 @@ class TestTranslate:
     def test_malformed_strategy_entries(self, capsys, tmp_path, space_file, entries):
         strat_path = tmp_path / "strategy.json"
         strat_path.write_text(
-            json.dumps({"player": "alice", "class": "full", "entries": entries})
+            json.dumps({"player": "alice", "class": "positional", "entries": entries})
         )
         code, _, err = run(
             capsys,
@@ -395,9 +395,9 @@ class TestTranslate:
     def test_strategy_point_outside_space(self, capsys, tmp_path, point):
         # a point is checked against the space before it becomes a mask,
         # so a huge one is refused without building a huge int
-        entries = [{"context": [], "move": 0}, {"context": [[point]], "move": 0}]
+        entries = [{"context": [[], 1], "move": 0}, {"context": [[point], 1], "move": 0}]
         strat_path = tmp_path / "strategy.json"
-        strat_path.write_text(json.dumps({"player": "alice", "class": "full", "entries": entries}))
+        strat_path.write_text(json.dumps({"player": "alice", "class": "positional", "entries": entries}))
         code, _, err = run(
             capsys,
             "translate",
@@ -423,39 +423,33 @@ class TestTranslate:
         return run(capsys, "translate", str(strat_path), "--direction", direction,
                    "--space", str(space_path), "--horizon", str(horizon))
 
-    def test_empty_bob_context(self, capsys, tmp_path):
-        # a Bob context ends with Alice's current menu, so [] names none
-        strategy = {"player": "bob", "class": "full", "entries": [{"context": [], "move": [0]}]}
-        code, out, err = self.translate_file(capsys, tmp_path, strategy, "bob-pc-to-qc", 1)
-        assert code == 2
-        assert out == "" and err.startswith("error: ")
-
     @pytest.mark.parametrize(
         "player, direction, contexts, move, horizon",
         [
-            ("bob", "bob-pc-to-qc", [[0], [0]], [0, 1, 2], 1),
+            ("bob", "bob-pc-to-qc", [[[], 1], [[], 1]], [[0, 1, 2]] * 3, 1),
             # [0, 1, 2] and [2, 1, 0] are one point set, so one context
-            ("alice", "alice-pc-to-qc", [[], [[0, 1, 2]], [[2, 1, 0]]], 0, 2),
+            ("alice", "alice-pc-to-qc", [[[], 2], [[0, 1, 2], 1], [[2, 1, 0], 1]], 0, 2),
         ],
     )
     def test_repeated_context(self, capsys, tmp_path, player, direction, contexts, move, horizon):
         # read last-wins, each file would translate without an error
         entries = [{"context": ctx, "move": move} for ctx in contexts]
-        strategy = {"player": player, "class": "full", "entries": entries}
+        strategy = {"player": player, "class": "positional", "entries": entries}
         code, out, err = self.translate_file(capsys, tmp_path, strategy, direction, horizon)
         assert code == 2
         assert out == "" and err.startswith("error: ")
 
     def test_missing_entry_is_named(self, capsys, tmp_path):
-        # the target game's menu 1 names block 1, which the file never plays
-        strategy = {"player": "bob", "class": "full", "entries": [{"context": [0], "move": [0, 1, 2]}]}
+        # Alice names point 0 and Bob's first reply is {0}, where the file
+        # has no move
+        strategy = {"player": "alice", "class": "positional", "entries": [{"context": [[], 2], "move": 0}]}
         strat_path = tmp_path / "strategy.json"
         strat_path.write_text(json.dumps(strategy))
-        code, out, err = run(capsys, "translate", str(strat_path), "--direction", "bob-qc-to-pc",
+        code, out, err = run(capsys, "translate", str(strat_path), "--direction", "alice-pc-to-qc",
                              "--space", "enum:n=3:i=0", "--horizon", "2")
         assert code == 2
         assert out == ""
-        assert err == "error: strategy has no entry at context [1]\n"
+        assert err == "error: strategy has no entry at context [[0], 1]\n"
 
     def test_missing_positional_entry_is_named(self, capsys, tmp_path):
         # after the first round every point is covered, with one round left
@@ -491,14 +485,13 @@ class TestTranslate:
         assert code == 2
         assert out == "" and err.startswith("error: ")
 
-    def test_translation_over_the_table_cap(self, capsys, tmp_path):
-        # the target game has three menus, so its Bob table triples every
-        # round; it passes the cap before any round the file lacks is asked for
-        entries = [{"context": [0] * k, "move": [0, 1, 2]} for k in range(1, 13)]
-        strategy = {"player": "bob", "class": "full", "entries": entries}
-        code, out, err = self.translate_file(capsys, tmp_path, strategy, "bob-qc-to-pc", 16)
-        assert code == 3
-        assert out == "" and err.startswith("error: ")
+    def test_full_history_file_is_refused(self, capsys, tmp_path):
+        # full-history strategy files are no longer read
+        strategy = {"player": "alice", "class": "full", "entries": [{"context": [], "move": 0}]}
+        code, out, err = self.translate_file(capsys, tmp_path, strategy, "alice-pc-to-qc", 1)
+        assert code == 2
+        assert out == ""
+        assert err == "error: bad player/class pair 'alice'/'full'\n"
 
 
 class TestPlay:

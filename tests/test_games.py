@@ -7,9 +7,11 @@ from collections import Counter
 import pytest
 
 from oracles import (
+    HISTORY_CAP,
     all_covers,
     closed_form_verdict,
     discrete_space,
+    history_to_json,
     history_tree_winner,
     history_view,
     is_selection_basis,
@@ -28,12 +30,10 @@ from topogame.errors import CapExceeded, EmptySpace
 from topogame.games import (
     ALICE,
     BOB,
-    FULL,
     MARKOV,
     POS,
     PRE,
     GAME_BUILDERS,
-    WITNESS_CAP,
     GameSpec,
     Solver,
     Strategy,
@@ -455,18 +455,14 @@ class TestPlayoutAndVerify:
     def test_repeat_first_member_fails(self):
         d2 = discrete_space(2)
         game = make_mildly_rothberger(d2, 2)
-        table = {}
-        for m0 in range(len(game.menus.menus)):
-            table[(m0,)] = game.menus.menus[m0][0]
-            for m1 in range(len(game.menus.menus)):
-                table[(m0, m1)] = game.menus.menus[m1][0]
-        bob = Strategy(player=BOB, klass=FULL, table=table)
+        table = {(mi, rnd): menu[0] for mi, menu in enumerate(game.menus.menus) for rnd in range(2)}
+        bob = Strategy(player=BOB, klass=MARKOV, table=table)
         assert not verify_winning(game, bob)
 
     def test_out_of_menu_move_raises(self, two_block3):
         game = make_mildly_rothberger(two_block3, 1)
         alice = Strategy(player=ALICE, klass=PRE, table={0: 1})
-        bob = Strategy(player=BOB, klass=FULL, table={(1,): 0b010})  # {1} is not in the cover
+        bob = Strategy(player=BOB, klass=MARKOV, table={(1, 0): 0b010})  # {1} is not in the cover
         with pytest.raises(OffMenuMove, match="pick 2 off menu 1"):
             playout(game, alice, bob)
         far = Strategy(player=ALICE, klass=PRE, table={0: len(game.menus.menus)})
@@ -476,7 +472,7 @@ class TestPlayoutAndVerify:
     def test_zero_horizon_empty_space_bob_wins(self):
         empty = validate_topology([0], 0)
         game = make_rothberger(empty, 0)
-        bob = Strategy(player=BOB, klass=FULL, table={})
+        bob = Strategy(player=BOB, klass=MARKOV, table={})
         assert verify_winning(game, bob)
 
     def test_solver_witnesses_verify(self, corpus3):
@@ -513,7 +509,7 @@ class TestSaturation:
 
 def _verdict_lines(space, horizons) -> tuple[list[str], list[str]]:
     """The JSON line of each witness solve, once with the witness as its
-    history view (null when the view passes WITNESS_CAP entries) and once
+    history view (null when the view passes HISTORY_CAP entries) and once
     as it is, positional."""
     views, positional = [], []
     for name in sorted(GAME_BUILDERS):
@@ -524,11 +520,12 @@ def _verdict_lines(space, horizons) -> tuple[list[str], list[str]]:
                 continue
             v = solve(game)
             positional.append(dumps_stable(verdict_to_json(v)) + "\n")
+            obj = verdict_to_json(dataclasses.replace(v, witness=None))
             try:
-                view = history_view(game, v.witness)
+                obj["witness"] = history_to_json(history_view(game, v.witness))
             except CapExceeded:
-                view = None
-            views.append(dumps_stable(verdict_to_json(dataclasses.replace(v, witness=view))) + "\n")
+                pass
+            views.append(dumps_stable(obj) + "\n")
     return views, positional
 
 
@@ -540,7 +537,8 @@ class TestPinnedVerdicts:
     """Winners, state counts and witness tables, byte for byte: any change
     to the solver's traversal or to witness extraction shows here. The
     history-view hashes are those of the full-history witnesses solve
-    returned before its witnesses were positional, so the two forms agree."""
+    returned before its witnesses were positional, as the package wrote
+    full-history files, so the two forms agree."""
 
     def test_every_game_and_horizon_n3(self):
         views, positional = [], []
@@ -593,7 +591,7 @@ class TestPinnedVerdicts:
 
     @pytest.mark.parametrize("make", [make_rothberger, make_mildly_rothberger])
     def test_discrete4_cover_witness_at_horizon_4(self, make):
-        # the history view of this witness passes WITNESS_CAP entries; the
+        # the history view of this witness passes HISTORY_CAP entries; the
         # positional witness is small and wins
         game = make(discrete_space(4), 4)
         v = solve(game)
@@ -627,8 +625,9 @@ def _view_size(game, s) -> int:
 
 class TestPositionalWitnesses:
     def test_every_witness_n4(self, corpus3, corpus4):
-        # every game at horizons 0..n+1: the positional witness wins, and so
-        # does its history view wherever that fits under WITNESS_CAP
+        # every game at horizons 0..n+1: the positional witness wins and
+        # reads back from its file; its history view, counted without being
+        # built, fits under HISTORY_CAP on all but 16
         spaces = [validate_topology([0], 0)] + [sp for _, sp in corpus3 + corpus4]
         views = over_cap = 0
         for sp in spaces:
@@ -644,14 +643,10 @@ class TestPositionalWitnesses:
                     assert len(s.table) <= 2**sp.n * k
                     assert verify_winning(game, s), (sp, name, k)
                     assert strategy_from_json(strategy_to_json(s), sp.n) == s
-                    size = _view_size(game, s)
-                    if size > WITNESS_CAP:
+                    if _view_size(game, s) > HISTORY_CAP:
                         over_cap += 1
-                        continue
-                    view = history_view(game, s)
-                    assert view.klass == FULL and len(view.table) == size
-                    assert verify_winning(game, view), (sp, name, k)
-                    views += 1
+                    else:
+                        views += 1
         assert (views, over_cap) == (11458, 16)
 
     def test_largest_witness_n4(self):
@@ -717,7 +712,7 @@ def _corruptions(game, s, rng) -> list:
         out.append(replaced(key, move[:mi] + (_off_menu(menus[mi]),) + move[mi + 1:]))
         out.append(replaced(key, move[:-1]))
     else:
-        mi = key[-1] if s.klass == FULL else key[0]  # Alice's current menu
+        mi = key[0]  # a Markov Bob's key starts with Alice's current menu
         out.append(replaced(key, _off_menu(menus[mi])))
     return out
 
@@ -728,8 +723,8 @@ class TestVerifyWalk:
 
     def test_agrees_with_the_recursive_verifier_n3(self):
         # every space with n <= 3, five games, horizons 0..n+1: the solver
-        # witness and its history view, the restricted witnesses, the block
-        # strategy in the clopen cover game, and corrupted copies of each
+        # witness, the restricted witnesses, the block strategy in the
+        # clopen cover game, and corrupted copies of each
         rng = random.Random(0)
         verdicts = Counter()
         for n in range(4):
@@ -741,8 +736,7 @@ class TestVerifyWalk:
                         except EmptySpace:
                             continue
                         witness = solve(game).witness
-                        found = [witness, history_view(game, witness),
-                                 predetermined_alice_search(game), markov_bob_search(game)]
+                        found = [witness, predetermined_alice_search(game), markov_bob_search(game)]
                         if name == "mildly-rothberger" and n:
                             found.append(b3_markov_strategy(sp, k))
                         for s in found:
@@ -753,24 +747,21 @@ class TestVerifyWalk:
                                 assert won == reference_verify(game, t), (sp, name, k, t)
                                 verdicts[won, t.klass] += 1
         # every class both wins and loses
-        assert {klass for won, klass in verdicts if won} == {FULL, POS, PRE, MARKOV}
-        assert {klass for won, klass in verdicts if not won} == {FULL, POS, PRE, MARKOV}
+        assert {klass for won, klass in verdicts if won} == {POS, PRE, MARKOV}
+        assert {klass for won, klass in verdicts if not won} == {POS, PRE, MARKOV}
 
     def test_state_cap_names_the_strategy(self, monkeypatch):
         game = make_rothberger(discrete_space(3), 3)
         witness = solve(game).witness
-        view = history_view(game, witness)
         monkeypatch.setattr("topogame.games.STATE_CAP", 2)
-        for s in (witness, view):
-            message = f"^verification of bob's {s.klass} strategy: state cap 2 exceeded$"
-            with pytest.raises(CapExceeded, match=message):
-                verify_winning(game, s)
+        with pytest.raises(CapExceeded, match="^verification of bob's positional strategy: state cap 2 exceeded$"):
+            verify_winning(game, witness)
 
 
 def _reference_nodes(game, s) -> list:
-    """Every node the opponent can reach against s, as (history, covered,
-    round, move): the arguments of `Strategy.move_at` there, and the entry
-    `oracles.playout` reads."""
+    """Every node the opponent can reach against s, as (covered, round,
+    Alice's current menu, move): the arguments of `Strategy.move_at` there,
+    and the entry `oracles.playout` reads."""
     menus = game.menus.menus
     k = game.horizon
     nodes = []
@@ -780,13 +771,13 @@ def _reference_nodes(game, s) -> list:
         for alice_moves, bob_moves, covered in frontier:
             if s.player == ALICE:
                 mi = reference_move(s, alice_moves, bob_moves, covered, rnd, k)
-                nodes.append((bob_moves, covered, rnd, mi))
+                nodes.append((covered, rnd, 0, mi))
                 replies = [(mi, b) for b in menus[mi]]
             else:
                 replies = []
                 for mi in range(len(menus)):
                     b = reference_move(s, alice_moves + (mi,), bob_moves, covered, rnd, k)
-                    nodes.append((alice_moves + (mi,), covered, rnd, b))
+                    nodes.append((covered, rnd, mi, b))
                     replies.append((mi, b))
             nxt += [(alice_moves + (mi,), bob_moves + (b,), covered | b) for mi, b in replies]
         frontier = nxt
@@ -806,24 +797,19 @@ class TestMoveAt:
                     except EmptySpace:
                         continue
                     witness = solve(game).witness
-                    strategies = [
-                        witness,
-                        history_view(game, witness),
-                        predetermined_alice_search(game),
-                        markov_bob_search(game),
-                    ]
+                    strategies = [witness, predetermined_alice_search(game), markov_bob_search(game)]
                     if name == "mildly-rothberger" and sp.n:
                         strategies.append(b3_markov_strategy(sp, k))
                     for s in filter(None, strategies):
                         classes[s.player, s.klass] += 1
-                        for history, covered, rnd, move in _reference_nodes(game, s):
-                            assert s.move_at(history, covered, rnd, k) == move, (sp, name, k, s.klass)
+                        for covered, rnd, menu, move in _reference_nodes(game, s):
+                            assert s.move_at(covered, rnd, k, menu) == move, (sp, name, k, s.klass)
                             nodes += 1
         assert classes == {
-            (ALICE, FULL): 344, (ALICE, POS): 344, (ALICE, PRE): 344,
-            (BOB, FULL): 308, (BOB, MARKOV): 438, (BOB, POS): 308,
+            (ALICE, POS): 344, (ALICE, PRE): 344,
+            (BOB, MARKOV): 438, (BOB, POS): 308,
         }
-        assert nodes == 10078
+        assert nodes == 7045
 
 
 class TestClosedForm:

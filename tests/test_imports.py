@@ -1,7 +1,7 @@
 """Every imported name is used: a stdlib-only stand-in for a linter's
 unused-import rule, run over the package and the tests. And every
-top-level function and class of the package is reached from the package
-itself, so no code in `src/` exists only for the tests."""
+top-level function, class and constant of the package is reached from the
+package itself, so no code in `src/` exists only for the tests."""
 
 import ast
 from pathlib import Path
@@ -56,9 +56,10 @@ def test_scanner(source, unused):
 
 
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
-    """Top-level functions and classes, over modules given as {file name:
-    source}, that no module names outside their own definition. Imports
-    and `__init__.py` (the re-exports) do not count as a use."""
+    """Top-level functions, classes and constants, over modules given as
+    {file name: source}, that no module names outside their own definition
+    or assignment. Imports and `__init__.py` (the re-exports) do not count
+    as a use."""
     trees = {name: ast.parse(src) for name, src in sources.items() if name != "__init__.py"}
     defined, named = set(), set()
     for tree in trees.values():
@@ -69,6 +70,13 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
                 own |= {
                     id(sub) for sub in ast.walk(node) if isinstance(sub, ast.Name) and sub.id == node.name
                 }
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for sub in ast.walk(target):
+                        if isinstance(sub, ast.Name):
+                            defined.add(sub.id)
+                            own.add(id(sub))
         for sub in ast.walk(tree):
             if isinstance(sub, ast.Name) and id(sub) not in own:
                 named.add(sub.id)
@@ -90,6 +98,8 @@ def test_every_definition_is_reached():
         ({"a.py": "def f():\n    pass\n", "__init__.py": "from .a import f\nf()\n"}, ["f"]),
         ({"a.py": "class C:\n    pass\n", "b.py": "from . import a\na.C()\n"}, []),
         ({"a.py": "def f():\n    pass\ndef g():\n    f()\n"}, ["g"]),
+        ({"a.py": "CAP = 3\n", "b.py": "from .a import CAP\nprint(CAP)\n"}, []),
+        ({"a.py": "CAP: int = 3\nUSED, LEFT = 1, 2\nprint(USED)\n"}, ["CAP", "LEFT"]),
     ],
 )
 def test_definition_scanner(sources, unreferenced):

@@ -2,12 +2,11 @@ import hashlib
 
 import pytest
 
-from oracles import discrete_space, history_view
+from oracles import discrete_space, history_to_json, history_view, reference_extract, unfold
 from topogame.errors import EmptySpace, IllegalMove, IllegalSourceStrategy
 from topogame.games import (
     ALICE,
     BOB,
-    FULL,
     MARKOV,
     POS,
     PRE,
@@ -16,7 +15,6 @@ from topogame.games import (
     make_point_clopen,
     make_quasi_component_clopen,
     solve,
-    unfold,
     verify_winning,
 )
 from topogame.lab import (
@@ -34,6 +32,7 @@ from topogame.lab import (
 )
 from topogame.topology import (
     clopen_algebra,
+    points_of,
     quasi_components,
     validate_topology,
 )
@@ -76,32 +75,40 @@ class TestTranslations:
                     assert report.input_winning and report.preserved
 
     def test_rejects_out_of_menu_strategy(self, two_block3):
-        bad = Strategy(player=ALICE, klass=FULL, table={(): 99})
+        bad = Strategy(player=ALICE, klass=POS, table={(0, 1): 99})
         with pytest.raises(IllegalSourceStrategy):
             translate_b1("alice-pc-to-qc", bad, two_block3, 1)
 
     def test_positional_input_reads_as_its_history_view(self, corpus3):
         # a positional source is read at (covered mask, rounds left) of the
-        # target node and gives a positional table; that table plays as the
-        # full-history translation of the source's history table
+        # target node and gives a positional table. Its history view is the
+        # source's history view carried line by line: Bob's masks are the
+        # same in both games, Alice's point maps to its block, and her
+        # block to its least point
         for _, sp in corpus3:
+            part = quasi_components(sp)
+            reps = [points_of(block)[0] for block in part.blocks]
             for k in range(sp.n + 1):
-                for make, target, directions in (
+                for make, target, directions, to_block in (
                     (make_point_clopen, make_quasi_component_clopen,
-                     {ALICE: "alice-pc-to-qc", BOB: "bob-pc-to-qc"}),
+                     {ALICE: "alice-pc-to-qc", BOB: "bob-pc-to-qc"}, True),
                     (make_quasi_component_clopen, make_point_clopen,
-                     {ALICE: "alice-qc-to-pc", BOB: "bob-qc-to-pc"}),
+                     {ALICE: "alice-qc-to-pc", BOB: "bob-qc-to-pc"}, False),
                 ):
                     game = make(sp, k)
                     v = solve(game)
-                    direction = directions[v.winner]
-                    positional = translate_b1(direction, v.witness, sp, k)
-                    history = translate_b1(direction, history_view(game, v.witness), sp, k)
-                    assert history_view(target(sp, k), positional.output) == history.output
-                    assert (positional.output.klass, history.output.klass) == (POS, FULL)
-                    assert positional.input_winning == history.input_winning
-                    assert positional.output_winning == history.output_winning
-                    assert positional.preserved
+                    report = translate_b1(directions[v.winner], v.witness, sp, k)
+                    assert report.output.klass == POS
+                    assert report.input_winning and report.output_winning and report.preserved
+                    source = history_view(game, v.witness).table
+                    carried = history_view(target(sp, k), report.output).table
+                    if v.winner == ALICE:
+                        to_target = part.index_of if to_block else reps.__getitem__
+                        assert carried == {ctx: to_target(mi) for ctx, mi in source.items()}
+                    else:
+                        # Alice's target menus, as menus of the source game
+                        to_source = reps.__getitem__ if to_block else part.index_of
+                        assert carried == {ctx: source[tuple(map(to_source, ctx))] for ctx in carried}
 
     @pytest.mark.parametrize(
         "table",
@@ -160,7 +167,7 @@ class TestExtraction:
         assert v.winner == ALICE
         blocks = quasi_components(d2).blocks
         seqs = {i: [b] for i, b in enumerate(blocks)}
-        result = extract_qs_tree(d2, history_view(game, v.witness), seqs, 2)
+        result = extract_qs_tree(d2, v.witness, seqs, 2)
         assert result.covers and result.counterexample is None
         assert set(result.tree.values()) == {0b01, 0b10}
 
@@ -169,8 +176,7 @@ class TestExtraction:
         blocks = quasi_components(d2).blocks
         seqs = {i: [b] for i, b in enumerate(blocks)}
         # always name block 0, ignoring Bob entirely
-        table = {(): 0, (0b01,): 0, (0b01, 0b01): 0}
-        phi = Strategy(player=ALICE, klass=FULL, table=table)
+        phi = Strategy(player=ALICE, klass=PRE, table={0: 0, 1: 0})
         result = extract_qs_tree(d2, phi, seqs, 2)
         assert not result.covers
         y, transcript = result.counterexample
@@ -179,7 +185,7 @@ class TestExtraction:
         assert all(mi == 0 and v == 0b01 for mi, v in transcript.rounds)
 
     def test_single_block_depth_zero(self, sierpinski):
-        phi = Strategy(player=ALICE, klass=FULL, table={(): 0})
+        phi = Strategy(player=ALICE, klass=PRE, table={0: 0})
         result = extract_qs_tree(sierpinski, phi, {0: [0b11]}, 0)
         assert result.covers
         assert result.tree == {(): 0b11}
@@ -188,7 +194,7 @@ class TestExtraction:
         # descending chain of clopen supersets instead of the singleton
         d3 = discrete_space(3)
         game = make_quasi_component_clopen(d3, 3)
-        phi = history_view(game, solve(game).witness)
+        phi = solve(game).witness
         blocks = quasi_components(d3).blocks
         seqs = {
             0: [0b111, 0b011, 0b001],
@@ -199,7 +205,7 @@ class TestExtraction:
         assert result.covers
 
     def test_rejects_bad_sequence(self, two_block3):
-        phi = Strategy(player=ALICE, klass=FULL, table={(): 0})
+        phi = Strategy(player=ALICE, klass=PRE, table={0: 0})
         with pytest.raises(ValueError):
             extract_qs_tree(two_block3, phi, {0: [0b110], 1: [0b110]}, 1)
 
@@ -207,16 +213,19 @@ class TestExtraction:
         d2 = discrete_space(2)
         seqs = {0: [0b11, 0b01], 1: [0b10]}
         # Bob's reply {0} in round 0 has no entry
-        phi = Strategy(player=ALICE, klass=FULL, table={(): 0, (0b11,): 1})
-        with pytest.raises(IllegalMove):
+        table = {(0, 2): 0, (0b11, 1): 1}
+        phi = Strategy(player=ALICE, klass=POS, table=table)
+        with pytest.raises(IllegalMove, match=r"context \[\[0\], 1\]$"):
             extract_qs_tree(d2, phi, seqs, 2)
-        # at depth 1 that reply is on the final layer
-        assert extract_qs_tree(d2, phi, seqs, 1).tree == {(): 0b01, (0,): 0b10}
+        # with that entry, only the final layer, with no rounds left, is
+        # missing, and it is skipped
+        phi = Strategy(player=ALICE, klass=POS, table={**table, (0b01, 1): 1})
+        assert extract_qs_tree(d2, phi, seqs, 2).tree == {(): 0b01, (0,): 0b10, (1,): 0b10}
 
     def test_any_class_reads_as_its_history_view_n4(self, corpus3, corpus4):
         # the positional witness and the predetermined planted strategy of
-        # the extraction check give the tree and counterexample of their
-        # full-history tables
+        # the extraction check give the tree and counterexample that the
+        # reference extraction reads off their full-history tables
         counterexamples = 0
         for _, sp in corpus3 + corpus4:
             blocks = quasi_components(sp).blocks
@@ -231,7 +240,7 @@ class TestExtraction:
                 (planted, unfold(game, ALICE, lambda *node: 0)),
             ):
                 result = extract_qs_tree(sp, phi, seqs, k)
-                assert result == extract_qs_tree(sp, view, seqs, k)
+                assert result == reference_extract(sp, view, seqs, k)
                 counterexamples += result.counterexample is not None
         assert counterexamples == 133  # the planted strategy, on each space of two or more blocks
 
@@ -319,7 +328,7 @@ class TestPinnedTranslations:
                     assert out.klass == POS
                     positional.append(dumps_stable(strategy_to_json(out)) + "\n")
                     view = history_view(target(sp, k), out)
-                    views.append(dumps_stable(strategy_to_json(view)) + "\n")
+                    views.append(dumps_stable(history_to_json(view)) + "\n")
         assert len(views) == len(positional) == 3810
         assert hashlib.sha256("".join(views).encode()).hexdigest() == (
             "8644a2387951be81def8f28877d5c94c959396245e628d371ef29078911cc24c"

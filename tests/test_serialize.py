@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import discrete_space, history_view, playout
+from oracles import discrete_space, playout
 from topogame.errors import FormatError, MissingEmptyOrFull, PointOutOfRange
 from topogame.games import (
     ALICE,
     BOB,
-    FULL,
     GAME_BUILDERS,
     MARKOV,
     POS,
@@ -65,12 +64,6 @@ class TestSpaceFormat:
 
 
 class TestStrategyFormat:
-    def test_full_bob_roundtrip(self, two_block3):
-        game = make_mildly_rothberger(two_block3, 2)
-        s = history_view(game, solve(game).witness)
-        back = strategy_from_json(json.loads(dumps_stable(strategy_to_json(s))), 3)
-        assert back == s
-
     def test_markov_roundtrip(self, two_block3):
         s = markov_bob_search(make_mildly_rothberger(two_block3, 2))
         assert s is not None
@@ -82,8 +75,8 @@ class TestStrategyFormat:
         assert strategy_from_json(strategy_to_json(s), 2) == s
 
     def test_roundtrip_every_witness_n3(self, corpus3):
-        # solver witnesses and their history views, predetermined-Alice and
-        # Markov-Bob witnesses of every game and horizon; the dict form must
+        # solver witnesses, predetermined-Alice and Markov-Bob witnesses of
+        # every game and horizon; the dict form must
         # be readable as it is and encode to the same data, point lists
         # shared between entries included
         count = Counter()
@@ -92,12 +85,7 @@ class TestStrategyFormat:
                 for k in range(sp.n + 1):
                     game = GAME_BUILDERS[name](sp, k)
                     witness = solve(game).witness
-                    found = (
-                        witness,
-                        history_view(game, witness),
-                        predetermined_alice_search(game),
-                        markov_bob_search(game),
-                    )
+                    found = (witness, predetermined_alice_search(game), markov_bob_search(game))
                     for s in filter(None, found):
                         obj = strategy_to_json(s)
                         assert strategy_from_json(obj, sp.n) == s
@@ -105,19 +93,10 @@ class TestStrategyFormat:
                         count[s.player, s.klass] += 1
         assert count == {
             (ALICE, POS): 344,
-            (ALICE, FULL): 344,
             (ALICE, PRE): 344,
             (BOB, POS): 306,
-            (BOB, FULL): 306,
             (BOB, MARKOV): 306,
         }
-
-    def test_alice_full_roundtrip(self, two_block3):
-        game = make_mildly_rothberger(two_block3, 1)
-        v = solve(game)
-        assert v.winner == ALICE
-        s = history_view(game, v.witness)
-        assert strategy_from_json(strategy_to_json(s), 3) == s
 
     def test_positional_form(self, two_block3):
         # most rounds left first, then covered-mask order; Bob's move lists
@@ -176,12 +155,13 @@ class TestStrategyFormat:
     @pytest.mark.parametrize(
         "player, entry",
         [
-            ("alice", {"context": [[2]], "move": 0}),
-            ("bob", {"context": [0], "move": [0, 2]}),
+            # a point is checked before it becomes a mask
+            ("alice", {"context": [[0, 200_000_000], 1], "move": 0}),
+            ("bob", {"context": [[], 1], "move": [[0, 2], [1]]}),
         ],
     )
     def test_rejects_point_outside_space(self, player, entry):
-        obj = {"player": player, "class": "full", "entries": [entry]}
+        obj = {"player": player, "class": "positional", "entries": [entry]}
         with pytest.raises(PointOutOfRange):
             strategy_from_json(obj, 2)
 
@@ -191,12 +171,12 @@ class TestStrategyFormat:
 
     @pytest.mark.parametrize("player, klass", [("alice", "markov"), ("bob", "pre")])
     def test_rejects_class_of_the_other_player(self, player, klass):
-        # verification memoizes only predetermined Alice and Markov Bob; the
-        # crossed pairs would be looked up as full-history tables
+        # `Strategy.move_at` reads a round-keyed table for Alice only, and a
+        # (menu, round)-keyed one for Bob only
         with pytest.raises(FormatError):
             strategy_from_json({"player": player, "class": klass, "entries": []}, 2)
 
-    @pytest.mark.parametrize("klass", ["markov", "full"])
+    @pytest.mark.parametrize("klass", ["markov", "positional"])
     def test_rejects_non_integer_bob_context(self, klass):
         obj = {
             "player": "bob",
@@ -206,16 +186,24 @@ class TestStrategyFormat:
         with pytest.raises(FormatError):
             strategy_from_json(obj, 2)
 
+    @pytest.mark.parametrize("context", [[0], [0, 1, 2]])
+    def test_rejects_markov_context_of_another_length(self, context):
+        # a Markov context is [menu index, round]; any other key is never
+        # asked for, so its entry would be dropped without a word
+        obj = {"player": "bob", "class": "markov", "entries": [{"context": context, "move": [0]}]}
+        with pytest.raises(FormatError, match=r"^markov context must be \[menu index, round\]$"):
+            strategy_from_json(obj, 2)
+
 
     @pytest.mark.parametrize(
         "player, klass, entry",
         [
             ("alice", "pre", {"context": True, "move": 0}),
             ("alice", "pre", {"context": 0, "move": False}),
-            ("alice", "full", {"context": [[True]], "move": 0}),
+            ("alice", "positional", {"context": [[True], 1], "move": 0}),
             ("bob", "markov", {"context": [0, True], "move": [0]}),
-            ("bob", "full", {"context": [True], "move": [0]}),
-            ("bob", "full", {"context": [0], "move": [True]}),
+            ("bob", "positional", {"context": [[], True], "move": [[0], [0]]}),
+            ("bob", "positional", {"context": [[], 1], "move": [[True], [0]]}),
         ],
     )
     def test_rejects_booleans(self, player, klass, entry):
