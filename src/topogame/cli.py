@@ -194,7 +194,7 @@ def cmd_play(args) -> int:
     game = GAME_BUILDERS[args.game](space, args.horizon)
     menus = game.menus.menus
     human = args.role
-    solver = Solver(game, menus)
+    solver = Solver(menus, game.space.full, game.negated)
     covered = 0
     rounds = []
     for rnd in range(game.horizon if menus else 0):

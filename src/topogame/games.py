@@ -22,7 +22,11 @@ This is the finite form of refinement: on a finite space O cuts to the
 cover by the maximal minimal neighbourhoods, C_O to the quasi-component
 partition, and each point menu to its least member. Witnesses, `play`,
 the restricted searches and `verify_winning` use the full family, so move
-indices and witness tables are those of the full family.
+indices and witness tables are those of the full family. The winner-only
+solves share one solver per dominant menus, full mask and target
+(`_cut_solver`), so every horizon, caller and space with the same cut
+family reads one memo; the point-clopen and quasi-component games of a
+finite space cut to the same menus.
 
 A witness is positional (class POS): the winner's least optimal move at
 each (covered mask, rounds left) the winner's play can reach against every
@@ -165,8 +169,9 @@ class Verdict:
     winner: str
     witness: Optional[Strategy]  # positional; None only from solve(..., want_witness=False)
     horizon: int
-    # explored abstract states; a solve without a witness counts the states
-    # of the game cut to its dominant menus
+    # the positions this call added to its solver's memo: all those a witness
+    # solve explored; for a solve without one, those the shared solver of
+    # the dominant menus did not hold yet (0 when its memo answers)
     stats: int
 
 
@@ -255,17 +260,18 @@ def saturating_horizon(space: FiniteSpace) -> int:
 class Solver:
     """Memoized game value of (covered mask, rounds left) under optimal play.
 
-    The value does not depend on the game's horizon, only on its menus and
-    its target, so one solver answers every horizon.
+    The value does not depend on the game's horizon, only on its menus, its
+    full mask and its target, so one solver answers every horizon. The memo
+    holds only finished values, so a CapExceeded leaves the solver correct.
     """
 
-    def __init__(self, game: GameSpec, menus: tuple):
+    def __init__(self, menus: tuple, full: int, negated: bool):
         self.memo: dict = {}
         self.menus = menus
-        self.full = game.space.full
+        self.full = full
         # the winner of a play whose covered mask is full, and of a
         # finished play whose mask is not (GameSpec.bob_wins, inlined)
-        self.full_winner, self.short_winner = (ALICE, BOB) if game.negated else (BOB, ALICE)
+        self.full_winner, self.short_winner = (ALICE, BOB) if negated else (BOB, ALICE)
 
     def value(self, covered: int, left: int) -> str:
         full = self.full
@@ -305,22 +311,31 @@ class Solver:
 
 def solve(game: GameSpec, want_witness: bool = True) -> Verdict:
     """Exact game value under optimal play, with the winner's positional
-    witness strategy. Without a witness only the dominant menus are
-    searched."""
-    menus = game.menus.menus
-    if not want_witness:
-        menus = _dominant_menus(menus, game.negated)
-    solver = Solver(game, menus)
+    witness strategy. Without a witness the shared solver of the dominant
+    menus answers (`_cut_solver`)."""
+    solver = Solver(game.menus.menus, game.space.full, game.negated) if want_witness else _cut_solver(game)
+    before = len(solver.memo)
     winner = solver.value(0, game.horizon)
     witness = _extract_witness(game, solver, winner) if want_witness else None
-    return Verdict(winner=winner, witness=witness, horizon=game.horizon, stats=len(solver.memo))
+    return Verdict(winner=winner, witness=witness, horizon=game.horizon, stats=len(solver.memo) - before)
 
 
 def winners(game: GameSpec) -> list[str]:
-    """The winner at each horizon 0..game.horizon, from one solver over the
-    dominant menus."""
-    solver = Solver(game, _dominant_menus(game.menus.menus, game.negated))
+    """The winner at each horizon 0..game.horizon, from the shared solver
+    of the dominant menus."""
+    solver = _cut_solver(game)
     return [solver.value(0, k) for k in range(game.horizon + 1)]
+
+
+def _cut_solver(game: GameSpec) -> Solver:
+    """The solver that every winner-only solve of the game's dominant menus,
+    full mask and target shares, whatever its horizon or caller."""
+    return _winner_solver(_dominant_menus(game.menus.menus, game.negated), game.space.full, game.negated)
+
+
+@lru_cache(maxsize=None)
+def _winner_solver(menus: tuple, full: int, negated: bool) -> Solver:
+    return Solver(menus, full, negated)
 
 
 @lru_cache(maxsize=None)
@@ -345,7 +360,7 @@ def _dominant_menus(menus: tuple, negated: bool) -> tuple:
     menu lies inside (contains, when negated) a member of this one; of
     equal menus the first is kept.
     """
-    width = max((b.bit_length() for menu in menus for b in menu), default=0)
+    width = max(map(max, menus), default=0).bit_length()
     # complements reverse inclusion, so a negated target is a cover target
     # on the complemented members
     flip = (1 << width) - 1 if negated else 0
@@ -583,7 +598,7 @@ def _minimal_members(menus: tuple) -> tuple:
     """Each menu cut to its subset-minimal members, in menu order. Bob wants
     to avoid covering, and a smaller selection never helps Alice, so only
     these are worth committing to."""
-    width = max((b.bit_length() for menu in menus for b in menu), default=0)
+    width = max(map(max, menus), default=0).bit_length()
     return tuple(top for top, _, _ in _menu_tops(menus, (1 << width) - 1, _subsets(width)))
 
 

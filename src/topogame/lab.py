@@ -33,6 +33,7 @@ from .games import (
 )
 from .topology import (
     FiniteSpace,
+    Partition,
     is_zero_dimensional,
     points_of,
     quasi_components,
@@ -99,7 +100,13 @@ def translate_b1(
         raise IllegalSourceStrategy("translations require positional strategies")
     pc = make_point_clopen(space, horizon)
     qc = make_quasi_component_clopen(space, horizon)
-    part = quasi_components(space)
+    return _translate(direction, s, pc, qc, quasi_components(space))
+
+
+def _translate(direction: str, s: Strategy, pc: GameSpec, qc: GameSpec, part: Partition) -> TranslationReport:
+    """translate_b1 between the two games of one horizon, given the
+    quasi-component partition of their space."""
+    horizon = pc.horizon
     # least-point representative of each block
     reps = [points_of(block)[0] for block in part.blocks]
 
@@ -382,15 +389,17 @@ def check_b1_translations(space: FiniteSpace) -> dict:
     clopen games and verify the result wins the other game."""
     results = []
     ok = True
+    part = quasi_components(space)
     for k in range(saturating_horizon(space) + 1):
-        for name, make, directions in (
-            ("pc", make_point_clopen, {"alice": "alice-pc-to-qc", "bob": "bob-pc-to-qc"}),
-            ("qc", make_quasi_component_clopen, {"alice": "alice-qc-to-pc", "bob": "bob-qc-to-pc"}),
+        pc = make_point_clopen(space, k)
+        qc = make_quasi_component_clopen(space, k)
+        for name, game, directions in (
+            ("pc", pc, {"alice": "alice-pc-to-qc", "bob": "bob-pc-to-qc"}),
+            ("qc", qc, {"alice": "alice-qc-to-pc", "bob": "bob-qc-to-pc"}),
         ):
-            game = make(space, k)
             verdict = solve(game)
             direction = directions[verdict.winner]
-            report = translate_b1(direction, verdict.witness, space, k)
+            report = _translate(direction, verdict.witness, pc, qc, part)
             results.append(
                 {
                     "game": name,

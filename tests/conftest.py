@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from oracles import discrete_space, sierpinski_space
+from topogame.games import _committed_search, _winner_solver
 from topogame.topology import FiniteSpace, enumerate_topologies, validate_topology
 
 
@@ -24,6 +25,20 @@ def two_block3() -> FiniteSpace:
 def pseudocircle() -> FiniteSpace:
     # four points a,b,c,d; opens generated by {a}, {b}, {a,b,c}, {a,b,d}
     return validate_topology([0b0000, 0b0001, 0b0010, 0b0011, 0b0111, 0b1011, 0b1111], 4)
+
+
+@pytest.fixture
+def fresh_caches():
+    """Cold knowledge-set searches and winner-only solvers, before and after
+    the test."""
+
+    def clear():
+        _committed_search.cache_clear()
+        _winner_solver.cache_clear()
+
+    clear()
+    yield
+    clear()
 
 
 @pytest.fixture

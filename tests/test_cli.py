@@ -13,7 +13,7 @@ from topogame.serialize import (
     space_to_json,
     strategy_to_json,
 )
-from topogame.games import STATE_CAP, _committed_search, make_point_clopen, solve
+from topogame.games import STATE_CAP, make_point_clopen, solve
 from topogame.topology import validate_topology
 
 
@@ -277,13 +277,9 @@ class TestCheck:
         assert [json.loads(line)["space_id"] for line in out.splitlines()] == ["n1#0"]
         assert err == f"error: check b3 on n2#0: verification cap {STATE_CAP} exceeded\n"
 
-    def test_knowledge_search_cap_names_suite_and_space(self, capsys, monkeypatch):
-        _committed_search.cache_clear()
+    def test_knowledge_search_cap_names_suite_and_space(self, capsys, monkeypatch, fresh_caches):
         monkeypatch.setattr("topogame.games.STATE_CAP", 2)
-        try:
-            code, out, err = run(capsys, "check", "th314", "--nmax", "3")
-        finally:
-            _committed_search.cache_clear()
+        code, out, err = run(capsys, "check", "th314", "--nmax", "3")
         assert code == 3
         assert [json.loads(line)["space_id"] for line in out.splitlines()] == ["n1#0"]
         assert err == "error: check th314 on n2#0: predetermined-Alice knowledge-set search state cap 2 exceeded\n"

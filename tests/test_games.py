@@ -38,7 +38,9 @@ from topogame.games import (
     Solver,
     Strategy,
     _committed_search,
+    _cut_solver,
     _dominant_menus,
+    _winner_solver,
     make_mildly_rothberger,
     make_point_clopen,
     make_point_open,
@@ -219,12 +221,6 @@ class TestKnowledgeSearch:
     """One memoized knowledge-set search per menu family answers every
     horizon, and returns the tables of the reference frozenset search."""
 
-    @pytest.fixture
-    def fresh_searches(self):
-        _committed_search.cache_clear()
-        yield
-        _committed_search.cache_clear()
-
     def test_matches_the_per_call_search_n4(self, corpus3, corpus4):
         spaces = [validate_topology([0], 0)] + [sp for _, sp in corpus3 + corpus4]
         checked = 0
@@ -257,7 +253,7 @@ class TestKnowledgeSearch:
                     assert _search_tables(GAME_BUILDERS[name](sp, k)) == expected, (sp, name, k)
         assert 6 * len(families) == 3678
 
-    def test_horizons_in_any_order(self, corpus3, corpus4, fresh_searches):
+    def test_horizons_in_any_order(self, corpus3, corpus4, fresh_caches):
         spaces = [sp for _, sp in corpus3 + corpus4]
 
         def tables(order) -> dict:
@@ -284,7 +280,7 @@ class TestKnowledgeSearch:
             assert predetermined_alice_search(game).table == table
             assert reference_committed_search(game, ALICE)(k) == table
 
-    def test_state_cap_names_the_search(self, monkeypatch, fresh_searches):
+    def test_state_cap_names_the_search(self, monkeypatch, fresh_caches):
         monkeypatch.setattr("topogame.games.STATE_CAP", 2)
         message = "^{} knowledge-set search state cap 2 exceeded$"
         with pytest.raises(CapExceeded, match=message.format("predetermined-Alice")):
@@ -339,7 +335,7 @@ class TestWinners:
                 expected = []
                 for k in range(sp.n + 3):
                     game = make(sp, k)
-                    expected.append(Solver(game, game.menus.menus).value(0, k))
+                    expected.append(Solver(game.menus.menus, game.space.full, game.negated).value(0, k))
                 assert winners(make(sp, sp.n + 2)) == expected, (sp, make.__name__)
 
     def test_empty_space(self):
@@ -368,7 +364,7 @@ class TestDominantMenus:
         for sp in spaces:
             for make in ALL_GAMES:
                 game = make(sp, sp.n + 1)
-                full = Solver(game, game.menus.menus)
+                full = Solver(game.menus.menus, game.space.full, game.negated)
                 expected = [full.value(0, k) for k in range(sp.n + 2)]
                 assert winners(game) == expected, (sp, make.__name__)
                 cut = [solve(make(sp, k), want_witness=False).winner for k in range(sp.n + 2)]
@@ -426,6 +422,80 @@ class TestDominantMenus:
         assert _dominant_menus(menus + ((0b001, 0b010, 0b100),), False) == (
             (0b001, 0b010, 0b100),
         )
+
+
+class TestWinnerSolver:
+    """Every winner-only solve reads the one shared solver of its dominant
+    menus, whatever the order of horizons, games and callers."""
+
+    def test_any_horizon_order_n4(self, corpus3, corpus4, fresh_caches):
+        spaces = [sp for _, sp in corpus3 + corpus4]
+        names = sorted(GAME_BUILDERS)
+        # a fresh full-family solver per horizon, which the closed form
+        # agrees with
+        expected = {}
+        for i, sp in enumerate(spaces):
+            for name in names:
+                for k in range(sp.n + 2):
+                    game = GAME_BUILDERS[name](sp, k)
+                    winner = Solver(game.menus.menus, game.space.full, game.negated).value(0, k)
+                    assert winner == closed_form_verdict(sp, name, k)[0], (sp, name, k)
+                    expected[i, name, k] = winner
+        assert len(expected) == 11470
+        rng = random.Random(5)
+
+        def shuffled(sp) -> list:
+            # the five games of the space interleaved
+            items = [(name, k) for name in names for k in range(sp.n + 2)]
+            rng.shuffle(items)
+            return items
+
+        orders = (
+            lambda sp: [(name, k) for name in names for k in range(sp.n + 2)],
+            lambda sp: [(name, k) for name in names for k in range(sp.n + 1, -1, -1)],
+            shuffled,
+        )
+        for order in orders:
+            plan = [(i, sp, order(sp)) for i, sp in enumerate(spaces)]
+            _winner_solver.cache_clear()
+            added = Counter()  # the no-witness stats reported, per shared solver
+            for i, sp, items in plan:
+                for name, k in items:
+                    game = GAME_BUILDERS[name](sp, k)
+                    verdict = solve(game, want_witness=False)
+                    assert verdict.winner == expected[i, name, k], (sp, name, k)
+                    assert solve(game, want_witness=False).stats == 0
+                    added[_cut_solver(game)] += verdict.stats
+            assert all(len(solver.memo) == count for solver, count in added.items())
+            _winner_solver.cache_clear()
+            for i, sp, items in plan:
+                for name, k in items:
+                    found = winners(GAME_BUILDERS[name](sp, k))
+                    assert found == [expected[i, name, j] for j in range(k + 1)], (sp, name, k)
+
+    def test_point_and_block_games_share_a_solver_n4(self, corpus3, corpus4):
+        # their dominant menus are equal, and the horizon is not in the key
+        for name, sp in corpus3 + corpus4:
+            shared = _cut_solver(make_point_clopen(sp, 1))
+            assert _cut_solver(make_quasi_component_clopen(sp, 2)) is shared, name
+
+    def test_a_cap_hit_leaves_the_shared_solver_correct(self, monkeypatch, fresh_caches):
+        # the clopen covers of discrete-4 cut to the one partition into
+        # points, and the search passes the cap after 3 finished positions
+        game = make_mildly_rothberger(discrete_space(4), 4)
+        solver = _cut_solver(game)
+        monkeypatch.setattr("topogame.games.STATE_CAP", 2)
+        with pytest.raises(CapExceeded, match="^solver state cap 2 exceeded$"):
+            solve(game, want_witness=False)
+        monkeypatch.undo()
+        assert _cut_solver(game) is solver and len(solver.memo) == 3
+        fresh = Solver(solver.menus, solver.full, False)
+        assert all(fresh.value(*key) == value for key, value in solver.memo.items())
+        for k in range(5):
+            game = make_mildly_rothberger(discrete_space(4), k)
+            expected = Solver(game.menus.menus, game.space.full, False).value(0, k)
+            assert solve(game, want_witness=False).winner == expected
+        assert winners(game) == [ALICE] * 4 + [BOB]
 
 
 class TestMinWinHorizon:
