@@ -56,7 +56,7 @@ def _kind_sets(space: FiniteSpace, kind: str) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _reduced_covers_cached(space: FiniteSpace, kind: str, cap: int) -> tuple[Cover, ...]:
+def _reduced_covers_cached(space: FiniteSpace, kind: str) -> tuple[Cover, ...]:
     pool = sorted(_kind_sets(space, kind))
     full = space.full
     points = range(space.n)
@@ -66,6 +66,7 @@ def _reduced_covers_cached(space: FiniteSpace, kind: str, cap: int) -> tuple[Cov
             if m >> x & 1:
                 holders[x] |= 1 << i
     found: list[tuple[int, ...]] = []
+    cap = DEFAULT_CAP
 
     def grow(chosen: list, private: list, covered: int, cand: int) -> None:
         # private[j]: the points chosen[j] alone covers; cand: pool indices
@@ -97,9 +98,10 @@ def _reduced_covers_cached(space: FiniteSpace, kind: str, cap: int) -> tuple[Cov
     return tuple(Cover(members=c) for c in found)
 
 
-def reduced_covers(space: FiniteSpace, kind: str, cap: int = DEFAULT_CAP) -> list[Cover]:
-    """All irredundant covers of the given kind, deterministically ordered."""
-    return list(_reduced_covers_cached(space, kind, cap))
+def reduced_covers(space: FiniteSpace, kind: str) -> list[Cover]:
+    """All irredundant covers of the given kind, deterministically ordered;
+    CapExceeded past DEFAULT_CAP of them."""
+    return list(_reduced_covers_cached(space, kind))
 
 
 @lru_cache(maxsize=None)

@@ -32,16 +32,12 @@ A witness is positional (class POS): the winner's least optimal move at
 each (covered mask, rounds left) the winner's play can reach against every
 line of the loser. Alice's move there is a menu index; Bob's is his pick
 from each menu, in menu order. An n-point game of horizon k has at most
-2^n * k such positions, so no witness is ever skipped. Extraction reads
-each child's value from the solver's memo and never asks the solver
-again. At a position the winner's play reaches, the solver's own loop has
-already looked at exactly the children the least-optimal-move scan reads,
-in the same order and with the same short-circuit: Alice's menus up to
-the first whose members all lead to positions she wins, or, at a position
-Bob wins, every menu up to its first member leading to a position he
-wins. So each such child is memoized, or decided without the memo by a
-full mask or by no rounds left. Extraction adds no memo entry, so
-`stats` counts the positions the value search explored.
+2^n * k such positions, so no witness is ever skipped. Extraction and
+`play` share one scan for the least winning move
+(`Solver.least_winning_move`), which reads the memo first and asks the
+solver only on a miss. At the positions a witness reaches, the value
+search has stored every child the scan reads, so extraction adds no memo
+entry and `stats` counts the positions the value search explored.
 
 There are three strategy classes: positional, predetermined Alice and
 Markov Bob. Each moves on the covered mask, the round and Alice's current
@@ -262,7 +258,8 @@ class Solver:
 
     The value does not depend on the game's horizon, only on its menus, its
     full mask and its target, so one solver answers every horizon. The memo
-    holds only finished values, so a CapExceeded leaves the solver correct.
+    holds only finished values, never more than STATE_CAP of them, so a
+    CapExceeded leaves the solver correct.
     """
 
     def __init__(self, menus: tuple, full: int, negated: bool):
@@ -285,8 +282,6 @@ class Solver:
         hit = memo.get(key)
         if hit is not None:
             return hit
-        if len(memo) > STATE_CAP:
-            raise CapExceeded(f"solver state cap {STATE_CAP} exceeded")
         value = self.value
         full_winner = self.full_winner
         left -= 1
@@ -305,8 +300,36 @@ class Solver:
             else:
                 result = ALICE
                 break
+        if len(memo) >= STATE_CAP:
+            raise CapExceeded(f"solver state cap {STATE_CAP} exceeded")
         memo[key] = result
         return result
+
+    def least_winning_move(self, covered: int, left: int, player: str):
+        """The least winning move of `player`, to act with `covered` covered
+        and `left` rounds left, this one included: Alice's menu index, or
+        None when no menu wins; Bob's pick from each menu, in menu order,
+        with None where no pick wins. A child's value comes from the memo,
+        or from `value` on a miss."""
+        memo, value, full, full_winner = self.memo, self.value, self.full, self.full_winner
+        left -= 1
+        last_winner = self.short_winner if left <= 0 else None
+        picks = []
+        for mi, menu in enumerate(self.menus):
+            pick = None
+            for b in menu:
+                child = covered | b
+                if child == full:
+                    v = full_winner
+                else:
+                    v = last_winner or memo.get((child, left)) or value(child, left)
+                if v == BOB:
+                    pick = b
+                    break
+            if pick is None and player == ALICE:
+                return mi
+            picks.append(pick)
+        return None if player == ALICE else tuple(picks)
 
 
 def solve(game: GameSpec, want_witness: bool = True) -> Verdict:
@@ -394,43 +417,13 @@ def _menu_tops(menus: tuple, flip: int, below: tuple) -> list:
 
 
 def _extract_witness(game: GameSpec, solver: Solver, winner: str) -> Strategy:
-    """Positional table for the winner: the least optimal move at every
+    """Positional table for the winner: the least winning move at every
     (covered mask, rounds left) reached round by round over every legal
-    line of the loser.
-
-    Each child's value is read from `solver.memo`; a full child goes to
-    `full_winner` and a child with no rounds left to `short_winner`, as in
-    `Solver.value`. The solver's loop at a reached position read exactly
-    the children read here, in this order and with this short-circuit, so
-    every one of them is memoized (see the module docstring)."""
-    menus = game.menus.menus
+    line of the loser."""
     horizon = game.horizon
-    memo = solver.memo
-    full, full_winner, short_winner = solver.full, solver.full_winner, solver.short_winner
 
-    def bob_takes(covered: int, menu: tuple, left: int):
-        # the first member of menu whose child Bob wins, else None
-        for b in menu:
-            child = covered | b
-            if child == full:
-                if full_winner == BOB:
-                    return b
-            elif (short_winner if left <= 0 else memo[(child, left)]) == BOB:
-                return b
-        return None
-
-    if winner == ALICE:
-
-        def choose(covered: int, rnd: int) -> int:
-            left = horizon - rnd - 1  # rounds left after this one
-            for mi, menu in enumerate(menus):
-                if bob_takes(covered, menu, left) is None:
-                    return mi
-    else:
-
-        def choose(covered: int, rnd: int) -> tuple:
-            left = horizon - rnd - 1
-            return tuple(bob_takes(covered, menu, left) for menu in menus)
+    def choose(covered: int, rnd: int):
+        return solver.least_winning_move(covered, horizon - rnd, winner)
 
     return walk_positions(game, winner, choose)
 
@@ -516,8 +509,6 @@ def _committed_search(
         key = (states, left)
         if key in memo:
             return memo[key]
-        if len(memo) > STATE_CAP:
-            raise CapExceeded(f"{name} knowledge-set search state cap {STATE_CAP} exceeded")
         masks = []
         rest = states
         while rest:
@@ -536,6 +527,8 @@ def _committed_search(
             if not nxt & bad if left == 1 else wins(nxt, left - 1) is not None:
                 result = (move, nxt)
                 break
+        if len(memo) >= STATE_CAP:
+            raise CapExceeded(f"{name} knowledge-set search state cap {STATE_CAP} exceeded")
         memo[key] = result
         return result
 
@@ -718,22 +711,11 @@ def verify_winning(game: GameSpec, s: Strategy) -> bool:
 
 
 def optimal_move(solver: Solver, covered: int, left: int, menu_index: Optional[int] = None):
-    """Best move for the player to act with `covered` covered and `left`
-    rounds left, this one included.
-
-    With menu_index None it is Alice's turn (returns a menu index);
-    otherwise Bob answers from that menu (returns a mask). Prefers a
-    winning move, least in move order; falls back to the least legal move.
-    """
-    menus = solver.menus
+    """Alice's least winning menu index, or with menu_index set Bob's least
+    winning member of that menu (`Solver.least_winning_move`); the least
+    legal move when none wins."""
     if menu_index is None:
-        for mi, menu in enumerate(menus):
-            if all(solver.value(covered | b, left - 1) == ALICE for b in menu):
-                return mi
-        return 0
-    menu = menus[menu_index]
-    for b in menu:
-        if solver.value(covered | b, left - 1) == BOB:
-            return b
-    return menu[0]
-
+        mi = solver.least_winning_move(covered, left, ALICE)
+        return 0 if mi is None else mi
+    b = solver.least_winning_move(covered, left, BOB)[menu_index]
+    return solver.menus[menu_index][0] if b is None else b

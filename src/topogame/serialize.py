@@ -1,24 +1,20 @@
 """JSON readers and writers for the documented file formats.
 
 Spaces:      {"n": int, "opens": [[points ascending], ...]}
-Strategies:  {"player": "alice"|"bob",
-              "class": "pre"|"markov"|"positional",
+Strategies:  {"player": "alice"|"bob", "class": "positional",
               "entries": [{"context": ..., "move": ...}]}
-             (Alice plays "pre" or "positional", Bob "markov" or
-             "positional"); a strategy is read against the space it is
-             for, and its points must lie in 0..n-1, as a space's do; no
-             context is listed twice.
-               Alice pre    {"context": round, "move": index}
-               Bob markov   {"context": [menu index, round],
-                             "move": [points of his pick]}
-             `solve` writes its witness as "positional":
                Alice {"context": [covered points, left], "move": index}
                Bob   {"context": [covered points, left],
                       "move": [[points of his pick], ... one per menu]}
              where left >= 1 counts the rounds left, this one included;
              entries come with the most rounds left first, and for equal
-             rounds left in covered-mask order. `translate` also reads a
-             `solve` verdict, as the strategy in its "witness" field
+             rounds left in covered-mask order. A strategy is read against
+             the space it is for, and its points must lie in 0..n-1, as a
+             space's do; no context is listed twice. Any other class, such
+             as "pre", "markov" or "full", is refused before an entry is
+             read. `solve` writes its witness in this form, and `translate`
+             also reads a `solve` verdict, as the strategy in its "witness"
+             field.
 All output uses stable key order; batch reports are JSON lines.
 `strategy_to_json` builds one point list per distinct mask and shares it
 between entries, so its dict is to be read or encoded, not mutated;
@@ -33,7 +29,7 @@ import json
 from typing import Any
 
 from .errors import FormatError
-from .games import ALICE, BOB, MARKOV, POS, PRE, Strategy, Transcript, Verdict
+from .games import ALICE, BOB, POS, Strategy, Transcript, Verdict
 from .topology import FiniteSpace, mask_of, points_of, validate_topology
 
 
@@ -70,31 +66,17 @@ def load_space(path: str) -> FiniteSpace:
 
 
 def strategy_to_json(s: Strategy) -> dict:
-    if s.klass == POS:
-        return {"player": s.player, "class": POS, "entries": _positional_entries(s)}
-    table = s.table
-    contexts = sorted(table)
-    if s.player == BOB:
-        pts = {m: points_of(m) for m in set(table.values())}
-        entries = [{"context": list(ctx), "move": pts[table[ctx]]} for ctx in contexts]
-    else:
-        entries = [{"context": ctx, "move": table[ctx]} for ctx in contexts]
-    return {"player": s.player, "class": s.klass, "entries": entries}
-
-
-def _positional_entries(s: Strategy) -> list:
+    """A positional strategy as a strategy file."""
     table = s.table
     contexts = sorted(table, key=lambda ctx: (-ctx[1], ctx[0]))
     masks = {covered for covered, _ in contexts}
-    if s.player == BOB:
-        masks.update(*table.values())
-    pts = {m: points_of(m) for m in masks}
-    if s.player == BOB:
-        return [
-            {"context": [pts[ctx[0]], ctx[1]], "move": [pts[b] for b in table[ctx]]}
-            for ctx in contexts
-        ]
-    return [{"context": [pts[ctx[0]], ctx[1]], "move": table[ctx]} for ctx in contexts]
+    if s.player == ALICE:
+        pts = {m: points_of(m) for m in masks}
+        entries = [{"context": [pts[c[0]], c[1]], "move": table[c]} for c in contexts]
+    else:
+        pts = {m: points_of(m) for m in masks.union(*table.values())}
+        entries = [{"context": [pts[c[0]], c[1]], "move": [pts[b] for b in table[c]]} for c in contexts]
+    return {"player": s.player, "class": POS, "entries": entries}
 
 
 def strategy_from_json(obj: Any, n: int) -> Strategy:
@@ -104,7 +86,7 @@ def strategy_from_json(obj: Any, n: int) -> Strategy:
         entries = obj["entries"]
     except (TypeError, KeyError) as exc:
         raise FormatError("strategy needs 'player', 'class' and 'entries'") from exc
-    if (player, klass) not in ((ALICE, PRE), (ALICE, POS), (BOB, MARKOV), (BOB, POS)):
+    if player not in (ALICE, BOB) or klass != POS:
         raise FormatError(f"bad player/class pair {player!r}/{klass!r}")
     if not isinstance(entries, list):
         raise FormatError("strategy 'entries' must be a list")
@@ -112,37 +94,27 @@ def strategy_from_json(obj: Any, n: int) -> Strategy:
     for entry in entries:
         if not isinstance(entry, dict) or "context" not in entry or "move" not in entry:
             raise FormatError(f"strategy entry {entry!r} needs 'context' and 'move'")
-        ctx = _context_from_json(klass, entry["context"], n)
+        ctx = _context_from_json(entry["context"], n)
         if ctx in table:
             raise FormatError(f"strategy lists context {entry['context']!r} twice")
-        table[ctx] = _move_from_json(player, klass, entry["move"], n)
-    return Strategy(player=player, klass=klass, table=table)
+        table[ctx] = _move_from_json(player, entry["move"], n)
+    return Strategy(player=player, klass=POS, table=table)
 
 
-def _context_from_json(klass: str, raw, n: int):
-    if klass == PRE:
-        if type(raw) is not int:
-            raise FormatError("predetermined context must be a round number")
-        return raw
-    if klass == POS:
-        if not isinstance(raw, list) or len(raw) != 2 or type(raw[1]) is not int or raw[1] < 1:
-            raise FormatError("positional context must be [covered points, rounds left >= 1]")
-        return mask_of(_points(raw[0]), n), raw[1]
-    if not isinstance(raw, list) or len(raw) != 2 or not all(type(x) is int for x in raw):
-        raise FormatError("markov context must be [menu index, round]")
-    return tuple(raw)
+def _context_from_json(raw, n: int) -> tuple:
+    if not isinstance(raw, list) or len(raw) != 2 or type(raw[1]) is not int or raw[1] < 1:
+        raise FormatError("positional context must be [covered points, rounds left >= 1]")
+    return mask_of(_points(raw[0]), n), raw[1]
 
 
-def _move_from_json(player: str, klass: str, raw, n: int):
+def _move_from_json(player: str, raw, n: int):
     if player == ALICE:
         if type(raw) is not int:
             raise FormatError("alice move must be a menu index")
         return raw
-    if klass == POS:
-        if not isinstance(raw, list):
-            raise FormatError("positional bob move must be a list of picks, one per menu")
-        return tuple(mask_of(_points(pick), n) for pick in raw)
-    return mask_of(_points(raw), n)
+    if not isinstance(raw, list):
+        raise FormatError("positional bob move must be a list of picks, one per menu")
+    return tuple(mask_of(_points(pick), n) for pick in raw)
 
 
 def load_strategy(path: str, n: int) -> Strategy:

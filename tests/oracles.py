@@ -19,6 +19,10 @@ table over every line of play, up to HISTORY_CAP entries, and
 writes it as the package once wrote full-history files, so the hashes
 pinned on those files still hold, and `reference_extract` reads it to
 build the indexed tree that `lab.extract_qs_tree` builds from positions.
+`restricted_to_json` writes a predetermined-Alice or Markov-Bob table
+as the package once wrote those strategy files, so the hash pinned on
+the restricted witnesses still holds; the package reads and writes
+positional files only.
 `closed_form_verdict` gives every game's verdict on a finite space, in all
 three strategy classes, from two counts read off the open sets, with no
 search at all.
@@ -362,6 +366,18 @@ def history_to_json(s: Strategy) -> dict:
         pts = {m: points_of(m) for m in set(table.values())}
         entries = [{"context": list(ctx), "move": pts[table[ctx]]} for ctx in contexts]
     return {"player": s.player, "class": "full", "entries": entries}
+
+
+def restricted_to_json(s: Strategy) -> dict:
+    """A predetermined-Alice or Markov-Bob table as a strategy file of its
+    class: contexts in key order, Alice's a round, Bob's [menu index,
+    round] with his pick as a point list."""
+    table = s.table
+    if s.player == "alice":
+        entries = [{"context": ctx, "move": table[ctx]} for ctx in sorted(table)]
+    else:
+        entries = [{"context": list(ctx), "move": points_of(table[ctx])} for ctx in sorted(table)]
+    return {"player": s.player, "class": s.klass, "entries": entries}
 
 
 def reference_extract(space: FiniteSpace, view: Strategy, clopen_seqs: dict,

@@ -1,10 +1,11 @@
 import hashlib
 import io
+import itertools
 import json
 
 import pytest
 
-from oracles import dump_space
+from oracles import dump_space, restricted_to_json
 from topogame import cli
 from topogame.cli import main
 from topogame.errors import CapExceeded
@@ -13,8 +14,18 @@ from topogame.serialize import (
     space_to_json,
     strategy_to_json,
 )
-from topogame.games import STATE_CAP, make_point_clopen, solve
-from topogame.topology import validate_topology
+from topogame.games import (
+    ALICE,
+    BOB,
+    GAME_BUILDERS,
+    STATE_CAP,
+    Solver,
+    make_point_clopen,
+    markov_bob_search,
+    predetermined_alice_search,
+    solve,
+)
+from topogame.topology import mask_of, validate_topology
 
 
 def run(capsys, *argv):
@@ -489,6 +500,22 @@ class TestTranslate:
         assert out == ""
         assert err == "error: bad player/class pair 'alice'/'full'\n"
 
+    @pytest.mark.parametrize(
+        "search, k, direction",
+        [(markov_bob_search, 1, "bob-pc-to-qc"), (predetermined_alice_search, 2, "alice-pc-to-qc")],
+    )
+    def test_restricted_class_file_is_refused(self, capsys, tmp_path, space_file, two_block3,
+                                              search, k, direction):
+        # Markov-Bob and predetermined-Alice files are refused at their class
+        s = search(make_point_clopen(two_block3, k))
+        strat_path = tmp_path / "strategy.json"
+        strat_path.write_text(json.dumps(restricted_to_json(s)))
+        code, out, err = run(capsys, "translate", str(strat_path), "--direction", direction,
+                             "--space", space_file, "--horizon", str(k))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: bad player/class pair '{s.player}'/'{s.klass}'\n"
+
 
 class TestPlay:
     def test_human_alice_loses_to_solver(self, capsys, monkeypatch, space_file, tmp_path):
@@ -531,6 +558,71 @@ class TestPlay:
         )
         assert code == 0
         assert "winner:" in out
+
+    @staticmethod
+    def human_lines(capsys, monkeypatch, tmp_path, space_file, game, role, k, width):
+        """The rounds of every play in which the human `role` answers each
+        prompt with a listed index below `width`, as (menu index, Bob's
+        mask) pairs."""
+        save = tmp_path / "t.json"
+        for line in itertools.product(range(width), repeat=k):
+            monkeypatch.setattr("sys.stdin", io.StringIO("".join(f"{j}\n" for j in line)))
+            try:
+                code = main(["play", space_file, "--game", game, "--role", role,
+                             "--horizon", str(k), "--save", str(save)])
+            except SystemExit:  # an index off the list: the reprompt ran out of input
+                continue
+            finally:
+                capsys.readouterr()
+            assert code == 0
+            rounds = json.loads(save.read_text())["rounds"]
+            yield [(r["alice"], mask_of(r["bob"], 3)) for r in rounds]
+
+    @pytest.mark.parametrize("game", sorted(GAME_BUILDERS))
+    def test_the_winning_solver_plays_the_witness(self, capsys, monkeypatch, tmp_path, space_file,
+                                                  two_block3, game):
+        # against every human line, each solver move is the entry `solve`
+        # writes at that (covered mask, rounds left)
+        k = 2
+        spec = GAME_BUILDERS[game](two_block3, k)
+        witness = solve(spec).witness
+        menus = spec.menus.menus
+        human = BOB if witness.player == ALICE else ALICE
+        width = max(len(menus), *map(len, menus))
+        lines = 0
+        for rounds in self.human_lines(capsys, monkeypatch, tmp_path, space_file, game, human, k, width):
+            covered = 0
+            for rnd, (mi, b) in enumerate(rounds):
+                entry = witness.table[(covered, k - rnd)]
+                assert (mi if human == BOB else b) == (entry if human == BOB else entry[mi])
+                covered |= b
+            lines += 1
+        assert lines == 4  # two options at each of the two prompts
+
+    @pytest.mark.parametrize("game", sorted(GAME_BUILDERS))
+    def test_the_losing_solver_plays_the_first_move(self, capsys, monkeypatch, tmp_path, space_file,
+                                                    two_block3, game):
+        # the human plays the winner's side; wherever the solver has no
+        # winning move it plays menu 0, or the first member of the menu
+        checked = 0
+        for k in (1, 2):
+            spec = GAME_BUILDERS[game](two_block3, k)
+            menus = spec.menus.menus
+            solver = Solver(menus, spec.space.full, spec.negated)
+            human = solver.value(0, k)
+            width = max(len(menus), *map(len, menus))
+            for rounds in self.human_lines(capsys, monkeypatch, tmp_path, space_file, game, human, k, width):
+                covered = 0
+                for rnd, (mi, b) in enumerate(rounds):
+                    left = k - rnd - 1
+                    if human == BOB and solver.value(covered, left + 1) == BOB:
+                        assert mi == 0
+                        checked += 1
+                    if human == ALICE and all(solver.value(covered | c, left) == ALICE for c in menus[mi]):
+                        assert b == menus[mi][0]
+                        checked += 1
+                    covered |= b
+        assert checked
 
     def test_bad_input_reprompts(self, capsys, monkeypatch, space_file):
         monkeypatch.setattr("sys.stdin", io.StringIO("zebra\n99\n1\n1\n"))

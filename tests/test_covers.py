@@ -17,6 +17,7 @@ from oracles import (
 )
 from topogame.covers import (
     MenuFamily,
+    _reduced_covers_cached,
     point_base_family,
     quasi_component_family,
     reduced_covers,
@@ -58,9 +59,14 @@ class TestReducedCovers:
                     assert acc == sp.full
                     assert len(set(cover.members)) == len(cover.members)
 
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            reduced_covers(discrete_space(3), "open", cap=2)
+    def test_cap(self, monkeypatch):
+        _reduced_covers_cached.cache_clear()
+        monkeypatch.setattr("topogame.covers.DEFAULT_CAP", 2)
+        try:
+            with pytest.raises(CapExceeded):
+                reduced_covers(discrete_space(3), "open")
+        finally:
+            _reduced_covers_cached.cache_clear()
 
 
 class TestCoverEnumeration:

@@ -22,6 +22,7 @@ from oracles import (
     reference_committed_search,
     reference_move,
     reference_verify,
+    restricted_to_json,
     reversed_game,
     selection_principle,
 )
@@ -479,16 +480,25 @@ class TestWinnerSolver:
             shared = _cut_solver(make_point_clopen(sp, 1))
             assert _cut_solver(make_quasi_component_clopen(sp, 2)) is shared, name
 
+    def test_the_cap_bounds_the_positions_stored(self, monkeypatch, fresh_caches):
+        # a cold search stores nothing until its first descent bottoms out,
+        # so a cap checked before the descent would let this one store 12
+        game = make_mildly_rothberger(discrete_space(3), 11)
+        monkeypatch.setattr("topogame.games.STATE_CAP", 2)
+        with pytest.raises(CapExceeded, match="^solver state cap 2 exceeded$"):
+            solve(game, want_witness=False)
+        assert len(_cut_solver(game).memo) == 2
+
     def test_a_cap_hit_leaves_the_shared_solver_correct(self, monkeypatch, fresh_caches):
         # the clopen covers of discrete-4 cut to the one partition into
-        # points, and the search passes the cap after 3 finished positions
+        # points, and the search stops at its third finished position
         game = make_mildly_rothberger(discrete_space(4), 4)
         solver = _cut_solver(game)
         monkeypatch.setattr("topogame.games.STATE_CAP", 2)
         with pytest.raises(CapExceeded, match="^solver state cap 2 exceeded$"):
             solve(game, want_witness=False)
         monkeypatch.undo()
-        assert _cut_solver(game) is solver and len(solver.memo) == 3
+        assert _cut_solver(game) is solver and len(solver.memo) == 2
         fresh = Solver(solver.menus, solver.full, False)
         assert all(fresh.value(*key) == value for key, value in solver.memo.items())
         for k in range(5):
@@ -655,7 +665,7 @@ class TestPinnedVerdicts:
                 for k in range(sp.n + 1):
                     game = GAME_BUILDERS[name](sp, k)
                     for s in (predetermined_alice_search(game), markov_bob_search(game)):
-                        lines.append(dumps_stable(None if s is None else strategy_to_json(s)) + "\n")
+                        lines.append(dumps_stable(None if s is None else restricted_to_json(s)) + "\n")
         assert len(lines) == 19050
         assert _sha256(lines) == "4051950e2681fbff04f8698d5c6000917ca87c54f69576921fc34176f9fc3673"
 
