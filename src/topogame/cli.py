@@ -29,7 +29,6 @@ from .games import (
     ALICE,
     BOB,
     GAME_BUILDERS,
-    Solver,
     Transcript,
     optimal_move,
     solve,
@@ -194,7 +193,6 @@ def cmd_play(args) -> int:
     game = GAME_BUILDERS[args.game](space, args.horizon)
     menus = game.menus.menus
     human = args.role
-    solver = Solver(menus, game.space.full, game.negated)
     covered = 0
     rounds = []
     for rnd in range(game.horizon if menus else 0):
@@ -204,7 +202,7 @@ def cmd_play(args) -> int:
                 print(f"  [{mi}] {[points_of(m) for m in menu]}")
             mi = _prompt_move("your menu index> ", list(range(len(menus))))
         else:
-            mi = optimal_move(solver, covered, game.horizon - rnd)
+            mi = optimal_move(game, covered, game.horizon - rnd)
             print(f"round {rnd}: solver (alice) plays menu {mi}: "
                   f"{[points_of(m) for m in menus[mi]]}")
         menu = menus[mi]
@@ -215,7 +213,7 @@ def cmd_play(args) -> int:
             j = _prompt_move("your member index> ", list(range(len(menu))))
             b = menu[j]
         else:
-            b = optimal_move(solver, covered, game.horizon - rnd, menu_index=mi)
+            b = optimal_move(game, covered, game.horizon - rnd, menu_index=mi)
             print(f"round {rnd}: solver (bob) selects {points_of(b)}")
         covered |= b
         rounds.append((mi, b))

@@ -21,23 +21,22 @@ for Alice. Cutting both leaves the value of every position unchanged.
 This is the finite form of refinement: on a finite space O cuts to the
 cover by the maximal minimal neighbourhoods, C_O to the quasi-component
 partition, and each point menu to its least member. Witnesses, `play`,
-the restricted searches and `verify_winning` use the full family, so move
-indices and witness tables are those of the full family. The winner-only
-solves share one solver per dominant menus, full mask and target
-(`_cut_solver`), so every horizon, caller and space with the same cut
-family reads one memo; the point-clopen and quasi-component games of a
-finite space cut to the same menus.
+the restricted searches and `verify_winning` move in the full family, so
+move indices and witness tables are those of the full family. The
+winner-only solves and `play`'s child values share one solver per
+dominant menus, full mask and target (`_cut_solver`), so every horizon,
+caller and space with the same cut family reads one memo; the
+point-clopen and quasi-component games of a finite space cut to the same
+menus.
 
 A witness is positional (class POS): the winner's least optimal move at
 each (covered mask, rounds left) the winner's play can reach against every
 line of the loser. Alice's move there is a menu index; Bob's is his pick
 from each menu, in menu order. An n-point game of horizon k has at most
-2^n * k such positions, so no witness is ever skipped. Extraction and
-`play` share one scan for the least winning move
-(`Solver.least_winning_move`), which reads the memo first and asks the
-solver only on a miss. At the positions a witness reaches, the value
-search has stored every child the scan reads, so extraction adds no memo
-entry and `stats` counts the positions the value search explored.
+2^n * k such positions, so no witness is ever skipped. The value search
+stores that move at every position it finishes, and extraction reads it
+from the memo, so extraction adds no memo entry and `stats` counts the
+positions the value search explored.
 
 There are three strategy classes: positional, predetermined Alice and
 Markov Bob. Each moves on the covered mask, the round and Alice's current
@@ -258,8 +257,10 @@ class Solver:
 
     The value does not depend on the game's horizon, only on its menus, its
     full mask and its target, so one solver answers every horizon. The memo
-    holds only finished values, never more than STATE_CAP of them, so a
-    CapExceeded leaves the solver correct.
+    holds the winner's least winning move at each finished position, never
+    more than STATE_CAP of them, so a CapExceeded leaves the solver correct:
+    Alice's first menu all of whose children she wins (an int), or Bob's
+    first winning pick from each menu, in menu order (a tuple).
     """
 
     def __init__(self, menus: tuple, full: int, negated: bool):
@@ -279,57 +280,36 @@ class Solver:
             return self.short_winner
         memo = self.memo
         key = (covered, left)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        value = self.value
-        full_winner = self.full_winner
-        left -= 1
-        # children that are finished plays are decided here, without a call
-        last_winner = self.short_winner if left <= 0 else None
-        result = BOB
-        for menu in self.menus:
-            for b in menu:
-                child = covered | b
-                if child == full:
-                    v = full_winner
+        move = memo.get(key)
+        if move is None:
+            value = self.value
+            left -= 1
+            # children that are finished plays are decided here, without a call
+            full_bob = self.full_winner == BOB
+            last_bob = not full_bob if left <= 0 else None
+            picks = []
+            for mi, menu in enumerate(self.menus):
+                for b in menu:
+                    child = covered | b
+                    if child == full:
+                        bob = full_bob
+                    elif last_bob is not None:
+                        bob = last_bob
+                    else:
+                        hit = memo.get((child, left))
+                        bob = value(child, left) == BOB if hit is None else type(hit) is tuple
+                    if bob:
+                        picks.append(b)
+                        break
                 else:
-                    v = last_winner or memo.get((child, left)) or value(child, left)
-                if v == BOB:
+                    move = mi
                     break
             else:
-                result = ALICE
-                break
-        if len(memo) >= STATE_CAP:
-            raise CapExceeded(f"solver state cap {STATE_CAP} exceeded")
-        memo[key] = result
-        return result
-
-    def least_winning_move(self, covered: int, left: int, player: str):
-        """The least winning move of `player`, to act with `covered` covered
-        and `left` rounds left, this one included: Alice's menu index, or
-        None when no menu wins; Bob's pick from each menu, in menu order,
-        with None where no pick wins. A child's value comes from the memo,
-        or from `value` on a miss."""
-        memo, value, full, full_winner = self.memo, self.value, self.full, self.full_winner
-        left -= 1
-        last_winner = self.short_winner if left <= 0 else None
-        picks = []
-        for mi, menu in enumerate(self.menus):
-            pick = None
-            for b in menu:
-                child = covered | b
-                if child == full:
-                    v = full_winner
-                else:
-                    v = last_winner or memo.get((child, left)) or value(child, left)
-                if v == BOB:
-                    pick = b
-                    break
-            if pick is None and player == ALICE:
-                return mi
-            picks.append(pick)
-        return None if player == ALICE else tuple(picks)
+                move = tuple(picks)
+            if len(memo) >= STATE_CAP:
+                raise CapExceeded(f"solver state cap {STATE_CAP} exceeded")
+            memo[key] = move
+        return BOB if type(move) is tuple else ALICE
 
 
 def solve(game: GameSpec, want_witness: bool = True) -> Verdict:
@@ -419,11 +399,13 @@ def _menu_tops(menus: tuple, flip: int, below: tuple) -> list:
 def _extract_witness(game: GameSpec, solver: Solver, winner: str) -> Strategy:
     """Positional table for the winner: the least winning move at every
     (covered mask, rounds left) reached round by round over every legal
-    line of the loser."""
-    horizon = game.horizon
+    line of the loser, as the value search stored it; at a full mask, which
+    decides the play and is never stored, the first move."""
+    memo, full, horizon = solver.memo, solver.full, game.horizon
+    first = 0 if winner == ALICE else tuple(menu[0] for menu in game.menus.menus)
 
     def choose(covered: int, rnd: int):
-        return solver.least_winning_move(covered, horizon - rnd, winner)
+        return first if covered == full else memo[(covered, horizon - rnd)]
 
     return walk_positions(game, winner, choose)
 
@@ -710,12 +692,16 @@ def verify_winning(game: GameSpec, s: Strategy) -> bool:
     return not masks or not wins_full
 
 
-def optimal_move(solver: Solver, covered: int, left: int, menu_index: Optional[int] = None):
+def optimal_move(game: GameSpec, covered: int, left: int, menu_index: Optional[int] = None):
     """Alice's least winning menu index, or with menu_index set Bob's least
-    winning member of that menu (`Solver.least_winning_move`); the least
-    legal move when none wins."""
+    winning member of that menu, in the full family; the least legal move
+    when none wins. Child values come from the shared solver (`_cut_solver`):
+    the dominant menus give every position the full family's value."""
+    value = _cut_solver(game).value
+    menus = game.menus.menus
+    left -= 1
     if menu_index is None:
-        mi = solver.least_winning_move(covered, left, ALICE)
-        return 0 if mi is None else mi
-    b = solver.least_winning_move(covered, left, BOB)[menu_index]
-    return solver.menus[menu_index][0] if b is None else b
+        wins = (mi for mi, menu in enumerate(menus) if all(value(covered | b, left) == ALICE for b in menu))
+        return next(wins, 0)
+    menu = menus[menu_index]
+    return next((b for b in menu if value(covered | b, left) == BOB), menu[0])

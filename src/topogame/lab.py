@@ -182,11 +182,14 @@ def extract_qs_tree(
     phi may be positional or predetermined; it is read as playing the
     game of horizon `depth`. clopen_seqs maps each block index to clopen
     supersets of the block whose intersection equals it (the singleton
-    [block] always qualifies). If the blocks it names fail to cover, the
+    [block] always qualifies). A block index out of range, in phi or in
+    clopen_seqs, raises ValueError. If the blocks it names fail to cover, the
     uncovered point yields a legal play following phi that Alice loses.
     """
     blocks = quasi_components(space).blocks
     for bi, seq in clopen_seqs.items():
+        if not 0 <= bi < len(blocks):
+            raise ValueError(f"clopen_seqs names block index {bi} of {len(blocks)} blocks")
         block = blocks[bi]
         acc = space.full
         for v in seq:
@@ -211,6 +214,8 @@ def extract_qs_tree(
                 if len(s) == depth:
                     continue
                 raise
+            if not 0 <= bi < len(blocks):
+                raise ValueError(f"phi names block index {bi} of {len(blocks)} blocks at node {s}")
             tree[s] = blocks[bi]
             count += 1
             if count > EXTRACTION_NODE_CAP:

@@ -11,7 +11,9 @@ strategy tables by its own keying (`reference_move`), not by
 searches' knowledge-set search over frozensets, with no move cut.
 `reference_verify` is verification as a depth-first recursion over the
 game tree, memoized on (covered mask, round), where `verify_winning`
-walks a frontier round by round.
+walks a frontier round by round. `reference_least_move` finds the
+winner's least winning move at a position by its own recursion over the
+children, to check the moves the solver stores.
 The package has no full-history strategy class; the tests keep one, of
 class "full", as the old form of every witness. `unfold` builds such a
 table over every line of play, up to HISTORY_CAP entries, and
@@ -475,6 +477,27 @@ def history_tree_winner(game: GameSpec) -> str:
         return "bob"
 
     return value((), 0)
+
+
+def reference_least_move(game: GameSpec, covered: int, left: int):
+    """The least winning move of the winner with `covered` covered and
+    `left` rounds left, this one included, by plain recursion over the
+    children, memoized on (covered mask, rounds left): Alice's first menu
+    all of whose children she wins, or else Bob's first winning pick from
+    each menu, in menu order."""
+    menus = game.menus.menus
+    memo: dict = {}
+
+    def bob_wins(c: int, rounds: int) -> bool:
+        # a full mask stays full, so it decides the play at once
+        if c == game.space.full or rounds == 0 or not menus:
+            return game.bob_wins(c)
+        if (c, rounds) not in memo:
+            memo[c, rounds] = all(any(bob_wins(c | b, rounds - 1) for b in menu) for menu in menus)
+        return memo[c, rounds]
+
+    picks = [next((b for b in menu if bob_wins(covered | b, left - 1)), None) for menu in menus]
+    return picks.index(None) if None in picks else tuple(picks)
 
 
 def selection_principle(game: GameSpec) -> bool:

@@ -20,6 +20,7 @@ from oracles import (
     playout,
     random_alexandrov,
     reference_committed_search,
+    reference_least_move,
     reference_move,
     reference_verify,
     restricted_to_json,
@@ -499,13 +500,43 @@ class TestWinnerSolver:
             solve(game, want_witness=False)
         monkeypatch.undo()
         assert _cut_solver(game) is solver and len(solver.memo) == 2
+        # each stored move is the one a fresh solver stores at that key
         fresh = Solver(solver.menus, solver.full, False)
-        assert all(fresh.value(*key) == value for key, value in solver.memo.items())
+        for key, move in solver.memo.items():
+            fresh.value(*key)
+            assert fresh.memo[key] == move, key
         for k in range(5):
             game = make_mildly_rothberger(discrete_space(4), k)
             expected = Solver(game.menus.menus, game.space.full, False).value(0, k)
             assert solve(game, want_witness=False).winner == expected
         assert winners(game) == [ALICE] * 4 + [BOB]
+
+
+class TestStoredMoves:
+    """The value search stores the winner's least winning move at every
+    position it finishes, which is what witnesses are read from."""
+
+    def test_every_stored_move_is_the_least_winning_move_n3(self, corpus3, fresh_caches):
+        witness_entries = cut_entries = 0
+        for name, sp in corpus3:
+            for make in ALL_GAMES:
+                # the solver of each witness solve
+                for k in range(sp.n + 2):
+                    game = make(sp, k)
+                    solver = Solver(game.menus.menus, game.space.full, game.negated)
+                    solver.value(0, k)
+                    for key, move in solver.memo.items():
+                        assert move == reference_least_move(game, *key), (name, make.__name__, k, key)
+                    witness_entries += len(solver.memo)
+                # the shared solver of the dominant menus, read against them
+                game = make(sp, sp.n + 1)
+                winners(game)
+                solver = _cut_solver(game)
+                cut = dataclasses.replace(game, menus=MenuFamily(solver.menus))
+                for key, move in solver.memo.items():
+                    assert move == reference_least_move(cut, *key), (name, make.__name__, key)
+                cut_entries += len(solver.memo)
+        assert (witness_entries, cut_entries) == (1228, 843)
 
 
 class TestMinWinHorizon:

@@ -1,7 +1,8 @@
 """Every imported name is used: a stdlib-only stand-in for a linter's
 unused-import rule, run over the package and the tests. And every
-top-level function, class and constant of the package is reached from the
-package itself, so no code in `src/` exists only for the tests."""
+top-level function, class and constant of the package, and every method
+but the dunder ones, is reached from the package itself, so no code in
+`src/` exists only for the tests."""
 
 import ast
 from pathlib import Path
@@ -56,7 +57,8 @@ def test_scanner(source, unused):
 
 
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
-    """Top-level functions, classes and constants, over modules given as
+    """Top-level functions, classes and constants, and the methods of
+    top-level classes but for dunder methods, over modules given as
     {file name: source}, that no module names outside their own definition
     or assignment. Imports and `__init__.py` (the re-exports) do not count
     as a use."""
@@ -70,6 +72,14 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
                 own |= {
                     id(sub) for sub in ast.walk(node) if isinstance(sub, ast.Name) and sub.id == node.name
                 }
+                for method in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("__"):
+                        defined.add(method.name)
+                        own |= {
+                            id(sub)
+                            for sub in ast.walk(method)
+                            if isinstance(sub, ast.Attribute) and sub.attr == method.name
+                        }
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for target in targets:
@@ -80,7 +90,7 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
         for sub in ast.walk(tree):
             if isinstance(sub, ast.Name) and id(sub) not in own:
                 named.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
+            elif isinstance(sub, ast.Attribute) and id(sub) not in own:
                 named.add(sub.attr)
     return sorted(defined - named)
 
@@ -100,6 +110,12 @@ def test_every_definition_is_reached():
         ({"a.py": "def f():\n    pass\ndef g():\n    f()\n"}, ["g"]),
         ({"a.py": "CAP = 3\n", "b.py": "from .a import CAP\nprint(CAP)\n"}, []),
         ({"a.py": "CAP: int = 3\nUSED, LEFT = 1, 2\nprint(USED)\n"}, ["CAP", "LEFT"]),
+        (
+            {"a.py": "class C:\n    def __init__(self):\n        pass\n    def m(self):\n        return self.m()\n",
+             "b.py": "from .a import C\nC()\n"},
+            ["m"],
+        ),
+        ({"a.py": "class C:\n    def m(self):\n        pass\n", "b.py": "from . import a\na.C().m()\n"}, []),
     ],
 )
 def test_definition_scanner(sources, unreferenced):

@@ -209,6 +209,17 @@ class TestExtraction:
         with pytest.raises(ValueError):
             extract_qs_tree(two_block3, phi, {0: [0b110], 1: [0b110]}, 1)
 
+    @pytest.mark.parametrize("bi", [-1, 2])
+    def test_rejects_block_index_out_of_range(self, two_block3, bi):
+        # two blocks: -1 must not read as the last one, nor 2 fail bare
+        seqs = {0: [0b001], 1: [0b110]}
+        phi = Strategy(player=ALICE, klass=POS, table={(0, 2): 1, (0b110, 1): bi})
+        with pytest.raises(ValueError, match=rf"^phi names block index {bi} of 2 blocks at node \(0,\)$"):
+            extract_qs_tree(two_block3, phi, seqs, 2)
+        phi = Strategy(player=ALICE, klass=PRE, table={0: 0})
+        with pytest.raises(ValueError, match=rf"^clopen_seqs names block index {bi} of 2 blocks$"):
+            extract_qs_tree(two_block3, phi, {**seqs, bi: [0b110]}, 1)
+
     def test_missing_entry_above_the_final_layer_raises(self):
         d2 = discrete_space(2)
         seqs = {0: [0b11, 0b01], 1: [0b10]}
