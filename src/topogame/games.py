@@ -29,8 +29,8 @@ caller and space with the same cut family reads one memo; the
 point-clopen and quasi-component games of a finite space cut to the same
 menus.
 
-A witness is positional (class POS): the winner's least optimal move at
-each (covered mask, rounds left) the winner's play can reach against every
+A witness is positional: the winner's least optimal move at each
+(covered mask, rounds left) the winner's play can reach against every
 line of the loser. Alice's move there is a menu index; Bob's is his pick
 from each menu, in menu order. An n-point game of horizon k has at most
 2^n * k such positions, so no witness is ever skipped. The value search
@@ -38,18 +38,18 @@ stores that move at every position it finishes, and extraction reads it
 from the memo, so extraction adds no memo entry and `stats` counts the
 positions the value search explored.
 
-There are three strategy classes: positional, predetermined Alice and
-Markov Bob. Each moves on the covered mask, the round and Alice's current
-menu alone, and no reader keeps a history of moves. Every reader
-(verification, translation, tree extraction) asks a strategy of any class
-for its move at a node through `Strategy.move_at`. `walk_positions`
-builds a positional table round by round from a `choose` callback that
-gives each node's move, with one node per covered mask: the witnesses,
-and the translation of a positional strategy. No class is keyed on a
-history, so no table grows with the number of lines of play.
+Every strategy is such a positional table, keyed on (covered mask,
+rounds left), so no table grows with the number of lines of play. Every
+reader (verification, translation, tree extraction) asks a strategy for
+its move at a node through `Strategy.move_at`. `walk_positions` builds a
+table round by round from a `choose` callback that gives each node's
+move, with one node per covered mask: the witnesses, the translation of
+a strategy, and the table of a strategy whose move depends on the round
+alone.
 
-Restricted strategy classes (each search returns its PRE or MARKOV
-witness, or None when the class has no win):
+The restricted searches decide two classes that move on the round
+alone. Each returns the winning move of every round (Alice's menu index,
+or Bob's pick from each menu), or None when the class has no win:
   Predetermined Alice: a knowledge-set search. She commits to a menu per
     round, so the masks Bob can reach are tracked as a set: an int bitset
     over covered masks, cut to the antichain of the masks best for Bob.
@@ -93,10 +93,6 @@ from .topology import FiniteSpace, points_of
 ALICE = "alice"
 BOB = "bob"
 
-MARKOV = "markov"
-PRE = "pre"
-POS = "positional"
-
 STATE_CAP = 10**7
 
 
@@ -118,45 +114,27 @@ class GameSpec:
 
 @dataclass(frozen=True)
 class Strategy:
-    """A finite decision table.
-
-    Context keys by class:
-      Alice pre:   round number
-      Bob markov:  (Alice's current move, round number)
-      positional:  (covered mask, rounds left), this round included
-    Moves: Alice -> menu index, Bob -> member mask; a positional Bob's move
-    is a tuple with his member mask for each menu, in menu order. Readers
-    ask for a move at a game-tree node with `move_at`, whatever the class.
+    """A positional decision table, keyed on (covered mask, rounds left),
+    this round included. Moves: Alice -> menu index, Bob -> a tuple with his
+    member mask for each menu, in menu order. Readers ask for a move at a
+    game-tree node with `move_at`.
     """
 
     player: str
-    klass: str
     table: dict = field(hash=False)
 
     def move_at(self, covered: int, rnd: int, horizon: int, menu: int = 0):
         """Alice's menu index, or Bob's member of Alice's menu `menu`, in
         round `rnd` of the game of this horizon, with `covered` covered so
-        far. Alice's lookups ignore `menu`. Raises IllegalMove where the
-        table has no move; whether a move is legal is for the caller to
-        check."""
-        klass = self.klass
-        if klass == POS:
-            key = (covered, horizon - rnd)
-            move = self.table.get(key)
-            if move is not None and self.player == BOB:
-                move = move[menu] if menu < len(move) else None
-        else:
-            key = rnd if klass == PRE else (menu, rnd)
-            move = self.table.get(key)
+        far. Alice's lookups ignore `menu`. Raises IllegalMove, naming the
+        context as a strategy file writes it, where the table has no move;
+        whether a move is legal is for the caller to check."""
+        move = self.table.get((covered, horizon - rnd))
+        if move is not None and self.player == BOB:
+            move = move[menu] if menu < len(move) else None
         if move is None:
-            raise IllegalMove(self._file_context(key))
+            raise IllegalMove([points_of(covered), horizon - rnd])
         return move
-
-    def _file_context(self, key):
-        """A table key as a strategy file writes its context."""
-        if self.klass == POS:
-            return [points_of(key[0]), key[1]]
-        return key if self.klass == PRE else list(key)
 
 
 @dataclass(frozen=True)
@@ -434,7 +412,7 @@ def walk_positions(game: GameSpec, player: str, choose: Callable) -> Strategy:
                 for b in menus[move] if alice else move:
                     nxt[covered | b] = None
         masks = nxt
-    return Strategy(player=player, klass=POS, table=table)
+    return Strategy(player=player, table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -540,32 +518,27 @@ def _flipped(n: int, flip: int) -> tuple:
     return bit, tuple(below[x ^ flip] ^ bit[x] for x in range(1 << n))
 
 
-def predetermined_alice_search(game: GameSpec) -> Optional[Strategy]:
-    """Alice's winning strategy that only looks at the round number, or
-    None when she has none. Bob plays with full information against the
+def predetermined_alice_search(game: GameSpec) -> Optional[list]:
+    """Alice's winning menu index for each round, committed to in advance,
+    or None when she has none. Bob plays with full information against the
     fixed menu list."""
-    seq = _committed_search(game.menus.menus, game.space.n, game.negated, ALICE)(game.horizon)
-    return None if seq is None else Strategy(player=ALICE, klass=PRE, table=dict(enumerate(seq)))
+    return _committed_search(game.menus.menus, game.space.n, game.negated, ALICE)(game.horizon)
 
 
-def markov_bob_search(game: GameSpec) -> Optional[Strategy]:
-    """Bob's winning strategy that only looks at Alice's current move and
-    the round number, or None when he has none. Alice plays with full
-    information against the committed table, which maps (menu index,
-    round) to a member."""
+def markov_bob_search(game: GameSpec) -> Optional[list]:
+    """Bob's winning pick from each menu, in menu order, for each round, or
+    None when he has none: his move looks only at Alice's current menu and
+    the round. Alice plays with full information against the committed
+    picks."""
     if game.horizon == 0 or not game.menus.menus:
-        return Strategy(player=BOB, klass=MARKOV, table={}) if game.bob_wins(0) else None
+        return [] if game.bob_wins(0) else None
     if not game.negated:
         return _markov_bob_cover(game)
     vectors = math.prod(len(menu) for menu in _minimal_members(game.menus.menus))
     if vectors > DEFAULT_CAP:
         raise CapExceeded(f"more than {DEFAULT_CAP} Markov choice vectors per round")
     # a round's move is a choice vector: one member of every menu
-    seq = _committed_search(game.menus.menus, game.space.n, True, BOB)(game.horizon)
-    if seq is None:
-        return None
-    table = {(mi, rnd): b for rnd, vector in enumerate(seq) for mi, b in enumerate(vector)}
-    return Strategy(player=BOB, klass=MARKOV, table=table)
+    return _committed_search(game.menus.menus, game.space.n, True, BOB)(game.horizon)
 
 
 @lru_cache(maxsize=None)
@@ -577,7 +550,7 @@ def _minimal_members(menus: tuple) -> tuple:
     return tuple(top for top, _, _ in _menu_tops(menus, (1 << width) - 1, _subsets(width)))
 
 
-def _markov_bob_cover(game: GameSpec) -> Optional[Strategy]:
+def _markov_bob_cover(game: GameSpec) -> Optional[list]:
     """Markov Bob for a cover target, in closed form.
 
     Against a table b, Alice keeps a point x uncovered iff in every round
@@ -623,12 +596,9 @@ def _markov_bob_cover(game: GameSpec) -> Optional[Strategy]:
     groups = split(full)
     if groups is None or len(groups) > game.horizon:
         return None
-    table = {}
-    for rnd in range(game.horizon):
-        g = groups[rnd] if rnd < len(groups) else 0
-        for mi, menu in enumerate(menus):
-            table[(mi, rnd)] = next(b for b in menu if b & g == g)
-    return Strategy(player=BOB, klass=MARKOV, table=table)
+    # round i picks, from each menu, its first member containing G_i
+    groups += (0,) * (game.horizon - len(groups))
+    return [tuple(next(b for b in menu if b & g == g) for menu in menus) for g in groups]
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +608,7 @@ def _markov_bob_cover(game: GameSpec) -> Optional[Strategy]:
 def verify_winning(game: GameSpec, s: Strategy) -> bool:
     """Play s against every legal opponent line, round by round.
 
-    Every class moves on the covered mask, the round and Alice's current
+    A strategy moves on the covered mask, the round and Alice's current
     menu alone, so the frontier holds the distinct covered masks of the
     current round that are not full; a full mask decides the play, so no
     move is asked for there. A missing entry, an out-of-range menu or a
@@ -662,7 +632,7 @@ def verify_winning(game: GameSpec, s: Strategy) -> bool:
             visited += len(masks)
             if visited > STATE_CAP:
                 raise CapExceeded(
-                    f"verification of {s.player}'s {s.klass} strategy: state cap {STATE_CAP} exceeded"
+                    f"verification of {s.player}'s positional strategy: state cap {STATE_CAP} exceeded"
                 )
             nxt: dict = {}
             for covered in masks:

@@ -1,7 +1,10 @@
 """Strategy translations between the point-clopen and quasi-component-clopen
 games, the quasi-component Markov strategy for the clopen cover game, the
 indexed-tree extraction from a winning Alice strategy, and the empirical
-theorem checks run over the enumerated corpus."""
+theorem checks run over the enumerated corpus. Every strategy is a
+positional table; the checks only ask the restricted searches whether a
+class wins, and the strategies made here from per-round moves are walked
+into tables (`walk_positions`)."""
 
 from __future__ import annotations
 
@@ -12,9 +15,6 @@ from .errors import DepthCapExceeded, IllegalMove, IllegalSourceStrategy
 from .games import (
     ALICE,
     BOB,
-    MARKOV,
-    POS,
-    PRE,
     GameSpec,
     Strategy,
     Transcript,
@@ -66,22 +66,24 @@ class ExtractionResult:
 
 def _check_source_entries(s: Strategy, game: GameSpec) -> None:
     menus = game.menus.menus
-    for ctx, move in s.table.items():
+    for (covered, left), move in s.table.items():
         if s.player == ALICE:
             if not 0 <= move < len(menus):
-                raise IllegalSourceStrategy(f"menu index {move} out of range at {ctx!r}")
+                raise IllegalSourceStrategy(f"menu index {move} out of range at {[points_of(covered), left]}")
         else:
             if len(move) != len(menus):
-                raise IllegalSourceStrategy(f"{len(move)} picks for {len(menus)} menus at {ctx!r}")
+                raise IllegalSourceStrategy(
+                    f"{len(move)} picks for {len(menus)} menus at {[points_of(covered), left]}"
+                )
             for mi, b in enumerate(move):
                 if b not in menus[mi]:
-                    raise IllegalSourceStrategy(f"move {b:#x} not in menu {mi} at {ctx!r}")
+                    raise IllegalSourceStrategy(f"move {b:#x} not in menu {mi} at {[points_of(covered), left]}")
 
 
 def translate_b1(
     direction: str, s: Strategy, space: FiniteSpace, horizon: int
 ) -> TranslationReport:
-    """Carry a positional winning strategy between the point-clopen and
+    """Carry a winning strategy between the point-clopen and
     quasi-component-clopen games. The output is a positional table, built
     over the target game's reachable (covered mask, rounds left) positions
     (`walk_positions`).
@@ -96,8 +98,6 @@ def translate_b1(
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
-    if s.klass != POS:
-        raise IllegalSourceStrategy("translations require positional strategies")
     pc = make_point_clopen(space, horizon)
     qc = make_quasi_component_clopen(space, horizon)
     return _translate(direction, s, pc, qc, quasi_components(space))
@@ -152,17 +152,17 @@ def b3_markov_strategy(space: FiniteSpace, horizon: Optional[int] = None) -> Str
     """Bob's Markov strategy for the clopen-cover selection game: in round i
     take the first member of Alice's cover meeting the i-th quasi-component
     block. A clopen set meeting a block contains it, so the selections
-    swallow one block per round and cover within #blocks rounds."""
+    swallow one block per round and cover within #blocks rounds. The
+    strategy is the positional table of those picks over the positions
+    Alice can reach."""
     blocks = quasi_components(space).blocks
     k = horizon if horizon is not None else len(blocks)
     game = make_mildly_rothberger(space, k)
-    table: dict = {}
+    picks = []  # Bob's pick from each menu, per round
     for rnd in range(k):
         block = blocks[min(rnd, len(blocks) - 1)]
-        for mi, menu in enumerate(game.menus.menus):
-            pick = next(b for b in menu if b & block)
-            table[(mi, rnd)] = pick
-    return Strategy(player=BOB, klass=MARKOV, table=table)
+        picks.append(tuple(next(b for b in menu if b & block) for menu in game.menus.menus))
+    return walk_positions(game, BOB, lambda covered, rnd: picks[rnd])
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +179,22 @@ def extract_qs_tree(
     the indexed family of blocks it can name when Bob answers only from
     the given clopen sequences.
 
-    phi may be positional or predetermined; it is read as playing the
-    game of horizon `depth`. clopen_seqs maps each block index to clopen
-    supersets of the block whose intersection equals it (the singleton
-    [block] always qualifies). A block index out of range, in phi or in
-    clopen_seqs, raises ValueError. If the blocks it names fail to cover, the
-    uncovered point yields a legal play following phi that Alice loses.
+    phi is read as playing the game of horizon `depth`. clopen_seqs maps
+    each block index to clopen supersets of the block whose intersection
+    equals it (the singleton [block] always qualifies). A block index out
+    of range, in phi or in clopen_seqs, or a block with no sequence, raises
+    ValueError. If the blocks it names fail to cover, the uncovered point
+    yields a legal play following phi that Alice loses.
     """
     blocks = quasi_components(space).blocks
-    for bi, seq in clopen_seqs.items():
+    for bi in clopen_seqs:
         if not 0 <= bi < len(blocks):
             raise ValueError(f"clopen_seqs names block index {bi} of {len(blocks)} blocks")
-        block = blocks[bi]
+    for bi, block in enumerate(blocks):
+        if bi not in clopen_seqs:
+            raise ValueError(f"clopen_seqs has no sequence for block {bi} of {len(blocks)} blocks")
         acc = space.full
-        for v in seq:
+        for v in clopen_seqs[bi]:
             if not space.is_clopen(v) or v & block != block:
                 raise ValueError(f"sequence entry {v:#x} is not a clopen superset of block {bi}")
             acc &= v
@@ -430,7 +432,9 @@ def check_b3(space: FiniteSpace) -> dict:
     s = b3_markov_strategy(space)
     game = make_mildly_rothberger(space, nblocks)
     won = verify_winning(game, s)
-    markov = s.klass == MARKOV
+    # a Markov strategy: every position of a round holds the same picks
+    picks: dict = {}
+    markov = all(picks.setdefault(left, move) == move for (_, left), move in s.table.items())
     facts = {"blocks": nblocks, "markov_class": markov, "winning": won}
     return {"check": "b3", "horizon": nblocks, "facts": facts, "pass": won and markov}
 
@@ -438,7 +442,8 @@ def check_b3(space: FiniteSpace) -> dict:
 def check_extraction(space: FiniteSpace) -> dict:
     """Unfold the solver's winning Alice strategy for the block game with
     singleton clopen sequences; also exercise the failure branch with the
-    planted predetermined strategy that names the first block every round."""
+    planted strategy that names the first block every round, whatever
+    Bob picks."""
     blocks = quasi_components(space).blocks
     nblocks = len(blocks)
     kstar = max(saturating_horizon(space), nblocks)
@@ -452,7 +457,7 @@ def check_extraction(space: FiniteSpace) -> dict:
         facts["covers"] = result.covers
         ok = ok and result.covers
     if nblocks >= 2:
-        planted = Strategy(player=ALICE, klass=PRE, table=dict.fromkeys(range(kstar), 0))
+        planted = walk_positions(game, ALICE, lambda covered, rnd: 0)
         result = extract_qs_tree(space, planted, seqs, kstar)
         facts["planted_covers"] = result.covers
         ok = ok and not result.covers and result.counterexample is not None

@@ -12,9 +12,9 @@ Strategies:  {"player": "alice"|"bob", "class": "positional",
              the space it is for, and its points must lie in 0..n-1, as a
              space's do; no context is listed twice. Any other class, such
              as "pre", "markov" or "full", is refused before an entry is
-             read. `solve` writes its witness in this form, and `translate`
-             also reads a `solve` verdict, as the strategy in its "witness"
-             field.
+             read. Every strategy in memory is such a table, and `solve`
+             writes its witness in this form; `translate` also reads a
+             `solve` verdict, as the strategy in its "witness" field.
 All output uses stable key order; batch reports are JSON lines.
 `strategy_to_json` builds one point list per distinct mask and shares it
 between entries, so its dict is to be read or encoded, not mutated;
@@ -29,7 +29,7 @@ import json
 from typing import Any
 
 from .errors import FormatError
-from .games import ALICE, BOB, POS, Strategy, Transcript, Verdict
+from .games import ALICE, BOB, Strategy, Transcript, Verdict
 from .topology import FiniteSpace, mask_of, points_of, validate_topology
 
 
@@ -76,18 +76,18 @@ def strategy_to_json(s: Strategy) -> dict:
     else:
         pts = {m: points_of(m) for m in masks.union(*table.values())}
         entries = [{"context": [pts[c[0]], c[1]], "move": [pts[b] for b in table[c]]} for c in contexts]
-    return {"player": s.player, "class": POS, "entries": entries}
+    return {"player": s.player, "class": "positional", "entries": entries}
 
 
 def strategy_from_json(obj: Any, n: int) -> Strategy:
     try:
         player = obj["player"]
-        klass = obj["class"]
+        kind = obj["class"]
         entries = obj["entries"]
     except (TypeError, KeyError) as exc:
         raise FormatError("strategy needs 'player', 'class' and 'entries'") from exc
-    if player not in (ALICE, BOB) or klass != POS:
-        raise FormatError(f"bad player/class pair {player!r}/{klass!r}")
+    if player not in (ALICE, BOB) or kind != "positional":
+        raise FormatError(f"bad player/class pair {player!r}/{kind!r}")
     if not isinstance(entries, list):
         raise FormatError("strategy 'entries' must be a list")
     table = {}
@@ -98,7 +98,7 @@ def strategy_from_json(obj: Any, n: int) -> Strategy:
         if ctx in table:
             raise FormatError(f"strategy lists context {entry['context']!r} twice")
         table[ctx] = _move_from_json(player, entry["move"], n)
-    return Strategy(player=player, klass=POS, table=table)
+    return Strategy(player=player, table=table)
 
 
 def _context_from_json(raw, n: int) -> tuple:

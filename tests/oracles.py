@@ -6,7 +6,7 @@ neighbourhood per point, pruned as it goes; the oracle brute-forces every
 reflexive transitive relation and reads off its up-sets. Components come
 from definitional split search rather than from quasi-components, and the
 game value from an unabstracted history tree, and `playout` replays two
-strategy tables by its own keying (`reference_move`), not by
+positional tables by its own keying (`reference_move`), not by
 `Strategy.move_at`. `reference_committed_search` is the restricted
 searches' knowledge-set search over frozensets, with no move cut.
 `reference_verify` is verification as a depth-first recursion over the
@@ -14,16 +14,18 @@ game tree, memoized on (covered mask, round), where `verify_winning`
 walks a frontier round by round. `reference_least_move` finds the
 winner's least winning move at a position by its own recursion over the
 children, to check the moves the solver stores.
-The package has no full-history strategy class; the tests keep one, of
-class "full", as the old form of every witness. `unfold` builds such a
-table over every line of play, up to HISTORY_CAP entries, and
-`history_view` unfolds a positional strategy into it. `history_to_json`
-writes it as the package once wrote full-history files, so the hashes
-pinned on those files still hold, and `reference_extract` reads it to
-build the indexed tree that `lab.extract_qs_tree` builds from positions.
-`restricted_to_json` writes a predetermined-Alice or Markov-Bob table
-as the package once wrote those strategy files, so the hash pinned on
-the restricted witnesses still holds; the package reads and writes
+Every strategy of the package is a positional table; the tests keep a
+full-history table (`HistoryTable`) as the old form of every witness.
+`unfold` builds one over every line of play, up to HISTORY_CAP entries,
+and `history_view` unfolds a positional strategy into it.
+`history_to_json` writes it as the package once wrote full-history
+files, so the hashes pinned on those files still hold, and
+`reference_extract` reads it to build the indexed tree that
+`lab.extract_qs_tree` builds from positions. The restricted searches
+return per-round moves: `per_round_table` walks them into a positional
+table, and `restricted_to_json` writes them as the package once wrote
+predetermined-Alice and Markov-Bob files, so the hash pinned on the
+restricted witnesses still holds; the package reads and writes
 positional files only.
 `closed_form_verdict` gives every game's verdict on a finite space, in all
 three strategy classes, from two counts read off the open sets, with no
@@ -43,7 +45,7 @@ from typing import Callable, Iterable, Optional
 
 from topogame.covers import DEFAULT_CAP, Cover, MenuFamily
 from topogame.errors import CapExceeded, IllegalMove
-from topogame.games import GameSpec, Strategy, Transcript
+from topogame.games import GameSpec, Strategy, Transcript, walk_positions
 from topogame.lab import ExtractionResult
 from topogame.serialize import space_to_json
 from topogame.topology import (
@@ -264,24 +266,16 @@ def reversed_game(game: GameSpec) -> GameSpec:
     return dataclasses.replace(game, menus=MenuFamily(menus=menus))
 
 
-def reference_move(s: Strategy, alice_moves: tuple, bob_moves: tuple, covered: int,
-                   rnd: int, horizon: int):
-    """The table entry `playout` reads for s: Alice's menu index, or Bob's
-    member for the last of `alice_moves`. A predetermined Alice is looked
-    up by the round, a Markov Bob by Alice's current menu and the round, a
-    positional table by the covered mask and the rounds left (a positional
-    Bob's entry lists a pick per menu), and every other table by the
-    history. Raises IllegalMove on a missing entry."""
-    if s.klass == "positional":
-        key = (covered, horizon - rnd)
-    elif s.player == "alice":
-        key = rnd if s.klass == "pre" else bob_moves
-    else:
-        key = (alice_moves[-1], rnd) if s.klass == "markov" else alice_moves
+def reference_move(s: Strategy, alice_moves: tuple, covered: int, rnd: int, horizon: int):
+    """The table entry `playout` reads for the positional strategy s:
+    Alice's menu index, or Bob's member for the last of `alice_moves`, at
+    the covered mask and the rounds left. Raises IllegalMove on a missing
+    entry."""
+    key = (covered, horizon - rnd)
     if key not in s.table:
         raise IllegalMove(key)
     move = s.table[key]
-    return move[alice_moves[-1]] if s.player == "bob" and s.klass == "positional" else move
+    return move[alice_moves[-1]] if s.player == "bob" else move
 
 
 class OffMenuMove(ValueError):
@@ -289,7 +283,7 @@ class OffMenuMove(ValueError):
 
 
 def playout(game: GameSpec, alice: Strategy, bob: Strategy) -> Transcript:
-    """Reference replay of two strategy tables, one round at a time, each
+    """Reference replay of two positional tables, one round at a time, each
     read through `reference_move`. Raises OffMenuMove on an illegal move."""
     menus = game.menus.menus
     rounds = []
@@ -297,11 +291,11 @@ def playout(game: GameSpec, alice: Strategy, bob: Strategy) -> Transcript:
     bob_moves: tuple = ()
     covered = 0
     for rnd in range(game.horizon if menus else 0):
-        mi = reference_move(alice, alice_moves, bob_moves, covered, rnd, game.horizon)
+        mi = reference_move(alice, alice_moves, covered, rnd, game.horizon)
         if not 0 <= mi < len(menus):
             raise OffMenuMove(f"menu {mi} out of range after {bob_moves}")
         alice_moves += (mi,)
-        b = reference_move(bob, alice_moves, bob_moves, covered, rnd, game.horizon)
+        b = reference_move(bob, alice_moves, covered, rnd, game.horizon)
         if b not in menus[mi]:
             raise OffMenuMove(f"pick {b} off menu {mi} after {alice_moves}")
         bob_moves += (b,)
@@ -310,7 +304,23 @@ def playout(game: GameSpec, alice: Strategy, bob: Strategy) -> Transcript:
     return Transcript(rounds=tuple(rounds), outcome="bob" if game.bob_wins(covered) else "alice")
 
 
-def unfold(game: GameSpec, player: str, choose: Callable) -> Strategy:
+@dataclasses.dataclass(frozen=True)
+class HistoryTable:
+    """A full-history table: Alice's moves keyed by Bob's replies so far,
+    Bob's by Alice's menus up to this round's."""
+
+    player: str
+    table: dict
+
+
+def per_round_table(game: GameSpec, player: str, moves) -> Strategy:
+    """The positional table of a strategy whose move depends on the round
+    alone: moves[rnd] is Alice's menu index, or Bob's pick from each menu,
+    in menu order."""
+    return walk_positions(game, player, lambda covered, rnd: moves[rnd])
+
+
+def unfold(game: GameSpec, player: str, choose: Callable) -> HistoryTable:
     """The full-history table of `player`, built round by round over every
     line of play to the horizon.
 
@@ -345,15 +355,15 @@ def unfold(game: GameSpec, player: str, choose: Callable) -> Strategy:
             if len(table) > HISTORY_CAP:
                 raise CapExceeded(f"strategy table passed {HISTORY_CAP} entries")
         histories, masks = next_histories, next_masks
-    return Strategy(player=player, klass="full", table=table)
+    return HistoryTable(player=player, table=table)
 
 
-def history_view(game: GameSpec, s: Strategy) -> Strategy:
+def history_view(game: GameSpec, s: Strategy) -> HistoryTable:
     """The full-history table that plays as the positional strategy s."""
     return unfold(game, s.player, lambda history, covered, rnd: s.table[(covered, game.horizon - rnd)])
 
 
-def history_to_json(s: Strategy) -> dict:
+def history_to_json(s: HistoryTable) -> dict:
     """A full-history table as a strategy file: shorter histories first,
     each length in key order; Alice's contexts list Bob's masks as point
     lists, Bob's list Alice's menu indices."""
@@ -370,19 +380,22 @@ def history_to_json(s: Strategy) -> dict:
     return {"player": s.player, "class": "full", "entries": entries}
 
 
-def restricted_to_json(s: Strategy) -> dict:
-    """A predetermined-Alice or Markov-Bob table as a strategy file of its
-    class: contexts in key order, Alice's a round, Bob's [menu index,
-    round] with his pick as a point list."""
-    table = s.table
-    if s.player == "alice":
-        entries = [{"context": ctx, "move": table[ctx]} for ctx in sorted(table)]
-    else:
-        entries = [{"context": list(ctx), "move": points_of(table[ctx])} for ctx in sorted(table)]
-    return {"player": s.player, "class": s.klass, "entries": entries}
+def restricted_to_json(player: str, moves: list) -> dict:
+    """Per-round moves as a strategy file of the old predetermined-Alice
+    ("pre") or Markov-Bob ("markov") class: Alice's contexts are rounds;
+    Bob's are [menu index, round], by menu index, then round, with his pick
+    as a point list."""
+    if player == "alice":
+        entries = [{"context": rnd, "move": mi} for rnd, mi in enumerate(moves)]
+        return {"player": player, "class": "pre", "entries": entries}
+    menus = range(len(moves[0]) if moves else 0)
+    entries = [
+        {"context": [mi, rnd], "move": points_of(picks[mi])} for mi in menus for rnd, picks in enumerate(moves)
+    ]
+    return {"player": player, "class": "markov", "entries": entries}
 
 
-def reference_extract(space: FiniteSpace, view: Strategy, clopen_seqs: dict,
+def reference_extract(space: FiniteSpace, view: HistoryTable, clopen_seqs: dict,
                       depth: int) -> ExtractionResult:
     """`lab.extract_qs_tree`, read off Alice's full-history table `view`:
     each index sequence names the block that `view` plays after the
@@ -421,7 +434,7 @@ def reference_extract(space: FiniteSpace, view: Strategy, clopen_seqs: dict,
 def reference_verify(game: GameSpec, s: Strategy) -> bool:
     """Exhaustively play s against every legal opponent line, depth first.
 
-    Every class moves on (covered mask, round) and Alice's current menu
+    A strategy moves on (covered mask, round) and Alice's current menu
     alone, so the outcome below a position depends only on (covered mask,
     round) and is memoized on it. A missing entry or an illegal move loses.
     """
@@ -529,11 +542,11 @@ def _antichain(masks, keep_max: bool) -> list:
     return kept
 
 
-def reference_committed_search(game: GameSpec, player: str) -> Callable[[int], Optional[dict]]:
-    """The restricted searches' table at each horizon of the game's menu
+def reference_committed_search(game: GameSpec, player: str) -> Callable[[int], Optional[list]]:
+    """The restricted searches' moves at each horizon of the game's menu
     family and target: a function from a horizon to predetermined Alice's
-    {round: menu index}, or Markov Bob's {(menu index, round): member};
-    None when the class has no win.
+    menu index per round, or Markov Bob's choice vector per round (his
+    pick from each menu, in menu order); None when the class has no win.
 
     The committing player's moves are Alice's menus, every one tried in
     menu order, or Bob's choice vectors over the subset-minimal members of
@@ -577,9 +590,9 @@ def reference_committed_search(game: GameSpec, player: str) -> Callable[[int], O
                     break
         return memo[key]
 
-    def table(horizon: int) -> Optional[dict]:
+    def moves(horizon: int) -> Optional[list]:
         if horizon == 0 or not menus:
-            return {} if game.bob_wins(0) == goal else None
+            return [] if game.bob_wins(0) == goal else None
         seq = []
         states = frozenset([0])
         for left in range(horizon, 0, -1):
@@ -588,11 +601,9 @@ def reference_committed_search(game: GameSpec, player: str) -> Callable[[int], O
                 return None
             move, states = found
             seq.append(move)
-        if goal:
-            return {(mi, rnd): b for rnd, vector in enumerate(seq) for mi, b in enumerate(vector)}
-        return dict(enumerate(seq))
+        return seq
 
-    return table
+    return moves
 
 
 def markov_bob_oracle(game: GameSpec):
@@ -600,8 +611,8 @@ def markov_bob_oracle(game: GameSpec):
 
     In each round Bob commits to a choice vector (one member of every
     menu, none pruned), and the search tracks the set of covered masks
-    Alice can steer the play into. Returns (won, {(menu index, round):
-    member}), with None in place of a lost table.
+    Alice can steer the play into. Returns (won, the choice vector of each
+    round), with None in place of lost moves.
     """
     menus = game.menus.menus
     full = game.space.full
@@ -610,7 +621,7 @@ def markov_bob_oracle(game: GameSpec):
         return (covered == full) != game.negated
 
     if game.horizon == 0 or not menus:
-        return (True, {}) if bob_wins(0) else (False, None)
+        return (True, []) if bob_wins(0) else (False, None)
     vectors = list(itertools.product(*menus))
     memo: dict = {}
 
@@ -631,9 +642,7 @@ def markov_bob_oracle(game: GameSpec):
         return memo[key]
 
     seq = plan(frozenset([0]), 0)
-    if seq is None:
-        return False, None
-    return True, {(mi, rnd): b for rnd, vector in enumerate(seq) for mi, b in enumerate(vector)}
+    return (False, None) if seq is None else (True, list(seq))
 
 
 def closed_form_verdict(space: FiniteSpace, game: str, k: int) -> tuple[str, bool, bool]:

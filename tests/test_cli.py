@@ -507,14 +507,34 @@ class TestTranslate:
     def test_restricted_class_file_is_refused(self, capsys, tmp_path, space_file, two_block3,
                                               search, k, direction):
         # Markov-Bob and predetermined-Alice files are refused at their class
-        s = search(make_point_clopen(two_block3, k))
+        player = direction.split("-")[0]
+        klass = {"alice": "pre", "bob": "markov"}[player]
+        moves = search(make_point_clopen(two_block3, k))
         strat_path = tmp_path / "strategy.json"
-        strat_path.write_text(json.dumps(restricted_to_json(s)))
+        strat_path.write_text(json.dumps(restricted_to_json(player, moves)))
         code, out, err = run(capsys, "translate", str(strat_path), "--direction", direction,
                              "--space", space_file, "--horizon", str(k))
         assert code == 2
         assert out == ""
-        assert err == f"error: bad player/class pair '{s.player}'/'{s.klass}'\n"
+        assert err == f"error: bad player/class pair '{player}'/'{klass}'\n"
+
+    @pytest.mark.parametrize(
+        "player, context, move, message",
+        [
+            ("alice", [[0, 1, 2], 1], 9, "menu index 9 out of range at [[0, 1, 2], 1]"),
+            ("bob", [[1, 2], 1], [[0, 1, 2]], "1 picks for 3 menus at [[1, 2], 1]"),
+            ("bob", [[1, 2], 1], [[0], [0, 1, 2], [0, 1, 2]], "move 0x1 not in menu 0 at [[1, 2], 1]"),
+        ],
+        ids=["menu-index", "pick-count", "off-menu-pick"],
+    )
+    def test_bad_source_entry_names_the_file_context(self, capsys, tmp_path, player, context, move, message):
+        # an entry the source game cannot play is named by its context as
+        # the file writes it, not by the covered mask
+        strategy = {"player": player, "class": "positional", "entries": [{"context": context, "move": move}]}
+        code, out, err = self.translate_file(capsys, tmp_path, strategy, f"{player}-pc-to-qc", 1)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestPlay:

@@ -17,6 +17,7 @@ from oracles import (
     is_selection_basis,
     markov_bob_oracle,
     OffMenuMove,
+    per_round_table,
     playout,
     random_alexandrov,
     reference_committed_search,
@@ -32,9 +33,6 @@ from topogame.errors import CapExceeded, EmptySpace
 from topogame.games import (
     ALICE,
     BOB,
-    MARKOV,
-    POS,
-    PRE,
     GAME_BUILDERS,
     GameSpec,
     Solver,
@@ -144,15 +142,17 @@ class TestDeterminacyAndMonotonicity:
 class TestRestrictedClasses:
     def test_bob_markov_two_block(self, two_block3):
         game = make_mildly_rothberger(two_block3, 2)
-        s = markov_bob_search(game)
-        assert s is not None and (s.player, s.klass) == (BOB, MARKOV)
-        assert verify_winning(game, s)
+        moves = markov_bob_search(game)
+        # Bob's pick from each menu, per round
+        assert moves is not None and [len(picks) for picks in moves] == [len(game.menus.menus)] * 2
+        assert verify_winning(game, per_round_table(game, BOB, moves))
 
     def test_alice_pre_discrete2(self):
         game = make_rothberger(discrete_space(2), 1)
-        s = predetermined_alice_search(game)
-        assert s is not None and (s.player, s.klass) == (ALICE, PRE)
-        assert verify_winning(game, s)
+        moves = predetermined_alice_search(game)
+        # Alice's menu index, per round
+        assert moves is not None and len(moves) == 1 and 0 <= moves[0] < len(game.menus.menus)
+        assert verify_winning(game, per_round_table(game, ALICE, moves))
 
     def test_class_chain(self, corpus3):
         for _, sp in corpus3:
@@ -170,21 +170,21 @@ class TestRestrictedClasses:
             for make in ALL_GAMES:
                 for k in range(sp.n + 1):
                     game = make(sp, k)
-                    s = markov_bob_search(game)
-                    assert (s is not None) == markov_bob_oracle(game)[0], (sp, make.__name__, k)
-                    if s is not None:
-                        assert verify_winning(game, s), (sp, make.__name__, k)
+                    moves = markov_bob_search(game)
+                    assert (moves is not None) == markov_bob_oracle(game)[0], (sp, make.__name__, k)
+                    if moves is not None:
+                        assert verify_winning(game, per_round_table(game, BOB, moves)), (sp, make.__name__, k)
 
     @pytest.mark.parametrize("k, bob_wins", [(3, False), (4, True)])
     def test_markov_bob_discrete4(self, k, bob_wins):
         # 49 clopen covers: an unpruned search would face 4.2e18 choice vectors
         game = make_mildly_rothberger(discrete_space(4), k)
         start = time.monotonic()
-        s = markov_bob_search(game)
+        moves = markov_bob_search(game)
         assert time.monotonic() - start < 1.0
-        assert (s is not None) == bob_wins
-        if s is not None:
-            assert verify_winning(game, s)
+        assert (moves is not None) == bob_wins
+        if moves is not None:
+            assert verify_winning(game, per_round_table(game, BOB, moves))
 
     def test_markov_bob_choice_vector_cap(self):
         # every two-point set is minimal, so pruning keeps all 6 per menu
@@ -198,25 +198,25 @@ class TestRestrictedClasses:
                 markov_bob_search(GameSpec(d4, menus, True, 1))
 
 
-def _search_tables(game) -> tuple:
-    """Predetermined Alice's table, then, in a point or block game (where
-    Markov Bob runs the knowledge-set search), Markov Bob's; None for a
-    class with no win."""
+def _search_moves(game) -> tuple:
+    """Predetermined Alice's per-round moves, then, in a point or block game
+    (where Markov Bob runs the knowledge-set search), Markov Bob's; None for
+    a class with no win."""
     found = [predetermined_alice_search(game)]
     if game.negated:
         found.append(markov_bob_search(game))
-    return tuple(None if s is None else s.table for s in found)
+    return tuple(found)
 
 
 def _reference_searches(game) -> tuple:
-    """The reference search of each class `_search_tables` reads, as a
-    function from a horizon to its table."""
+    """The reference search of each class `_search_moves` reads, as a
+    function from a horizon to its per-round moves."""
     players = (ALICE, BOB) if game.negated else (ALICE,)
     return tuple(reference_committed_search(game, player) for player in players)
 
 
-def _reference_tables(game) -> tuple:
-    return tuple(table(game.horizon) for table in _reference_searches(game))
+def _reference_moves(game) -> tuple:
+    return tuple(moves(game.horizon) for moves in _reference_searches(game))
 
 
 class TestKnowledgeSearch:
@@ -233,7 +233,7 @@ class TestKnowledgeSearch:
                         game = GAME_BUILDERS[name](sp, k)
                     except EmptySpace:
                         continue
-                    assert _search_tables(game) == _reference_tables(game), (sp, name, k)
+                    assert _search_moves(game) == _reference_moves(game), (sp, name, k)
                     checked += 1
         assert checked == 11474
 
@@ -251,8 +251,8 @@ class TestKnowledgeSearch:
                 families.add(key)
                 references = _reference_searches(game)
                 for k in range(6):
-                    expected = tuple(table(k) for table in references)
-                    assert _search_tables(GAME_BUILDERS[name](sp, k)) == expected, (sp, name, k)
+                    expected = tuple(moves(k) for moves in references)
+                    assert _search_moves(GAME_BUILDERS[name](sp, k)) == expected, (sp, name, k)
         assert 6 * len(families) == 3678
 
     def test_horizons_in_any_order(self, corpus3, corpus4, fresh_caches):
@@ -261,7 +261,7 @@ class TestKnowledgeSearch:
         def tables(order) -> dict:
             _committed_search.cache_clear()
             return {
-                (i, name, k): _search_tables(GAME_BUILDERS[name](sp, k))
+                (i, name, k): _search_moves(GAME_BUILDERS[name](sp, k))
                 for i, sp in enumerate(spaces)
                 for name in sorted(GAME_BUILDERS)
                 for k in order(sp.n + 1)
@@ -277,10 +277,10 @@ class TestKnowledgeSearch:
         d2 = discrete_space(2)
         menus = MenuFamily(menus=((0b01, 0b10), (0b01,)))
         assert _dominant_menus(menus.menus, False) == ((0b01,),)
-        for k, table in ((1, {0: 0}), (2, {0: 1, 1: 1})):
+        for k, moves in ((1, [0]), (2, [1, 1])):
             game = GameSpec(d2, menus, False, k)
-            assert predetermined_alice_search(game).table == table
-            assert reference_committed_search(game, ALICE)(k) == table
+            assert predetermined_alice_search(game) == moves
+            assert reference_committed_search(game, ALICE)(k) == moves
 
     def test_state_cap_names_the_search(self, monkeypatch, fresh_caches):
         monkeypatch.setattr("topogame.games.STATE_CAP", 2)
@@ -322,9 +322,10 @@ class TestS1Bridge:
             for make in ALL_GAMES:
                 for k in range(sp.n + 1):
                     game = make(sp, k)
-                    s = predetermined_alice_search(game)
-                    assert (s is None) == selection_principle(game), (name, make.__name__, k)
-                    if s is not None:
+                    moves = predetermined_alice_search(game)
+                    assert (moves is None) == selection_principle(game), (name, make.__name__, k)
+                    if moves is not None:
+                        s = per_round_table(game, ALICE, moves)
                         assert verify_winning(game, s), (name, make.__name__, k)
 
 
@@ -558,7 +559,7 @@ class TestPlayoutAndVerify:
         game = make_mildly_rothberger(two_block3, 2)
         v = solve(game)
         # Alice always replays the two-block cover (menu 1)
-        alice = Strategy(player=ALICE, klass=PRE, table={0: 1, 1: 1})
+        alice = per_round_table(game, ALICE, [1, 1])
         t = playout(game, alice, v.witness)
         assert t.outcome == BOB
         assert all(b in game.menus.menus[mi] for mi, b in t.rounds)
@@ -566,24 +567,24 @@ class TestPlayoutAndVerify:
     def test_repeat_first_member_fails(self):
         d2 = discrete_space(2)
         game = make_mildly_rothberger(d2, 2)
-        table = {(mi, rnd): menu[0] for mi, menu in enumerate(game.menus.menus) for rnd in range(2)}
-        bob = Strategy(player=BOB, klass=MARKOV, table=table)
+        bob = per_round_table(game, BOB, [tuple(menu[0] for menu in game.menus.menus)] * 2)
         assert not verify_winning(game, bob)
 
     def test_out_of_menu_move_raises(self, two_block3):
         game = make_mildly_rothberger(two_block3, 1)
-        alice = Strategy(player=ALICE, klass=PRE, table={0: 1})
-        bob = Strategy(player=BOB, klass=MARKOV, table={(1, 0): 0b010})  # {1} is not in the cover
+        assert game.menus.menus == ((0b111,), (0b001, 0b110))
+        alice = per_round_table(game, ALICE, [1])
+        bob = per_round_table(game, BOB, [(0b111, 0b010)])  # {1} is not in the cover
         with pytest.raises(OffMenuMove, match="pick 2 off menu 1"):
             playout(game, alice, bob)
-        far = Strategy(player=ALICE, klass=PRE, table={0: len(game.menus.menus)})
+        far = per_round_table(game, ALICE, [len(game.menus.menus)])
         with pytest.raises(OffMenuMove, match="out of range"):
             playout(game, far, bob)
 
     def test_zero_horizon_empty_space_bob_wins(self):
         empty = validate_topology([0], 0)
         game = make_rothberger(empty, 0)
-        bob = Strategy(player=BOB, klass=MARKOV, table={})
+        bob = Strategy(player=BOB, table={})
         assert verify_winning(game, bob)
 
     def test_solver_witnesses_verify(self, corpus3):
@@ -695,8 +696,10 @@ class TestPinnedVerdicts:
             for name in sorted(GAME_BUILDERS):
                 for k in range(sp.n + 1):
                     game = GAME_BUILDERS[name](sp, k)
-                    for s in (predetermined_alice_search(game), markov_bob_search(game)):
-                        lines.append(dumps_stable(None if s is None else restricted_to_json(s)) + "\n")
+                    for player, search in ((ALICE, predetermined_alice_search), (BOB, markov_bob_search)):
+                        moves = search(game)
+                        obj = None if moves is None else restricted_to_json(player, moves)
+                        lines.append(dumps_stable(obj) + "\n")
         assert len(lines) == 19050
         assert _sha256(lines) == "4051950e2681fbff04f8698d5c6000917ca87c54f69576921fc34176f9fc3673"
 
@@ -706,7 +709,7 @@ class TestPinnedVerdicts:
         # positional witness is small and wins
         game = make(discrete_space(4), 4)
         v = solve(game)
-        assert v.winner == BOB and v.witness.klass == POS
+        assert v.winner == BOB
         assert len(v.witness.table) <= 2**4 * 4
         assert verify_winning(game, v.witness)
         with pytest.raises(CapExceeded):
@@ -750,7 +753,7 @@ class TestPositionalWitnesses:
                         continue
                     v = solve(game)
                     s = v.witness
-                    assert (s.player, s.klass) == (v.winner, POS)
+                    assert s.player == v.winner
                     assert len(s.table) <= 2**sp.n * k
                     assert verify_winning(game, s), (sp, name, k)
                     assert strategy_from_json(strategy_to_json(s), sp.n) == s
@@ -776,16 +779,16 @@ class TestPositionalWitnesses:
         game = make_mildly_rothberger(two_block3, 2)
         table = dict(solve(game).witness.table)
         del table[(0b001, 1)]
-        assert not verify_winning(game, Strategy(player=BOB, klass=POS, table=table))
+        assert not verify_winning(game, Strategy(player=BOB, table=table))
         table[(0b001, 1)] = (0b111,)  # one pick for two menus
-        assert not verify_winning(game, Strategy(player=BOB, klass=POS, table=table))
+        assert not verify_winning(game, Strategy(player=BOB, table=table))
 
     def test_verify_stops_at_a_full_mask(self, two_block3):
         # a full covered mask decides the play, so no move is asked for there
         game = make_mildly_rothberger(two_block3, 2)
         table = dict(solve(game).witness.table)
         del table[(0b111, 1)]
-        assert verify_winning(game, Strategy(player=BOB, klass=POS, table=table))
+        assert verify_winning(game, Strategy(player=BOB, table=table))
 
 
 def _off_menu(menu: tuple) -> int:
@@ -799,7 +802,7 @@ def _off_menu(menu: tuple) -> int:
 def _corruptions(game, s, rng) -> list:
     """Copies of s with one fault each, at entries drawn by rng: an entry
     deleted; then Alice's menu index out of range, or Bob's pick off its
-    menu, and for a positional Bob also a pick tuple one short."""
+    menu and, in another copy, his pick tuple one short."""
     if not s.table:
         return []
     menus = game.menus.menus
@@ -818,14 +821,30 @@ def _corruptions(game, s, rng) -> list:
     move = s.table[key]
     if s.player == ALICE:
         out.append(replaced(key, len(menus)))
-    elif s.klass == POS:
+    else:
         mi = rng.randrange(len(move))
         out.append(replaced(key, move[:mi] + (_off_menu(menus[mi]),) + move[mi + 1:]))
         out.append(replaced(key, move[:-1]))
-    else:
-        mi = key[0]  # a Markov Bob's key starts with Alice's current menu
-        out.append(replaced(key, _off_menu(menus[mi])))
     return out
+
+
+def _strategies(game, sp, name) -> list:
+    """(origin, strategy, per-round moves) of each strategy the package
+    gives for the game: the solver's witness; the predetermined-Alice and
+    Markov-Bob moves, where the class wins, walked into tables; and in the
+    clopen cover game the block strategy. The moves are None where the
+    strategy is not walked from per-round moves."""
+    found = [("solver", solve(game).witness, None)]
+    for origin, player, search in (
+        ("predetermined", ALICE, predetermined_alice_search),
+        ("markov", BOB, markov_bob_search),
+    ):
+        moves = search(game)
+        if moves is not None:
+            found.append((origin, per_round_table(game, player, moves), moves))
+    if name == "mildly-rothberger" and sp.n:
+        found.append(("b3", b3_markov_strategy(sp, game.horizon), None))
+    return found
 
 
 class TestVerifyWalk:
@@ -846,20 +865,15 @@ class TestVerifyWalk:
                             game = GAME_BUILDERS[name](sp, k)
                         except EmptySpace:
                             continue
-                        witness = solve(game).witness
-                        found = [witness, predetermined_alice_search(game), markov_bob_search(game)]
-                        if name == "mildly-rothberger" and n:
-                            found.append(b3_markov_strategy(sp, k))
-                        for s in found:
-                            if s is None:
-                                continue
+                        for origin, s, _ in _strategies(game, sp, name):
                             for t in [s] + _corruptions(game, s, rng):
                                 won = verify_winning(game, t)
-                                assert won == reference_verify(game, t), (sp, name, k, t)
-                                verdicts[won, t.klass] += 1
-        # every class both wins and loses
-        assert {klass for won, klass in verdicts if won} == {POS, PRE, MARKOV}
-        assert {klass for won, klass in verdicts if not won} == {POS, PRE, MARKOV}
+                                assert won == reference_verify(game, t), (sp, name, k, origin, t)
+                                verdicts[won, origin] += 1
+        # every origin both wins and loses
+        origins = {"solver", "predetermined", "markov", "b3"}
+        assert {origin for won, origin in verdicts if won} == origins
+        assert {origin for won, origin in verdicts if not won} == origins
 
     def test_state_cap_names_the_strategy(self, monkeypatch):
         game = make_rothberger(discrete_space(3), 3)
@@ -869,37 +883,45 @@ class TestVerifyWalk:
             verify_winning(game, witness)
 
 
-def _reference_nodes(game, s) -> list:
+def _reference_nodes(game, s, moves) -> list:
     """Every node the opponent can reach against s, as (covered, round,
     Alice's current menu, move): the arguments of `Strategy.move_at` there,
-    and the entry `oracles.playout` reads."""
+    and the move s was made from. That is moves[round] (Alice's menu, or
+    Bob's pick from the current menu) where s was walked from per-round
+    moves, and otherwise the entry `oracles.playout` reads."""
     menus = game.menus.menus
     k = game.horizon
+
+    def lookup(alice_moves: tuple, covered: int, rnd: int):
+        if moves is None:
+            return reference_move(s, alice_moves, covered, rnd, k)
+        return moves[rnd] if s.player == ALICE else moves[rnd][alice_moves[-1]]
+
     nodes = []
-    frontier = [((), (), 0)]  # (Alice's menus, Bob's masks, covered mask)
+    frontier = [((), 0)]  # (Alice's menus, covered mask)
     for rnd in range(k if menus else 0):
         nxt = []
-        for alice_moves, bob_moves, covered in frontier:
+        for alice_moves, covered in frontier:
             if s.player == ALICE:
-                mi = reference_move(s, alice_moves, bob_moves, covered, rnd, k)
+                mi = lookup(alice_moves, covered, rnd)
                 nodes.append((covered, rnd, 0, mi))
                 replies = [(mi, b) for b in menus[mi]]
             else:
                 replies = []
                 for mi in range(len(menus)):
-                    b = reference_move(s, alice_moves + (mi,), bob_moves, covered, rnd, k)
+                    b = lookup(alice_moves + (mi,), covered, rnd)
                     nodes.append((covered, rnd, mi, b))
                     replies.append((mi, b))
-            nxt += [(alice_moves + (mi,), bob_moves + (b,), covered | b) for mi, b in replies]
+            nxt += [(alice_moves + (mi,), covered | b) for mi, b in replies]
         frontier = nxt
     return nodes
 
 
 class TestMoveAt:
     def test_matches_the_reference_lookup_n3(self, corpus3):
-        # every class, at every node the opponent can reach, horizons 0..n
+        # every strategy, at every node the opponent can reach, horizons 0..n
         spaces = [validate_topology([0], 0)] + [sp for _, sp in corpus3]
-        classes, nodes = Counter(), 0
+        origins, nodes = Counter(), 0
         for sp in spaces:
             for name in sorted(GAME_BUILDERS):
                 for k in range(sp.n + 1):
@@ -907,18 +929,15 @@ class TestMoveAt:
                         game = GAME_BUILDERS[name](sp, k)
                     except EmptySpace:
                         continue
-                    witness = solve(game).witness
-                    strategies = [witness, predetermined_alice_search(game), markov_bob_search(game)]
-                    if name == "mildly-rothberger" and sp.n:
-                        strategies.append(b3_markov_strategy(sp, k))
-                    for s in filter(None, strategies):
-                        classes[s.player, s.klass] += 1
-                        for covered, rnd, menu, move in _reference_nodes(game, s):
-                            assert s.move_at(covered, rnd, k, menu) == move, (sp, name, k, s.klass)
+                    for origin, s, moves in _strategies(game, sp, name):
+                        origins[s.player, origin] += 1
+                        for covered, rnd, menu, move in _reference_nodes(game, s, moves):
+                            assert s.move_at(covered, rnd, k, menu) == move, (sp, name, k, origin)
                             nodes += 1
-        assert classes == {
-            (ALICE, POS): 344, (ALICE, PRE): 344,
-            (BOB, MARKOV): 438, (BOB, POS): 308,
+        # 438 Markov strategies: 308 from the search and 130 block strategies
+        assert origins == {
+            (ALICE, "solver"): 344, (ALICE, "predetermined"): 344,
+            (BOB, "markov"): 308, (BOB, "b3"): 130, (BOB, "solver"): 308,
         }
         assert nodes == 7045
 

@@ -1,8 +1,9 @@
 """Every imported name is used: a stdlib-only stand-in for a linter's
 unused-import rule, run over the package and the tests. And every
 top-level function, class and constant of the package, and every method
-but the dunder ones, is reached from the package itself, so no code in
-`src/` exists only for the tests."""
+but the dunder ones, is reached from the package itself, and every
+dataclass field is read there as an attribute, so no code in `src/`
+exists only for the tests."""
 
 import ast
 from pathlib import Path
@@ -13,8 +14,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "topogame").glob("*.py"))
 FILES = SRC + sorted((ROOT / "tests").glob("*.py"))
 
-# public on purpose though nothing in the package calls it: the U_x accessor
-UNREACHED_BY_DESIGN = {"minimal_open_nbhd"}
+UNREACHED_BY_DESIGN = {
+    # public on purpose though nothing in the package calls it: the U_x accessor
+    "minimal_open_nbhd",
+    # the indexed tree is the result extraction is for; the checks read only
+    # whether it covers
+    "ExtractionResult.tree",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -56,14 +62,24 @@ def test_scanner(source, unused):
     assert unused_imports(source) == unused
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
 def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     """Top-level functions, classes and constants, and the methods of
     top-level classes but for dunder methods, over modules given as
     {file name: source}, that no module names outside their own definition
-    or assignment. Imports and `__init__.py` (the re-exports) do not count
-    as a use."""
+    or assignment; and the fields of top-level dataclasses, as
+    "Class.field", that no module reads as an attribute. Imports and
+    `__init__.py` (the re-exports) do not count as a use."""
     trees = {name: ast.parse(src) for name, src in sources.items() if name != "__init__.py"}
     defined, named = set(), set()
+    fields, read = set(), set()  # (class, field) of each dataclass; attributes read
     for tree in trees.values():
         own = set()  # a definition's mentions of its own name
         for node in tree.body:
@@ -73,6 +89,8 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
                     id(sub) for sub in ast.walk(node) if isinstance(sub, ast.Name) and sub.id == node.name
                 }
                 for method in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(method, ast.AnnAssign) and _is_dataclass(node):
+                        fields.add((node.name, method.target.id))
                     if isinstance(method, ast.FunctionDef) and not method.name.startswith("__"):
                         defined.add(method.name)
                         own |= {
@@ -92,7 +110,10 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
                 named.add(sub.id)
             elif isinstance(sub, ast.Attribute) and id(sub) not in own:
                 named.add(sub.attr)
-    return sorted(defined - named)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.attr)
+    unread = {f"{cls}.{name}" for cls, name in fields if name not in read}
+    return sorted(defined - named | unread)
 
 
 def test_every_definition_is_reached():
@@ -116,6 +137,21 @@ def test_every_definition_is_reached():
             ["m"],
         ),
         ({"a.py": "class C:\n    def m(self):\n        pass\n", "b.py": "from . import a\na.C().m()\n"}, []),
+        # a dataclass field counts as used only where a module reads it as
+        # an attribute: not as a keyword, a local name or an assignment
+        (
+            {"a.py": "@dataclass\nclass C:\n    x: int\n    y: int\n",
+             "b.py": "from .a import C\nc = C(x=1, y=2)\ny = 3\nprint(c.x, y)\n"},
+            ["C.y"],
+        ),
+        (
+            {"a.py": "@dataclasses.dataclass(frozen=True)\nclass C:\n    x: int\n",
+             "b.py": "from .a import C\ndef f(c):\n    c.x = 2\nf(C(1))\n"},
+            ["C.x"],
+        ),
+        ({"a.py": "@dataclass(frozen=True)\nclass C:\n    x: int\n", "b.py": "from .a import C\nC(1).x\n"}, []),
+        # the annotations of a plain class are not fields
+        ({"a.py": "class C:\n    x: int\n", "b.py": "from .a import C\nC()\n"}, []),
     ],
 )
 def test_definition_scanner(sources, unreferenced):

@@ -2,14 +2,11 @@ import hashlib
 
 import pytest
 
-from oracles import discrete_space, history_to_json, history_view, reference_extract, unfold
+from oracles import discrete_space, history_to_json, history_view, per_round_table, reference_extract, unfold
 from topogame.errors import EmptySpace, IllegalMove, IllegalSourceStrategy
 from topogame.games import (
     ALICE,
     BOB,
-    MARKOV,
-    POS,
-    PRE,
     Strategy,
     make_mildly_rothberger,
     make_point_clopen,
@@ -75,7 +72,7 @@ class TestTranslations:
                     assert report.input_winning and report.preserved
 
     def test_rejects_out_of_menu_strategy(self, two_block3):
-        bad = Strategy(player=ALICE, klass=POS, table={(0, 1): 99})
+        bad = Strategy(player=ALICE, table={(0, 1): 99})
         with pytest.raises(IllegalSourceStrategy):
             translate_b1("alice-pc-to-qc", bad, two_block3, 1)
 
@@ -98,7 +95,6 @@ class TestTranslations:
                     game = make(sp, k)
                     v = solve(game)
                     report = translate_b1(directions[v.winner], v.witness, sp, k)
-                    assert report.output.klass == POS
                     assert report.input_winning and report.output_winning and report.preserved
                     source = history_view(game, v.witness).table
                     carried = history_view(target(sp, k), report.output).table
@@ -118,7 +114,7 @@ class TestTranslations:
         ],
     )
     def test_rejects_out_of_menu_positional(self, two_block3, table):
-        bad = Strategy(player=BOB, klass=POS, table=table)
+        bad = Strategy(player=BOB, table=table)
         with pytest.raises(IllegalSourceStrategy):
             translate_b1("bob-qc-to-pc", bad, two_block3, 1)
 
@@ -131,12 +127,25 @@ class TestTranslations:
 class TestB3Markov:
     def test_connected_space_wins_round_one(self, sierpinski):
         s = b3_markov_strategy(sierpinski)
-        assert s.klass == MARKOV
+        # one menu, the whole space, and one position
+        assert (s.player, s.table) == (BOB, {(0, 1): (0b11,)})
         assert verify_winning(make_mildly_rothberger(sierpinski, 1), s)
 
     def test_two_block_wins_at_two(self, two_block3):
         s = b3_markov_strategy(two_block3)
         assert verify_winning(make_mildly_rothberger(two_block3, 2), s)
+
+    def test_markov_class_is_read_off_the_table(self, monkeypatch, two_block3):
+        # picks that differ between two positions of one round are not
+        # Markov, though this strategy still wins: the full mask after
+        # round 0 decides the play
+        s = b3_markov_strategy(two_block3)
+        assert s.table[(0b001, 1)] == s.table[(0b111, 1)] == (0b111, 0b110)
+        table = {**s.table, (0b111, 1): (0b111, 0b001)}
+        monkeypatch.setattr("topogame.lab.b3_markov_strategy", lambda space: Strategy(player=BOB, table=table))
+        report = check_b3(two_block3)
+        assert report["facts"] == {"blocks": 2, "markov_class": False, "winning": True}
+        assert report["pass"] is False
 
     def test_discrete4_needs_exactly_four(self):
         d4 = discrete_space(4)
@@ -176,7 +185,7 @@ class TestExtraction:
         blocks = quasi_components(d2).blocks
         seqs = {i: [b] for i, b in enumerate(blocks)}
         # always name block 0, ignoring Bob entirely
-        phi = Strategy(player=ALICE, klass=PRE, table={0: 0, 1: 0})
+        phi = per_round_table(make_quasi_component_clopen(d2, 2), ALICE, [0, 0])
         result = extract_qs_tree(d2, phi, seqs, 2)
         assert not result.covers
         y, transcript = result.counterexample
@@ -185,7 +194,8 @@ class TestExtraction:
         assert all(mi == 0 and v == 0b01 for mi, v in transcript.rounds)
 
     def test_single_block_depth_zero(self, sierpinski):
-        phi = Strategy(player=ALICE, klass=PRE, table={0: 0})
+        # the root is read at no rounds left, on the final layer
+        phi = Strategy(player=ALICE, table={(0, 0): 0})
         result = extract_qs_tree(sierpinski, phi, {0: [0b11]}, 0)
         assert result.covers
         assert result.tree == {(): 0b11}
@@ -205,7 +215,7 @@ class TestExtraction:
         assert result.covers
 
     def test_rejects_bad_sequence(self, two_block3):
-        phi = Strategy(player=ALICE, klass=PRE, table={0: 0})
+        phi = Strategy(player=ALICE, table={(0, 1): 0})
         with pytest.raises(ValueError):
             extract_qs_tree(two_block3, phi, {0: [0b110], 1: [0b110]}, 1)
 
@@ -213,30 +223,37 @@ class TestExtraction:
     def test_rejects_block_index_out_of_range(self, two_block3, bi):
         # two blocks: -1 must not read as the last one, nor 2 fail bare
         seqs = {0: [0b001], 1: [0b110]}
-        phi = Strategy(player=ALICE, klass=POS, table={(0, 2): 1, (0b110, 1): bi})
+        phi = Strategy(player=ALICE, table={(0, 2): 1, (0b110, 1): bi})
         with pytest.raises(ValueError, match=rf"^phi names block index {bi} of 2 blocks at node \(0,\)$"):
             extract_qs_tree(two_block3, phi, seqs, 2)
-        phi = Strategy(player=ALICE, klass=PRE, table={0: 0})
+        phi = Strategy(player=ALICE, table={(0, 1): 0})
         with pytest.raises(ValueError, match=rf"^clopen_seqs names block index {bi} of 2 blocks$"):
             extract_qs_tree(two_block3, phi, {**seqs, bi: [0b110]}, 1)
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_rejects_a_block_without_a_sequence(self, two_block3, depth):
+        # phi names block 1, which clopen_seqs has no sequence for
+        phi = Strategy(player=ALICE, table={(0, 2): 1, (0b110, 1): 1, (0, 1): 1})
+        with pytest.raises(ValueError, match=r"^clopen_seqs has no sequence for block 1 of 2 blocks$"):
+            extract_qs_tree(two_block3, phi, {0: [0b001]}, depth)
 
     def test_missing_entry_above_the_final_layer_raises(self):
         d2 = discrete_space(2)
         seqs = {0: [0b11, 0b01], 1: [0b10]}
         # Bob's reply {0} in round 0 has no entry
         table = {(0, 2): 0, (0b11, 1): 1}
-        phi = Strategy(player=ALICE, klass=POS, table=table)
+        phi = Strategy(player=ALICE, table=table)
         with pytest.raises(IllegalMove, match=r"context \[\[0\], 1\]$"):
             extract_qs_tree(d2, phi, seqs, 2)
         # with that entry, only the final layer, with no rounds left, is
         # missing, and it is skipped
-        phi = Strategy(player=ALICE, klass=POS, table={**table, (0b01, 1): 1})
+        phi = Strategy(player=ALICE, table={**table, (0b01, 1): 1})
         assert extract_qs_tree(d2, phi, seqs, 2).tree == {(): 0b01, (0,): 0b10, (1,): 0b10}
 
     def test_any_class_reads_as_its_history_view_n4(self, corpus3, corpus4):
-        # the positional witness and the predetermined planted strategy of
-        # the extraction check give the tree and counterexample that the
-        # reference extraction reads off their full-history tables
+        # the witness and the planted strategy of the extraction check,
+        # which names block 0 every round, give the tree and counterexample
+        # that the reference extraction reads off their full-history tables
         counterexamples = 0
         for _, sp in corpus3 + corpus4:
             blocks = quasi_components(sp).blocks
@@ -245,7 +262,7 @@ class TestExtraction:
             seqs = {bi: [b] for bi, b in enumerate(blocks)}
             witness = solve(game).witness
             assert witness.player == ALICE
-            planted = Strategy(player=ALICE, klass=PRE, table=dict.fromkeys(range(k), 0))
+            planted = per_round_table(game, ALICE, [0] * k)
             for phi, view in (
                 (witness, history_view(game, witness)),
                 (planted, unfold(game, ALICE, lambda *node: 0)),
@@ -336,7 +353,6 @@ class TestPinnedTranslations:
                 ):
                     v = solve(make(sp, k))
                     out = translate_b1(directions[v.winner], v.witness, sp, k).output
-                    assert out.klass == POS
                     positional.append(dumps_stable(strategy_to_json(out)) + "\n")
                     view = history_view(target(sp, k), out)
                     views.append(dumps_stable(history_to_json(view)) + "\n")

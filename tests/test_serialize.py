@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import playout
+from oracles import per_round_table, playout
 from topogame.errors import FormatError, MissingEmptyOrFull, PointOutOfRange
 from topogame.games import (
     ALICE,
     BOB,
     GAME_BUILDERS,
-    POS,
-    Strategy,
     make_mildly_rothberger,
     solve,
 )
@@ -71,8 +69,8 @@ class TestStrategyFormat:
                     obj = strategy_to_json(s)
                     assert strategy_from_json(obj, sp.n) == s
                     assert json.loads(dumps_stable(obj)) == obj
-                    count[s.player, s.klass] += 1
-        assert count == {(ALICE, POS): 344, (BOB, POS): 306}
+                    count[s.player] += 1
+        assert count == {ALICE: 344, BOB: 306}
 
     def test_positional_form(self, two_block3):
         # most rounds left first, then covered-mask order; Bob's move lists
@@ -147,8 +145,8 @@ class TestStrategyFormat:
 
     @pytest.mark.parametrize("player, klass", [("alice", "markov"), ("bob", "pre")])
     def test_rejects_class_of_the_other_player(self, player, klass):
-        # `Strategy.move_at` reads a round-keyed table for Alice only, and a
-        # (menu, round)-keyed one for Bob only
+        # only positional files are read, so the old classes are refused
+        # for either player
         with pytest.raises(FormatError):
             strategy_from_json({"player": player, "class": klass, "entries": []}, 2)
 
@@ -195,7 +193,7 @@ class TestStableOutput:
     def test_transcript_shape(self, two_block3):
         game = make_mildly_rothberger(two_block3, 2)
         v = solve(game)
-        alice = Strategy(player=ALICE, klass="pre", table={0: 1, 1: 1})
+        alice = per_round_table(game, ALICE, [1, 1])
         t = playout(game, alice, v.witness)
         obj = transcript_to_json(t)
         assert obj["outcome"] == BOB
