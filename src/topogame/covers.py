@@ -4,12 +4,12 @@ Covers are tuples of bitmasks sorted ascending; a cover family is compared
 elementwise as frozensets of masks.
 
 An irredundant cover is a minimal hitting set of the sets {members holding
-x}, x a point. They are enumerated by the minimal-transversal search MMCS
-(Murakami & Uno, Discrete Appl. Math. 2014): branch on the holders of the
-uncovered point with the fewest candidate holders, drop each holder from
-the candidates once its branch is done (so each cover is found once), and
-prune as soon as a chosen member has no private point left. Covers and
-menu families are cached per space; both are immutable.
+x}, x a point. `_minimal_transversals` enumerates them over any pool and
+ground mask by MMCS (Murakami & Uno, Discrete Appl. Math. 2014): branch
+on the holders of the uncovered point with the fewest candidate holders,
+drop each holder from the candidates once its branch is done (so each
+cover is found once), and prune as soon as a chosen member has no private
+point left. Covers and menu families, both immutable, are cached per space.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CapExceeded, EmptySpace
-from .topology import FiniteSpace, clopen_algebra, quasi_components
+from .topology import FiniteSpace, clopen_algebra, points_of, quasi_components
 
 DEFAULT_CAP = 10**6
 
@@ -55,12 +55,12 @@ def _kind_sets(space: FiniteSpace, kind: str) -> list[int]:
     return [m for m in pool if m != 0]
 
 
-@lru_cache(maxsize=None)
-def _reduced_covers_cached(space: FiniteSpace, kind: str) -> tuple[Cover, ...]:
-    pool = sorted(_kind_sets(space, kind))
-    full = space.full
-    points = range(space.n)
-    holders = [0] * space.n  # holders[x]: bitset of the pool indices whose member holds x
+def _minimal_transversals(pool: list, full: int) -> list[tuple[int, ...]]:
+    """Each minimal subfamily of `pool` (distinct nonzero masks) whose
+    union is `full`, as its sorted member tuple, by MMCS; CapExceeded past
+    DEFAULT_CAP of them."""
+    points = points_of(full)
+    holders = [0] * full.bit_length()  # holders[x]: bitset of the pool indices whose member holds x
     for i, m in enumerate(pool):
         for x in points:
             if m >> x & 1:
@@ -94,6 +94,12 @@ def _reduced_covers_cached(space: FiniteSpace, kind: str) -> tuple[Cover, ...]:
                 grow(chosen + [m], left + [m & ~covered], covered | m, cand)
 
     grow([], [], 0, (1 << len(pool)) - 1)
+    return found
+
+
+@lru_cache(maxsize=None)
+def _reduced_covers_cached(space: FiniteSpace, kind: str) -> tuple[Cover, ...]:
+    found = _minimal_transversals(sorted(_kind_sets(space, kind)), space.full)
     found.sort(key=lambda c: (len(c), c))
     return tuple(Cover(members=c) for c in found)
 

@@ -1,9 +1,9 @@
 """Bounded-horizon selection games and their exact solvers.
 
-A game round: Alice picks one menu from the menu family (her move is the
-menu's index), Bob picks one member of that menu (his move is the member's
-bitmask). After `horizon` rounds Bob wins when his selections cover the
-space; with `negated` set, Bob wins exactly when they fail to cover it.
+A game is a ground mask `full` (points 0..n-1), any family of its subsets
+as menus, a target and a horizon. A round: Alice picks a menu (her move is
+its index), Bob a member of it (his move is its bitmask). After `horizon`
+rounds Bob wins iff his selections cover `full` (fail to, when `negated`).
 
 The state of a play is the mask of points Bob's selections have covered.
 The main solver does backward induction on (covered mask, rounds left). A
@@ -98,7 +98,9 @@ STATE_CAP = 10**7
 
 @dataclass(frozen=True)
 class GameSpec:
-    space: FiniteSpace
+    """A selection game; only the builders (`make_*`) read a finite space."""
+
+    full: int
     menus: MenuFamily
     negated: bool
     horizon: int
@@ -109,7 +111,7 @@ class GameSpec:
 
     def bob_wins(self, covered: int) -> bool:
         """Outcome of a finished play whose selections cover `covered`."""
-        return (covered == self.space.full) != self.negated
+        return (covered == self.full) != self.negated
 
 
 @dataclass(frozen=True)
@@ -161,7 +163,7 @@ class Transcript:
 def make_rothberger(space: FiniteSpace, horizon: int) -> GameSpec:
     """Alice plays open covers, Bob selects members, Bob wins iff they cover."""
     return GameSpec(
-        space=space,
+        full=space.full,
         menus=cover_menu_family(space, "open"),
         negated=False,
         horizon=horizon,
@@ -171,7 +173,7 @@ def make_rothberger(space: FiniteSpace, horizon: int) -> GameSpec:
 def make_mildly_rothberger(space: FiniteSpace, horizon: int) -> GameSpec:
     """Clopen-cover variant of the Rothberger game."""
     return GameSpec(
-        space=space,
+        full=space.full,
         menus=cover_menu_family(space, "clopen"),
         negated=False,
         horizon=horizon,
@@ -182,7 +184,7 @@ def make_point_open(space: FiniteSpace, horizon: int) -> GameSpec:
     """Alice names points, Bob answers open neighborhoods; Alice wins iff
     the answers cover."""
     return GameSpec(
-        space=space,
+        full=space.full,
         menus=point_base_family(space, "open"),
         negated=True,
         horizon=horizon,
@@ -193,7 +195,7 @@ def make_point_clopen(space: FiniteSpace, horizon: int) -> GameSpec:
     """Alice names points, Bob answers clopen neighborhoods; Alice wins iff
     the answers cover."""
     return GameSpec(
-        space=space,
+        full=space.full,
         menus=point_base_family(space, "clopen"),
         negated=True,
         horizon=horizon,
@@ -204,7 +206,7 @@ def make_quasi_component_clopen(space: FiniteSpace, horizon: int) -> GameSpec:
     """Alice names quasi-components, Bob answers clopen supersets; Alice
     wins iff the answers cover."""
     return GameSpec(
-        space=space,
+        full=space.full,
         menus=quasi_component_family(space),
         negated=True,
         horizon=horizon,
@@ -218,12 +220,6 @@ GAME_BUILDERS: dict[str, Callable[[FiniteSpace, int], GameSpec]] = {
     "point-clopen": make_point_clopen,
     "quasi-component-clopen": make_quasi_component_clopen,
 }
-
-
-def saturating_horizon(space: FiniteSpace) -> int:
-    """Horizon beyond which the winner of a cover game cannot change: a
-    cover of an n-point space never needs more than n sets."""
-    return space.n
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +290,7 @@ def solve(game: GameSpec, want_witness: bool = True) -> Verdict:
     """Exact game value under optimal play, with the winner's positional
     witness strategy. Without a witness the shared solver of the dominant
     menus answers (`_cut_solver`)."""
-    solver = Solver(game.menus.menus, game.space.full, game.negated) if want_witness else _cut_solver(game)
+    solver = Solver(game.menus.menus, game.full, game.negated) if want_witness else _cut_solver(game)
     before = len(solver.memo)
     winner = solver.value(0, game.horizon)
     witness = _extract_witness(game, solver, winner) if want_witness else None
@@ -311,7 +307,7 @@ def winners(game: GameSpec) -> list[str]:
 def _cut_solver(game: GameSpec) -> Solver:
     """The solver that every winner-only solve of the game's dominant menus,
     full mask and target shares, whatever its horizon or caller."""
-    return _winner_solver(_dominant_menus(game.menus.menus, game.negated), game.space.full, game.negated)
+    return _winner_solver(_dominant_menus(game.menus.menus, game.negated), game.full, game.negated)
 
 
 @lru_cache(maxsize=None)
@@ -421,7 +417,7 @@ def walk_positions(game: GameSpec, player: str, choose: Callable) -> Strategy:
 
 @lru_cache(maxsize=None)
 def _committed_search(
-    menus: tuple, n: int, negated: bool, player: str
+    menus: tuple, full: int, negated: bool, player: str
 ) -> Callable[[int], Optional[list]]:
     """The knowledge-set search of `player` committing to one move per
     round, blind to the opponent's replies, against an opponent with full
@@ -437,7 +433,7 @@ def _committed_search(
     """
     alice = player == ALICE
     goal = not alice  # the committing player wins when bob_wins(final) == goal
-    full = (1 << n) - 1
+    n = full.bit_length()
     # the opponent's goal is monotone in the covered mask (antitone when
     # negated), so only the reachable masks best for them matter: the
     # maximal ones, or the minimal ones, which are maximal once complemented.
@@ -522,7 +518,7 @@ def predetermined_alice_search(game: GameSpec) -> Optional[list]:
     """Alice's winning menu index for each round, committed to in advance,
     or None when she has none. Bob plays with full information against the
     fixed menu list."""
-    return _committed_search(game.menus.menus, game.space.n, game.negated, ALICE)(game.horizon)
+    return _committed_search(game.menus.menus, game.full, game.negated, ALICE)(game.horizon)
 
 
 def markov_bob_search(game: GameSpec) -> Optional[list]:
@@ -538,7 +534,7 @@ def markov_bob_search(game: GameSpec) -> Optional[list]:
     if vectors > DEFAULT_CAP:
         raise CapExceeded(f"more than {DEFAULT_CAP} Markov choice vectors per round")
     # a round's move is a choice vector: one member of every menu
-    return _committed_search(game.menus.menus, game.space.n, True, BOB)(game.horizon)
+    return _committed_search(game.menus.menus, game.full, True, BOB)(game.horizon)
 
 
 @lru_cache(maxsize=None)
@@ -561,10 +557,10 @@ def _markov_bob_cover(game: GameSpec) -> Optional[list]:
     Bob wins at horizon k iff the points split into at most k good groups.
     """
     menus = game.menus.menus
-    full = game.space.full
+    full = game.full
     # bitsets over masks: bit g of below[b] is set iff g is a subset of b,
     # and bit g of good iff every menu has a member containing g
-    below = _subsets(game.space.n)
+    below = _subsets(full.bit_length())
     good = -1
     for menu in menus:
         reach = 0
@@ -616,7 +612,7 @@ def verify_winning(game: GameSpec, s: Strategy) -> bool:
     nodes are visited.
     """
     menus = game.menus.menus
-    full = game.space.full
+    full = game.full
     horizon = game.horizon
     move_at = s.move_at
     alice = s.player == ALICE

@@ -25,7 +25,6 @@ from .games import (
     make_rothberger,
     markov_bob_search,
     predetermined_alice_search,
-    saturating_horizon,
     solve,
     verify_winning,
     walk_positions,
@@ -181,11 +180,13 @@ def extract_qs_tree(
 
     phi is read as playing the game of horizon `depth`. clopen_seqs maps
     each block index to clopen supersets of the block whose intersection
-    equals it (the singleton [block] always qualifies). A block index out
-    of range, in phi or in clopen_seqs, or a block with no sequence, raises
-    ValueError. If the blocks it names fail to cover, the uncovered point
-    yields a legal play following phi that Alice loses.
+    equals it (the singleton [block] always qualifies). A Bob strategy, a
+    block index out of range, in phi or in clopen_seqs, or a block with no
+    sequence, raises ValueError. If the blocks it names fail to cover, the
+    uncovered point yields a legal play following phi that Alice loses.
     """
+    if phi.player != ALICE:
+        raise ValueError(f"extract_qs_tree reads an Alice strategy, not {phi.player}'s")
     blocks = quasi_components(space).blocks
     for bi in clopen_seqs:
         if not 0 <= bi < len(blocks):
@@ -248,6 +249,12 @@ def extract_qs_tree(
 
 # ---------------------------------------------------------------------------
 # corpus checks
+
+
+def saturating_horizon(space: FiniteSpace) -> int:
+    """Horizon beyond which the winner of a cover game cannot change: a
+    cover of an n-point space never needs more than n sets."""
+    return space.n
 
 
 def check_duality(space: FiniteSpace) -> dict:

@@ -439,7 +439,7 @@ def reference_verify(game: GameSpec, s: Strategy) -> bool:
     round) and is memoized on it. A missing entry or an illegal move loses.
     """
     menus = game.menus.menus
-    full = game.space.full
+    full = game.full
     horizon = game.horizon
     move_at = s.move_at
     alice = s.player == "alice"
@@ -482,7 +482,7 @@ def history_tree_winner(game: GameSpec) -> str:
 
     def value(selections: tuple, rnd: int) -> str:
         if rnd >= game.horizon or not menus:
-            covers = _union(selections) == game.space.full
+            covers = _union(selections) == game.full
             return "bob" if covers != game.negated else "alice"
         for menu in menus:
             if all(value(selections + (b,), rnd + 1) == "alice" for b in menu):
@@ -503,7 +503,7 @@ def reference_least_move(game: GameSpec, covered: int, left: int):
 
     def bob_wins(c: int, rounds: int) -> bool:
         # a full mask stays full, so it decides the play at once
-        if c == game.space.full or rounds == 0 or not menus:
+        if c == game.full or rounds == 0 or not menus:
             return game.bob_wins(c)
         if (c, rounds) not in memo:
             memo[c, rounds] = all(any(bob_wins(c | b, rounds - 1) for b in menu) for menu in menus)
@@ -615,7 +615,7 @@ def markov_bob_oracle(game: GameSpec):
     round), with None in place of lost moves.
     """
     menus = game.menus.menus
-    full = game.space.full
+    full = game.full
 
     def bob_wins(covered: int) -> bool:
         return (covered == full) != game.negated

@@ -628,7 +628,7 @@ class TestPlay:
         for k in (1, 2):
             spec = GAME_BUILDERS[game](two_block3, k)
             menus = spec.menus.menus
-            solver = Solver(menus, spec.space.full, spec.negated)
+            solver = Solver(menus, spec.full, spec.negated)
             human = solver.value(0, k)
             width = max(len(menus), *map(len, menus))
             for rounds in self.human_lines(capsys, monkeypatch, tmp_path, space_file, game, human, k, width):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -17,6 +18,7 @@ from oracles import (
 )
 from topogame.covers import (
     MenuFamily,
+    _minimal_transversals,
     _reduced_covers_cached,
     point_base_family,
     quasi_component_family,
@@ -67,6 +69,24 @@ class TestReducedCovers:
                 reduced_covers(discrete_space(3), "open")
         finally:
             _reduced_covers_cached.cache_clear()
+
+
+class TestMinimalTransversals:
+    """The transversal search over pools that are no space's opens."""
+
+    def test_matches_a_scan_of_random_pools(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            full = (1 << rng.randint(1, 5)) - 1
+            pool = sorted(rng.sample(range(1, full + 1), rng.randint(1, min(8, full))))
+            covering = [
+                c
+                for r in range(len(pool) + 1)
+                for c in itertools.combinations(pool, r)
+                if functools.reduce(int.__or__, c, 0) == full
+            ]
+            minimal = [c for c in covering if not any(set(d) < set(c) for d in covering)]
+            assert sorted(_minimal_transversals(pool, full)) == sorted(minimal), (pool, full)
 
 
 class TestCoverEnumeration:

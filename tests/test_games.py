@@ -48,12 +48,11 @@ from topogame.games import (
     make_rothberger,
     markov_bob_search,
     predetermined_alice_search,
-    saturating_horizon,
     solve,
     verify_winning,
     winners,
 )
-from topogame.lab import b3_markov_strategy
+from topogame.lab import b3_markov_strategy, saturating_horizon
 from topogame.serialize import dumps_stable, strategy_from_json, strategy_to_json, verdict_to_json
 from topogame.topology import (
     enumerate_topologies,
@@ -195,7 +194,48 @@ class TestRestrictedClasses:
         # the guard runs before the cached search, so on every call
         for _ in range(2):
             with pytest.raises(CapExceeded):
-                markov_bob_search(GameSpec(d4, menus, True, 1))
+                markov_bob_search(GameSpec(d4.full, menus, True, 1))
+
+
+class TestClassGaps:
+    """The two smallest instances where the full game and the restricted
+    classes part: games on a bare 3-point ground mask, with menu families
+    that come from no topology. At horizon 2 the full winner wins, but
+    neither predetermined Alice nor Markov Bob does."""
+
+    @pytest.mark.parametrize(
+        "menus, negated, full_winners, alice_moves, bob_moves",
+        [
+            # two partitions, {{0}, {1, 2}} and {{1}, {0, 2}}, under the cover target
+            (
+                ((0b001, 0b110), (0b010, 0b101)),
+                False,
+                [ALICE, ALICE, BOB, BOB],
+                [[], [0], None, None],
+                [None, None, None, [(1, 5), (6, 2), (6, 5)]],
+            ),
+            # the three 2-subset covers of {0, 1, 2}, under the negated target
+            (
+                ((0b011, 0b101), (0b011, 0b110), (0b101, 0b110)),
+                True,
+                [BOB, BOB, ALICE, ALICE],
+                [None, None, None, [0, 1, 2]],
+                [[], [(3, 3, 5)], None, None],
+            ),
+        ],
+        ids=["cover", "negated"],
+    )
+    def test_pinned(self, menus, negated, full_winners, alice_moves, bob_moves):
+        for k in range(4):
+            game = GameSpec(0b111, MenuFamily(menus), negated, k)
+            verdict = solve(game)
+            assert verdict.winner == full_winners[k] == history_tree_winner(game), k
+            assert verify_winning(game, verdict.witness) and reference_verify(game, verdict.witness), k
+            assert predetermined_alice_search(game) == alice_moves[k], k
+            assert reference_committed_search(game, ALICE)(k) == alice_moves[k], k
+            assert markov_bob_search(game) == bob_moves[k], k
+            assert reference_committed_search(game, BOB)(k) == bob_moves[k], k
+            assert (bob_moves[k] is not None) == markov_bob_oracle(game)[0], k
 
 
 def _search_moves(game) -> tuple:
@@ -278,7 +318,7 @@ class TestKnowledgeSearch:
         menus = MenuFamily(menus=((0b01, 0b10), (0b01,)))
         assert _dominant_menus(menus.menus, False) == ((0b01,),)
         for k, moves in ((1, [0]), (2, [1, 1])):
-            game = GameSpec(d2, menus, False, k)
+            game = GameSpec(d2.full, menus, False, k)
             assert predetermined_alice_search(game) == moves
             assert reference_committed_search(game, ALICE)(k) == moves
 
@@ -290,7 +330,7 @@ class TestKnowledgeSearch:
         # Bob commits a 2-set per menu, and Alice covers with two of them
         menus = MenuFamily(menus=((0b011, 0b110), (0b110, 0b101), (0b101, 0b011)))
         with pytest.raises(CapExceeded, match=message.format("Markov-Bob")):
-            markov_bob_search(GameSpec(discrete_space(3), menus, True, 2))
+            markov_bob_search(GameSpec(discrete_space(3).full, menus, True, 2))
 
 
 class TestMenuBasisInvariance:
@@ -306,8 +346,8 @@ class TestMenuBasisInvariance:
                     [frozenset(m) for m in full_fam.menus],
                 )
                 for k in range(sp.n + 1):
-                    g_full = GameSpec(sp, full_fam, False, k)
-                    g_red = GameSpec(sp, red_fam, False, k)
+                    g_full = GameSpec(sp.full, full_fam, False, k)
+                    g_red = GameSpec(sp.full, red_fam, False, k)
                     assert (
                         solve(g_full, want_witness=False).winner
                         == solve(g_red, want_witness=False).winner
@@ -338,7 +378,7 @@ class TestWinners:
                 expected = []
                 for k in range(sp.n + 3):
                     game = make(sp, k)
-                    expected.append(Solver(game.menus.menus, game.space.full, game.negated).value(0, k))
+                    expected.append(Solver(game.menus.menus, game.full, game.negated).value(0, k))
                 assert winners(make(sp, sp.n + 2)) == expected, (sp, make.__name__)
 
     def test_empty_space(self):
@@ -367,7 +407,7 @@ class TestDominantMenus:
         for sp in spaces:
             for make in ALL_GAMES:
                 game = make(sp, sp.n + 1)
-                full = Solver(game.menus.menus, game.space.full, game.negated)
+                full = Solver(game.menus.menus, game.full, game.negated)
                 expected = [full.value(0, k) for k in range(sp.n + 2)]
                 assert winners(game) == expected, (sp, make.__name__)
                 cut = [solve(make(sp, k), want_witness=False).winner for k in range(sp.n + 2)]
@@ -441,7 +481,7 @@ class TestWinnerSolver:
             for name in names:
                 for k in range(sp.n + 2):
                     game = GAME_BUILDERS[name](sp, k)
-                    winner = Solver(game.menus.menus, game.space.full, game.negated).value(0, k)
+                    winner = Solver(game.menus.menus, game.full, game.negated).value(0, k)
                     assert winner == closed_form_verdict(sp, name, k)[0], (sp, name, k)
                     expected[i, name, k] = winner
         assert len(expected) == 11470
@@ -508,7 +548,7 @@ class TestWinnerSolver:
             assert fresh.memo[key] == move, key
         for k in range(5):
             game = make_mildly_rothberger(discrete_space(4), k)
-            expected = Solver(game.menus.menus, game.space.full, False).value(0, k)
+            expected = Solver(game.menus.menus, game.full, False).value(0, k)
             assert solve(game, want_witness=False).winner == expected
         assert winners(game) == [ALICE] * 4 + [BOB]
 
@@ -524,7 +564,7 @@ class TestStoredMoves:
                 # the solver of each witness solve
                 for k in range(sp.n + 2):
                     game = make(sp, k)
-                    solver = Solver(game.menus.menus, game.space.full, game.negated)
+                    solver = Solver(game.menus.menus, game.full, game.negated)
                     solver.value(0, k)
                     for key, move in solver.memo.items():
                         assert move == reference_least_move(game, *key), (name, make.__name__, k, key)

@@ -3,12 +3,15 @@ unused-import rule, run over the package and the tests. And every
 top-level function, class and constant of the package, and every method
 but the dunder ones, is reached from the package itself, and every
 dataclass field is read there as an attribute, so no code in `src/`
-exists only for the tests."""
+exists only for the tests. And in `games.py` only the game builders read
+a finite space."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from topogame.games import GAME_BUILDERS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "topogame").glob("*.py"))
@@ -60,6 +63,36 @@ def test_no_unused_imports(path):
 )
 def test_scanner(source, unused):
     assert unused_imports(source) == unused
+
+
+def space_readers(source: str) -> list[str]:
+    """The functions, nested ones and methods included, that name
+    `FiniteSpace` or read an attribute `space`."""
+    readers = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef):
+            for sub in ast.walk(node):
+                named = isinstance(sub, ast.Name) and sub.id == "FiniteSpace"
+                if named or isinstance(sub, ast.Attribute) and sub.attr == "space":
+                    readers.add(node.name)
+    return sorted(readers)
+
+
+def test_only_the_builders_read_a_space():
+    # a game is its ground mask and menus: only the builders look at a space
+    source = (ROOT / "src" / "topogame" / "games.py").read_text(encoding="utf-8")
+    assert space_readers(source) == sorted(build.__name__ for build in GAME_BUILDERS.values())
+
+
+@pytest.mark.parametrize(
+    "source, readers",
+    [
+        ("def make_g(space: FiniteSpace):\n    return space.full\ndef f(game):\n    return game.full\n", ["make_g"]),
+        ("class G:\n    def n(self):\n        return self.space.n\ndef f(g):\n    return FiniteSpace(g.n(), ())\n", ["f", "n"]),
+    ],
+)
+def test_space_reader_scanner(source, readers):
+    assert space_readers(source) == readers
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

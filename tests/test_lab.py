@@ -13,6 +13,7 @@ from topogame.games import (
     make_quasi_component_clopen,
     solve,
     verify_winning,
+    walk_positions,
 )
 from topogame.lab import (
     b3_markov_strategy,
@@ -213,6 +214,17 @@ class TestExtraction:
         }
         result = extract_qs_tree(d3, phi, seqs, 3)
         assert result.covers
+
+    def test_rejects_a_bob_strategy(self):
+        # Bob's picks are member masks, not block indices: read as Alice's,
+        # his first pick from menu 0 would name a block
+        d2 = discrete_space(2)
+        game = make_quasi_component_clopen(d2, 2)
+        first = tuple(menu[0] for menu in game.menus.menus)
+        phi = walk_positions(game, BOB, lambda covered, rnd: first)
+        seqs = {i: [b] for i, b in enumerate(quasi_components(d2).blocks)}
+        with pytest.raises(ValueError, match=r"^extract_qs_tree reads an Alice strategy, not bob's$"):
+            extract_qs_tree(d2, phi, seqs, 2)
 
     def test_rejects_bad_sequence(self, two_block3):
         phi = Strategy(player=ALICE, table={(0, 1): 0})
