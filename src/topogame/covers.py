@@ -14,7 +14,7 @@ point left. Covers and menu families, both immutable, are cached per space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import CapExceeded, EmptySpace
@@ -37,12 +37,20 @@ class MenuFamily:
     """Alice's legal moves: each round she picks any one menu of the family."""
 
     menus: tuple[Menu, ...]
+    # the union of every member, set once per family: a game checks it
+    # against its ground mask. It takes no part in equality, hashing or repr.
+    union: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not all(self.menus):
             raise ValueError("every menu must be nonempty")
-        if any(len(set(menu)) < len(menu) for menu in self.menus):
-            raise ValueError("no menu may list a member twice")
+        union = 0
+        for menu in self.menus:
+            if len(set(menu)) < len(menu):
+                raise ValueError("no menu may list a member twice")
+            for b in menu:
+                union |= b
+        object.__setattr__(self, "union", union)
 
 
 def _kind_sets(space: FiniteSpace, kind: str) -> list[int]:

@@ -39,13 +39,15 @@ from the memo, so extraction adds no memo entry and `stats` counts the
 positions the value search explored.
 
 Every strategy is such a positional table, keyed on (covered mask,
-rounds left), so no table grows with the number of lines of play. Every
-reader (verification, translation, tree extraction) asks a strategy for
-its move at a node through `Strategy.move_at`. `walk_positions` builds a
-table round by round from a `choose` callback that gives each node's
-move, with one node per covered mask: the witnesses, the translation of
-a strategy, and the table of a strategy whose move depends on the round
-alone.
+rounds left), so no table grows with the number of lines of play. A
+reader (translation, tree extraction) asks a strategy for its whole move
+at a node, Alice's menu index or Bob's pick tuple, through
+`Strategy.move_at(covered, left)`; verification reads each node's entry
+once, and a missing or illegal one loses. `walk_positions` builds a
+table round by round from a `choose(covered, left)` callback that gives
+each node's move, with one node per covered mask: the witnesses, the
+translation of a strategy, and the table of a strategy whose move
+depends on the round alone.
 
 The restricted searches decide two classes that move on the round
 alone. Each returns the winning move of every round (Alice's menu index,
@@ -108,6 +110,8 @@ class GameSpec:
     def __post_init__(self):
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
+        if self.menus.union & ~self.full:
+            raise ValueError("every menu member must lie inside the ground mask")
 
     def bob_wins(self, covered: int) -> bool:
         """Outcome of a finished play whose selections cover `covered`."""
@@ -118,24 +122,22 @@ class GameSpec:
 class Strategy:
     """A positional decision table, keyed on (covered mask, rounds left),
     this round included. Moves: Alice -> menu index, Bob -> a tuple with his
-    member mask for each menu, in menu order. Readers ask for a move at a
-    game-tree node with `move_at`.
+    member mask for each menu, in menu order. Readers ask for the whole move
+    at a game-tree node with `move_at`.
     """
 
     player: str
     table: dict = field(hash=False)
 
-    def move_at(self, covered: int, rnd: int, horizon: int, menu: int = 0):
-        """Alice's menu index, or Bob's member of Alice's menu `menu`, in
-        round `rnd` of the game of this horizon, with `covered` covered so
-        far. Alice's lookups ignore `menu`. Raises IllegalMove, naming the
-        context as a strategy file writes it, where the table has no move;
-        whether a move is legal is for the caller to check."""
-        move = self.table.get((covered, horizon - rnd))
-        if move is not None and self.player == BOB:
-            move = move[menu] if menu < len(move) else None
+    def move_at(self, covered: int, left: int):
+        """The stored move with `covered` covered and `left` rounds left:
+        Alice's menu index, or Bob's pick from each menu, in menu order.
+        Raises IllegalMove, naming the context as a strategy file writes it,
+        where the table has no move; whether a move is legal is for the
+        caller to check."""
+        move = self.table.get((covered, left))
         if move is None:
-            raise IllegalMove([points_of(covered), horizon - rnd])
+            raise IllegalMove([points_of(covered), left])
         return move
 
 
@@ -375,35 +377,30 @@ def _extract_witness(game: GameSpec, solver: Solver, winner: str) -> Strategy:
     (covered mask, rounds left) reached round by round over every legal
     line of the loser, as the value search stored it; at a full mask, which
     decides the play and is never stored, the first move."""
-    memo, full, horizon = solver.memo, solver.full, game.horizon
+    memo, full = solver.memo, solver.full
     first = 0 if winner == ALICE else tuple(menu[0] for menu in game.menus.menus)
-
-    def choose(covered: int, rnd: int):
-        return first if covered == full else memo[(covered, horizon - rnd)]
-
-    return walk_positions(game, winner, choose)
+    return walk_positions(game, winner, lambda covered, left: first if covered == full else memo[(covered, left)])
 
 
 def walk_positions(game: GameSpec, player: str, choose: Callable) -> Strategy:
     """The positional table of `player`, built round by round over the
     covered masks the opponent can reach, one node per mask.
 
-    choose(covered, rnd) is called once per node. For Alice it returns a
-    menu index; for Bob it returns his pick from each menu, in menu order.
-    Each round visits its masks in the order in which the nodes of the
-    round before first reach them, so the first missing entry that a
-    translation's `choose` meets does not vary from run to run.
+    choose(covered, left) is called once per node, with `left` rounds left,
+    this round included. For Alice it returns a menu index; for Bob it
+    returns his pick from each menu, in menu order. Each round visits its
+    masks in the order in which the nodes of the round before first reach
+    them, so the first missing entry that a translation's `choose` meets
+    does not vary from run to run.
     """
     menus = game.menus.menus
     alice = player == ALICE
-    horizon = game.horizon
     table: dict = {}
     masks = [0]  # the covered masks of the current round, in first-met order
-    for rnd in range(horizon if menus else 0):
-        left = horizon - rnd
+    for left in range(game.horizon if menus else 0, 0, -1):
         nxt: dict = {}
         for covered in masks:
-            move = table[(covered, left)] = choose(covered, rnd)
+            move = table[(covered, left)] = choose(covered, left)
             if left > 1:
                 for b in menus[move] if alice else move:
                     nxt[covered | b] = None
@@ -604,17 +601,17 @@ def _markov_bob_cover(game: GameSpec) -> Optional[list]:
 def verify_winning(game: GameSpec, s: Strategy) -> bool:
     """Play s against every legal opponent line, round by round.
 
-    A strategy moves on the covered mask, the round and Alice's current
-    menu alone, so the frontier holds the distinct covered masks of the
-    current round that are not full; a full mask decides the play, so no
-    move is asked for there. A missing entry, an out-of-range menu or a
-    pick off its menu loses. Raises CapExceeded once more than STATE_CAP
-    nodes are visited.
+    A strategy moves on the covered mask and the rounds left alone, so the
+    frontier holds the distinct covered masks of the current round that
+    are not full; a full mask decides the play, so no move is read there.
+    Each node's entry is read once. A missing entry, an out-of-range menu,
+    a Bob tuple shorter than the menus or a pick off its menu loses; picks
+    past the last menu are ignored. Raises CapExceeded once more than
+    STATE_CAP nodes are visited.
     """
     menus = game.menus.menus
     full = game.full
-    horizon = game.horizon
-    move_at = s.move_at
+    table = s.table
     alice = s.player == ALICE
     # s wins a play that reaches a full mask iff this holds, and a finished
     # play short of one iff it does not
@@ -623,37 +620,33 @@ def verify_winning(game: GameSpec, s: Strategy) -> bool:
         return wins_full
     masks = [0]  # the covered masks of the current round, in first-met order
     visited = 0
-    try:
-        for rnd in range(horizon if menus else 0):
-            visited += len(masks)
-            if visited > STATE_CAP:
-                raise CapExceeded(
-                    f"verification of {s.player}'s positional strategy: state cap {STATE_CAP} exceeded"
-                )
-            nxt: dict = {}
-            for covered in masks:
-                if alice:
-                    mi = move_at(covered, rnd, horizon)
-                    if not 0 <= mi < len(menus):
+    for left in range(game.horizon if menus else 0, 0, -1):
+        visited += len(masks)
+        if visited > STATE_CAP:
+            raise CapExceeded(
+                f"verification of {s.player}'s positional strategy: state cap {STATE_CAP} exceeded"
+            )
+        nxt: dict = {}
+        for covered in masks:
+            move = table.get((covered, left))
+            if move is None:
+                return False
+            if alice:
+                if not 0 <= move < len(menus):
+                    return False
+                picks = menus[move]
+            else:
+                picks = move[: len(menus)]
+                if len(picks) < len(menus) or any(b not in menu for b, menu in zip(picks, menus)):
+                    return False
+            for b in picks:
+                child = covered | b
+                if child == full:
+                    if not wins_full:
                         return False
-                    picks = menus[mi]
                 else:
-                    picks = []
-                    for mi, menu in enumerate(menus):
-                        b = move_at(covered, rnd, horizon, mi)
-                        if b not in menu:
-                            return False
-                        picks.append(b)
-                for b in picks:
-                    child = covered | b
-                    if child == full:
-                        if not wins_full:
-                            return False
-                    else:
-                        nxt[child] = None
-            masks = nxt
-    except IllegalMove:  # the move asked for is missing, and s loses there
-        return False
+                    nxt[child] = None
+        masks = nxt
     # the plays left are finished short of a full mask
     return not masks or not wins_full
 

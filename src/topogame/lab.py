@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DepthCapExceeded, IllegalMove, IllegalSourceStrategy
+from .errors import DepthCapExceeded, IllegalSourceStrategy
 from .games import (
     ALICE,
     BOB,
@@ -92,8 +92,8 @@ def translate_b1(
     strategies map through least-index representatives of the blocks.
     Both games offer Bob the same members for corresponding moves, so a
     line of play covers the same mask in both, and the source is read at
-    the same (covered mask, round), facing the source menu that Alice's
-    target menu corresponds to. A missing source entry raises IllegalMove.
+    the same (covered mask, rounds left). A missing source entry raises
+    IllegalMove.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
@@ -104,34 +104,37 @@ def translate_b1(
 
 def _translate(direction: str, s: Strategy, pc: GameSpec, qc: GameSpec, part: Partition) -> TranslationReport:
     """translate_b1 between the two games of one horizon, given the
-    quasi-component partition of their space."""
-    horizon = pc.horizon
-    # least-point representative of each block
-    reps = [points_of(block)[0] for block in part.blocks]
+    quasi-component partition of their space.
 
-    src_game, tgt_game = (pc, qc) if direction.endswith("pc-to-qc") else (qc, pc)
-    _check_source_entries(s, src_game)
-
-    if direction.startswith("alice"):
-        if s.player != ALICE:
-            raise IllegalSourceStrategy("direction names Alice but strategy is Bob's")
-        # a point maps to its block index, a block to its representative
-        out_move = part.index_of if direction == "alice-pc-to-qc" else reps.__getitem__
-
-        def choose(covered: int, rnd: int) -> int:
-            return out_move(s.move_at(covered, rnd, horizon))
+    Each game has one move map, which carries an Alice move of the other
+    game into it: a point to its block index into the block game, and a
+    block to its least point into the point game. The source move is read
+    once per node. Alice's goes through the target game's map; Bob's pick
+    from a target menu is his pick from the source menu that the source
+    game's map names.
+    """
+    into_qc = part.index_of
+    into_pc = [points_of(block)[0] for block in part.blocks].__getitem__
+    if direction.endswith("pc-to-qc"):
+        src_game, into_src, tgt_game, into_tgt = pc, into_pc, qc, into_qc
     else:
-        if s.player != BOB:
-            raise IllegalSourceStrategy("direction names Bob but strategy is Alice's")
-        # Alice's moves in the target game, as moves in the source game
-        src_alice = reps.__getitem__ if direction == "bob-pc-to-qc" else part.index_of
-        tgt_menus = range(len(tgt_game.menus.menus))
+        src_game, into_src, tgt_game, into_tgt = qc, into_qc, pc, into_pc
+    _check_source_entries(s, src_game)
+    player = ALICE if direction.startswith("alice") else BOB
+    if s.player != player:
+        raise IllegalSourceStrategy(f"direction names {player.title()} but strategy is {s.player.title()}'s")
+    move_at = s.move_at
+    if player == ALICE:
+        def choose(covered: int, left: int) -> int:
+            return into_tgt(move_at(covered, left))
+    else:
+        # the source menu each target menu corresponds to
+        src_menus = [into_src(mi) for mi in range(len(tgt_game.menus.menus))]
 
-        def choose(covered: int, rnd: int) -> tuple:
-            # Bob's pick from each target menu
-            return tuple(s.move_at(covered, rnd, horizon, src_alice(mi)) for mi in tgt_menus)
+        def choose(covered: int, left: int) -> tuple:
+            return tuple(map(move_at(covered, left).__getitem__, src_menus))
 
-    out = walk_positions(tgt_game, s.player, choose)
+    out = walk_positions(tgt_game, player, choose)
     input_winning = verify_winning(src_game, s)
     output_winning = verify_winning(tgt_game, out)
     return TranslationReport(
@@ -147,21 +150,18 @@ def _translate(direction: str, s: Strategy, pc: GameSpec, qc: GameSpec, part: Pa
 # the quasi-component Markov strategy for the clopen cover game
 
 
-def b3_markov_strategy(space: FiniteSpace, horizon: Optional[int] = None) -> Strategy:
+def b3_markov_strategy(space: FiniteSpace) -> Strategy:
     """Bob's Markov strategy for the clopen-cover selection game: in round i
     take the first member of Alice's cover meeting the i-th quasi-component
     block. A clopen set meeting a block contains it, so the selections
     swallow one block per round and cover within #blocks rounds. The
-    strategy is the positional table of those picks over the positions
-    Alice can reach."""
+    strategy is the positional table of those picks, at horizon #blocks,
+    over the positions Alice can reach."""
     blocks = quasi_components(space).blocks
-    k = horizon if horizon is not None else len(blocks)
-    game = make_mildly_rothberger(space, k)
-    picks = []  # Bob's pick from each menu, per round
-    for rnd in range(k):
-        block = blocks[min(rnd, len(blocks) - 1)]
-        picks.append(tuple(next(b for b in menu if b & block) for menu in game.menus.menus))
-    return walk_positions(game, BOB, lambda covered, rnd: picks[rnd])
+    game = make_mildly_rothberger(space, len(blocks))
+    picks = [tuple(next(b for b in menu if b & block) for menu in game.menus.menus) for block in blocks]
+    # round i, with #blocks - i rounds left, takes block i
+    return walk_positions(game, BOB, lambda covered, left: picks[-left])
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +209,11 @@ def extract_qs_tree(
     while frontier:
         nxt = []
         for s, covered in frontier:
-            try:
-                bi = phi.move_at(covered, len(s), depth)
-            except IllegalMove:
-                # a strategy for horizon d moves only up to depth d-1; the
-                # final layer may fall outside its domain
-                if len(s) == depth:
-                    continue
-                raise
+            # a strategy for horizon d moves only up to depth d-1; the final
+            # layer, with no rounds left, may fall outside its domain
+            if len(s) == depth and (covered, 0) not in phi.table:
+                continue
+            bi = phi.move_at(covered, depth - len(s))
             if not 0 <= bi < len(blocks):
                 raise ValueError(f"phi names block index {bi} of {len(blocks)} blocks at node {s}")
             tree[s] = blocks[bi]
@@ -238,8 +235,8 @@ def extract_qs_tree(
     ybit = 1 << y
     rounds = []
     covered = 0
-    for rnd in range(depth):
-        bi = phi.move_at(covered, rnd, depth)
+    for left in range(depth, 0, -1):
+        bi = phi.move_at(covered, left)
         v = next(v for v in clopen_seqs[bi] if not v & ybit)
         rounds.append((bi, v))
         covered |= v
@@ -349,7 +346,7 @@ def check_min_horizon_law(space: FiniteSpace) -> dict:
     """Bob first wins the clopen cover game, and Alice first wins both
     point-style clopen games, exactly at the number of quasi-components."""
     nblocks = len(quasi_components(space).blocks)
-    k = space.n
+    k = saturating_horizon(space)
 
     def first_win(game: GameSpec, player: str) -> Optional[int]:
         w = winners(game)
@@ -453,7 +450,7 @@ def check_extraction(space: FiniteSpace) -> dict:
     Bob picks."""
     blocks = quasi_components(space).blocks
     nblocks = len(blocks)
-    kstar = max(saturating_horizon(space), nblocks)
+    kstar = saturating_horizon(space)
     game = make_quasi_component_clopen(space, kstar)
     verdict = solve(game)
     facts: dict = {"blocks": nblocks}
@@ -464,7 +461,7 @@ def check_extraction(space: FiniteSpace) -> dict:
         facts["covers"] = result.covers
         ok = ok and result.covers
     if nblocks >= 2:
-        planted = walk_positions(game, ALICE, lambda covered, rnd: 0)
+        planted = walk_positions(game, ALICE, lambda covered, left: 0)
         result = extract_qs_tree(space, planted, seqs, kstar)
         facts["planted_covers"] = result.covers
         ok = ok and not result.covers and result.counterexample is not None
@@ -479,8 +476,8 @@ def check_extraction(space: FiniteSpace) -> dict:
 def _replay_is_losing(game: GameSpec, phi: Strategy, transcript: Transcript, y: int) -> bool:
     """The counterexample transcript must follow phi, stay legal, and miss y."""
     union = 0
-    for rnd, (mi, v) in enumerate(transcript.rounds):
-        if phi.move_at(union, rnd, game.horizon) != mi or v not in game.menus.menus[mi]:
+    for left, (mi, v) in zip(range(game.horizon, 0, -1), transcript.rounds):
+        if phi.move_at(union, left) != mi or v not in game.menus.menus[mi]:
             return False
         union |= v
     return not union & (1 << y) and transcript.outcome == BOB

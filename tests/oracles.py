@@ -23,7 +23,8 @@ files, so the hashes pinned on those files still hold, and
 `reference_extract` reads it to build the indexed tree that
 `lab.extract_qs_tree` builds from positions. The restricted searches
 return per-round moves: `per_round_table` walks them into a positional
-table, and `restricted_to_json` writes them as the package once wrote
+table (as it walks `block_picks`, the block strategy's moves at any
+horizon), and `restricted_to_json` writes them as the package once wrote
 predetermined-Alice and Markov-Bob files, so the hash pinned on the
 restricted witnesses still holds; the package reads and writes
 positional files only.
@@ -317,7 +318,19 @@ def per_round_table(game: GameSpec, player: str, moves) -> Strategy:
     """The positional table of a strategy whose move depends on the round
     alone: moves[rnd] is Alice's menu index, or Bob's pick from each menu,
     in menu order."""
-    return walk_positions(game, player, lambda covered, rnd: moves[rnd])
+    return walk_positions(game, player, lambda covered, left: moves[game.horizon - left])
+
+
+def block_picks(space: FiniteSpace, game: GameSpec) -> list:
+    """The block strategy's per-round moves in the clopen cover game of
+    `space`, at any horizon: in round i Bob takes, from each menu, its first
+    member meeting quasi-component block i, or the last block once the
+    blocks run out."""
+    blocks = quasi_components(space).blocks
+    return [
+        tuple(next(b for b in menu if b & blocks[min(rnd, len(blocks) - 1)]) for menu in game.menus.menus)
+        for rnd in range(game.horizon)
+    ]
 
 
 def unfold(game: GameSpec, player: str, choose: Callable) -> HistoryTable:
@@ -434,14 +447,14 @@ def reference_extract(space: FiniteSpace, view: HistoryTable, clopen_seqs: dict,
 def reference_verify(game: GameSpec, s: Strategy) -> bool:
     """Exhaustively play s against every legal opponent line, depth first.
 
-    A strategy moves on (covered mask, round) and Alice's current menu
-    alone, so the outcome below a position depends only on (covered mask,
-    round) and is memoized on it. A missing entry or an illegal move loses.
+    A strategy moves on (covered mask, round) alone, so the outcome below a
+    position depends only on (covered mask, round) and is memoized on it.
+    Each move is read off `s.table` at the rounds left, one menu at a time
+    for Bob. A missing entry or an illegal move loses.
     """
     menus = game.menus.menus
     full = game.full
     horizon = game.horizon
-    move_at = s.move_at
     alice = s.player == "alice"
     # s wins a finished play iff its mask is full, or iff it is not
     wins_full = (not alice) != game.negated
@@ -457,21 +470,20 @@ def reference_verify(game: GameSpec, s: Strategy) -> bool:
     def explore(covered: int, rnd: int) -> bool:
         if rnd >= horizon or not menus or covered == full:
             return (covered == full) == wins_full
+        key = (covered, horizon - rnd)
+        if key not in s.table:
+            return False
+        move = s.table[key]
         if alice:
-            mi = move_at(covered, rnd, horizon)
-            if not 0 <= mi < len(menus):
+            if not 0 <= move < len(menus):
                 return False
-            return all(check(covered | b, rnd + 1) for b in menus[mi])
+            return all(check(covered | b, rnd + 1) for b in menus[move])
         for mi, menu in enumerate(menus):
-            b = move_at(covered, rnd, horizon, mi)
-            if b not in menu or not check(covered | b, rnd + 1):
+            if mi >= len(move) or move[mi] not in menu or not check(covered | move[mi], rnd + 1):
                 return False
         return True
 
-    try:
-        return check(0, 0)
-    except IllegalMove:  # the move asked for is missing, and s loses there
-        return False
+    return check(0, 0)
 
 
 def history_tree_winner(game: GameSpec) -> str:

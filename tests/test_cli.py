@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from oracles import dump_space, restricted_to_json
+from oracles import discrete_space, dump_space, restricted_to_json
 from topogame import cli
 from topogame.cli import main
 from topogame.errors import CapExceeded
@@ -643,6 +643,33 @@ class TestPlay:
                         checked += 1
                     covered |= b
         assert checked
+
+    def test_the_solver_answers_a_human_error(self, capsys, monkeypatch, tmp_path):
+        # on the discrete 3-point space a human Alice can leave the solver's
+        # Bob a position he wins; in every round he picks the least member
+        # of the menu she played whose child he wins, or its first member
+        # where none wins
+        path = tmp_path / "d3.json"
+        d3 = discrete_space(3)
+        dump_space(d3, str(path))
+        k = 2
+        spec = GAME_BUILDERS["mildly-rothberger"](d3, k)
+        menus = spec.menus.menus
+        assert len(menus) == 8
+        solver = Solver(menus, spec.full, spec.negated)
+        lines = won = 0
+        for rounds in self.human_lines(capsys, monkeypatch, tmp_path, str(path), "mildly-rothberger",
+                                       ALICE, k, len(menus)):
+            covered = 0
+            for rnd, (mi, b) in enumerate(rounds):
+                menu = menus[mi]
+                wins = [c for c in menu if solver.value(covered | c, k - rnd - 1) == BOB]
+                assert b == (wins[0] if wins else menu[0]), (rounds, rnd)
+                won += bool(wins)
+                covered |= b
+            lines += 1
+        assert solver.value(0, k) == ALICE
+        assert (lines, won) == (64, 116)  # 116 rounds give Bob a winning member
 
     def test_bad_input_reprompts(self, capsys, monkeypatch, space_file):
         monkeypatch.setattr("sys.stdin", io.StringIO("zebra\n99\n1\n1\n"))

@@ -9,6 +9,7 @@ import pytest
 from oracles import (
     HISTORY_CAP,
     all_covers,
+    block_picks,
     closed_form_verdict,
     discrete_space,
     history_to_json,
@@ -52,7 +53,7 @@ from topogame.games import (
     verify_winning,
     winners,
 )
-from topogame.lab import b3_markov_strategy, saturating_horizon
+from topogame.lab import saturating_horizon
 from topogame.serialize import dumps_stable, strategy_from_json, strategy_to_json, verdict_to_json
 from topogame.topology import (
     enumerate_topologies,
@@ -110,6 +111,13 @@ class TestSolveConventions:
         # wins the negated point game
         assert solve(make_mildly_rothberger(sierpinski, 0)).winner == ALICE
         assert solve(make_point_clopen(sierpinski, 0)).winner == BOB
+
+    def test_menu_members_lie_inside_the_ground_mask(self):
+        # Bob's only pick holds every point, and a point outside the ground
+        # mask: the solver would name Alice the winner
+        with pytest.raises(ValueError, match="^every menu member must lie inside the ground mask$"):
+            GameSpec(0b111, MenuFamily(((0b1111,),)), False, 1)
+        assert solve(GameSpec(0b111, MenuFamily(((0b111,),)), False, 1)).winner == BOB
 
     def test_witness_for_two_block(self, two_block3):
         v = solve(make_mildly_rothberger(two_block3, 2))
@@ -872,8 +880,9 @@ def _strategies(game, sp, name) -> list:
     """(origin, strategy, per-round moves) of each strategy the package
     gives for the game: the solver's witness; the predetermined-Alice and
     Markov-Bob moves, where the class wins, walked into tables; and in the
-    clopen cover game the block strategy. The moves are None where the
-    strategy is not walked from per-round moves."""
+    clopen cover game the block strategy's moves (`oracles.block_picks`),
+    walked into a table. The moves are None where the strategy is not
+    walked from per-round moves."""
     found = [("solver", solve(game).witness, None)]
     for origin, player, search in (
         ("predetermined", ALICE, predetermined_alice_search),
@@ -883,7 +892,8 @@ def _strategies(game, sp, name) -> list:
         if moves is not None:
             found.append((origin, per_round_table(game, player, moves), moves))
     if name == "mildly-rothberger" and sp.n:
-        found.append(("b3", b3_markov_strategy(sp, game.horizon), None))
+        picks = block_picks(sp, game)
+        found.append(("b3", per_round_table(game, BOB, picks), picks))
     return found
 
 
@@ -925,8 +935,9 @@ class TestVerifyWalk:
 
 def _reference_nodes(game, s, moves) -> list:
     """Every node the opponent can reach against s, as (covered, round,
-    Alice's current menu, move): the arguments of `Strategy.move_at` there,
-    and the move s was made from. That is moves[round] (Alice's menu, or
+    Alice's current menu, move): the node, Alice's menu for Bob's pick
+    from the whole move `Strategy.move_at` returns there, and the move s
+    was made from. That is moves[round] (Alice's menu, or
     Bob's pick from the current menu) where s was walked from per-round
     moves, and otherwise the entry `oracles.playout` reads."""
     menus = game.menus.menus
@@ -972,7 +983,8 @@ class TestMoveAt:
                     for origin, s, moves in _strategies(game, sp, name):
                         origins[s.player, origin] += 1
                         for covered, rnd, menu, move in _reference_nodes(game, s, moves):
-                            assert s.move_at(covered, rnd, k, menu) == move, (sp, name, k, origin)
+                            found = s.move_at(covered, k - rnd)
+                            assert (found[menu] if s.player == BOB else found) == move, (sp, name, k, origin)
                             nodes += 1
         # 438 Markov strategies: 308 from the search and 130 block strategies
         assert origins == {

@@ -2,8 +2,9 @@
 unused-import rule, run over the package and the tests. And every
 top-level function, class and constant of the package, and every method
 but the dunder ones, is reached from the package itself, and every
-dataclass field is read there as an attribute, so no code in `src/`
-exists only for the tests. And in `games.py` only the game builders read
+dataclass field is read there as an attribute, and every defaulted
+parameter is passed by some call there, so no code in `src/` exists
+only for the tests. And in `games.py` only the game builders read
 a finite space."""
 
 import ast
@@ -23,6 +24,8 @@ UNREACHED_BY_DESIGN = {
     # the indexed tree is the result extraction is for; the checks read only
     # whether it covers
     "ExtractionResult.tree",
+    # the console script calls main(); tests pass their argv
+    "main(argv)",
 }
 
 
@@ -107,9 +110,11 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     """Top-level functions, classes and constants, and the methods of
     top-level classes but for dunder methods, over modules given as
     {file name: source}, that no module names outside their own definition
-    or assignment; and the fields of top-level dataclasses, as
-    "Class.field", that no module reads as an attribute. Imports and
-    `__init__.py` (the re-exports) do not count as a use."""
+    or assignment; the fields of top-level dataclasses, as
+    "Class.field", that no module reads as an attribute; and the defaulted
+    parameters of every function and method, as "function(parameter)",
+    that no call passes (`unpassed_defaults`). Imports and `__init__.py`
+    (the re-exports) do not count as a use."""
     trees = {name: ast.parse(src) for name, src in sources.items() if name != "__init__.py"}
     defined, named = set(), set()
     fields, read = set(), set()  # (class, field) of each dataclass; attributes read
@@ -146,7 +151,50 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
             if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
                 read.add(sub.attr)
     unread = {f"{cls}.{name}" for cls, name in fields if name not in read}
-    return sorted(defined - named | unread)
+    return sorted(defined - named | unread | unpassed_defaults(trees.values()))
+
+
+def unpassed_defaults(trees) -> set[str]:
+    """The defaulted parameters, as "function(parameter)", that no call by
+    the function's name passes, by position or by keyword. A method's
+    positions do not count `self`, and a class's `__init__` is called by
+    the class's name. A starred argument passes every position, and a `**`
+    argument every keyword."""
+    params = []  # (name it is called by, parameter, position in a call or None)
+    for tree in trees:
+        methods = set()
+        for cls in ast.walk(tree):
+            for fn in cls.body if isinstance(cls, ast.ClassDef) else ():
+                if isinstance(fn, ast.FunctionDef):
+                    methods.add(fn)
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                    params += _defaults(fn, cls.name if fn.name == "__init__" else fn.name, 0 if static else 1)
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn not in methods:
+                params += _defaults(fn, fn.name, 0)
+    passed = set()  # (name called, position or keyword), "*" for a starred argument
+    for tree in trees:
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                passed |= {(name, "*" if isinstance(a, ast.Starred) else pos) for pos, a in enumerate(call.args)}
+                passed |= {(name, kw.arg or "**") for kw in call.keywords}
+    return {
+        f"{name}({arg})"
+        for name, arg, pos in params
+        if not {(name, arg), (name, "**"), (name, pos), (name, "*")} & passed
+    }
+
+
+def _defaults(fn: ast.FunctionDef, name: str, skip: int) -> list:
+    """(name, parameter, position in a call) of each defaulted parameter of
+    fn, the position None for a keyword-only one; `skip` leading
+    parameters are not passed in a call."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    out = [(name, a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+    out += [(name, a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return out
 
 
 def test_every_definition_is_reached():
@@ -185,6 +233,19 @@ def test_every_definition_is_reached():
         ({"a.py": "@dataclass(frozen=True)\nclass C:\n    x: int\n", "b.py": "from .a import C\nC(1).x\n"}, []),
         # the annotations of a plain class are not fields
         ({"a.py": "class C:\n    x: int\n", "b.py": "from .a import C\nC()\n"}, []),
+        # a defaulted parameter counts as used only where a call passes it
+        ({"a.py": "def f(x, y=1):\n    pass\nf(1)\n"}, ["f(y)"]),
+        ({"a.py": "def f(x, y=1):\n    pass\n", "b.py": "from .a import f\nf(1, 2)\n"}, []),
+        ({"a.py": "def f(x, *, y=1, z=2):\n    pass\nf(1, y=3)\n"}, ["f(z)"]),
+        ({"a.py": "def f(x=1, y=2):\n    pass\nf(*[1])\nf(**{})\n"}, []),
+        (
+            {"a.py": "class C:\n    def __init__(self, x=1):\n        pass\n    def m(self, y=1):\n        pass\n",
+             "b.py": "from .a import C\nC(2).m()\n"},
+            ["m(y)"],
+        ),
+        ({"a.py": "class C:\n    def m(self, y=1):\n        pass\nC().m(2)\n"}, []),
+        # nested functions count, and calls in __init__.py do not
+        ({"a.py": "def f():\n    def g(v=0):\n        pass\n    g()\nf()\n", "__init__.py": "g(1)\n"}, ["g(v)"]),
     ],
 )
 def test_definition_scanner(sources, unreferenced):

@@ -2,7 +2,15 @@ import hashlib
 
 import pytest
 
-from oracles import discrete_space, history_to_json, history_view, per_round_table, reference_extract, unfold
+from oracles import (
+    block_picks,
+    discrete_space,
+    history_to_json,
+    history_view,
+    per_round_table,
+    reference_extract,
+    unfold,
+)
 from topogame.errors import EmptySpace, IllegalMove, IllegalSourceStrategy
 from topogame.games import (
     ALICE,
@@ -150,8 +158,16 @@ class TestB3Markov:
 
     def test_discrete4_needs_exactly_four(self):
         d4 = discrete_space(4)
-        assert not verify_winning(make_mildly_rothberger(d4, 3), b3_markov_strategy(d4, 3))
-        assert verify_winning(make_mildly_rothberger(d4, 4), b3_markov_strategy(d4, 4))
+        short = make_mildly_rothberger(d4, 3)
+        assert not verify_winning(short, per_round_table(short, BOB, block_picks(d4, short)))
+        assert verify_winning(make_mildly_rothberger(d4, 4), b3_markov_strategy(d4))
+
+    def test_is_the_block_picks_walked(self, corpus3, corpus4):
+        # the tests build the block strategy at any horizon from
+        # `oracles.block_picks`; at #blocks it is the package's
+        for _, sp in corpus3 + corpus4:
+            game = make_mildly_rothberger(sp, len(quasi_components(sp).blocks))
+            assert b3_markov_strategy(sp) == per_round_table(game, BOB, block_picks(sp, game))
 
     def test_empty_space(self):
         with pytest.raises(EmptySpace):
@@ -221,7 +237,7 @@ class TestExtraction:
         d2 = discrete_space(2)
         game = make_quasi_component_clopen(d2, 2)
         first = tuple(menu[0] for menu in game.menus.menus)
-        phi = walk_positions(game, BOB, lambda covered, rnd: first)
+        phi = walk_positions(game, BOB, lambda covered, left: first)
         seqs = {i: [b] for i, b in enumerate(quasi_components(d2).blocks)}
         with pytest.raises(ValueError, match=r"^extract_qs_tree reads an Alice strategy, not bob's$"):
             extract_qs_tree(d2, phi, seqs, 2)
