@@ -108,8 +108,9 @@ def _minimal_transversals(pool: list, full: int) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def _reduced_covers_cached(space: FiniteSpace, kind: str) -> tuple[Cover, ...]:
     found = _minimal_transversals(sorted(_kind_sets(space, kind)), space.full)
-    found.sort(key=lambda c: (len(c), c))
-    return tuple(Cover(members=c) for c in found)
+    found.sort()
+    found.sort(key=len)  # stable: by size, then lexicographically
+    return tuple(map(Cover, found))
 
 
 def reduced_covers(space: FiniteSpace, kind: str) -> list[Cover]:

@@ -55,8 +55,9 @@ or Bob's pick from each menu), or None when the class has no win:
   Predetermined Alice: a knowledge-set search. She commits to a menu per
     round, so the masks Bob can reach are tracked as a set: an int bitset
     over covered masks, cut to the antichain of the masks best for Bob.
-  Markov Bob, cover target: closed form. He wins at horizon k iff the
-    points split into at most k groups, each inside a member of every menu.
+  Markov Bob, cover target: closed form, found once per family. He wins
+    at horizon k iff the points split into at most k groups, each inside a
+    member of every menu.
   Markov Bob, negated target: the same knowledge-set search over choice
     vectors (one member per menu), with each menu first cut to its
     subset-minimal members.
@@ -164,55 +165,30 @@ class Transcript:
 
 def make_rothberger(space: FiniteSpace, horizon: int) -> GameSpec:
     """Alice plays open covers, Bob selects members, Bob wins iff they cover."""
-    return GameSpec(
-        full=space.full,
-        menus=cover_menu_family(space, "open"),
-        negated=False,
-        horizon=horizon,
-    )
+    return GameSpec(space.full, cover_menu_family(space, "open"), False, horizon)
 
 
 def make_mildly_rothberger(space: FiniteSpace, horizon: int) -> GameSpec:
     """Clopen-cover variant of the Rothberger game."""
-    return GameSpec(
-        full=space.full,
-        menus=cover_menu_family(space, "clopen"),
-        negated=False,
-        horizon=horizon,
-    )
+    return GameSpec(space.full, cover_menu_family(space, "clopen"), False, horizon)
 
 
 def make_point_open(space: FiniteSpace, horizon: int) -> GameSpec:
     """Alice names points, Bob answers open neighborhoods; Alice wins iff
     the answers cover."""
-    return GameSpec(
-        full=space.full,
-        menus=point_base_family(space, "open"),
-        negated=True,
-        horizon=horizon,
-    )
+    return GameSpec(space.full, point_base_family(space, "open"), True, horizon)
 
 
 def make_point_clopen(space: FiniteSpace, horizon: int) -> GameSpec:
     """Alice names points, Bob answers clopen neighborhoods; Alice wins iff
     the answers cover."""
-    return GameSpec(
-        full=space.full,
-        menus=point_base_family(space, "clopen"),
-        negated=True,
-        horizon=horizon,
-    )
+    return GameSpec(space.full, point_base_family(space, "clopen"), True, horizon)
 
 
 def make_quasi_component_clopen(space: FiniteSpace, horizon: int) -> GameSpec:
     """Alice names quasi-components, Bob answers clopen supersets; Alice
     wins iff the answers cover."""
-    return GameSpec(
-        full=space.full,
-        menus=quasi_component_family(space),
-        negated=True,
-        horizon=horizon,
-    )
+    return GameSpec(space.full, quasi_component_family(space), True, horizon)
 
 
 GAME_BUILDERS: dict[str, Callable[[FiniteSpace, int], GameSpec]] = {
@@ -296,7 +272,7 @@ def solve(game: GameSpec, want_witness: bool = True) -> Verdict:
     before = len(solver.memo)
     winner = solver.value(0, game.horizon)
     witness = _extract_witness(game, solver, winner) if want_witness else None
-    return Verdict(winner=winner, witness=witness, horizon=game.horizon, stats=len(solver.memo) - before)
+    return Verdict(winner, witness, game.horizon, len(solver.memo) - before)
 
 
 def winners(game: GameSpec) -> list[str]:
@@ -333,24 +309,36 @@ def _subsets(width: int) -> tuple:
 def _dominant_menus(menus: tuple, negated: bool) -> tuple:
     """The menus a winner-only solve needs, in menu order.
 
-    Each menu keeps the members no other member beats for Bob: the maximal
-    ones, or the minimal ones when negated. A menu is then dropped when a
-    kept menu beats it for Alice, that is, when every member of the kept
-    menu lies inside (contains, when negated) a member of this one; of
-    equal menus the first is kept.
+    A menu is dropped when another beats it strictly for Alice: when the
+    down-closure of its members (of their complements, when negated)
+    strictly contains the other's. Of menus with equal down-closures the
+    first is kept. A kept menu keeps the members no other member beats for
+    Bob: the maximal ones, or the minimal ones when negated.
+
+    One scan runs from the last menu to the first, since in cover order
+    the finer covers, which beat the rest, come last. It tests each menu's
+    down-closure (one `_subsets` lookup per member) against the menus kept
+    so far, and an earlier menu equal to a kept one replaces it. Only the
+    menus kept at the end have their top members found.
     """
     width = max(map(max, menus), default=0).bit_length()
     # complements reverse inclusion, so a negated target is a cover target
     # on the complemented members
     flip = (1 << width) - 1 if negated else 0
-    kept: list = []  # (members kept, their bitset over masks, its down-closure)
-    for top, bits, reach in _menu_tops(menus, flip, _subsets(width)):
-        if any(not k_bits & ~reach for _, k_bits, _ in kept):
-            continue  # an earlier kept menu is at least as good for Alice
-        # drop the kept menus this one beats (none of them equals it)
-        kept = [k for k in kept if bits & ~k[2]]
-        kept.append((top, bits, reach))
-    return tuple(top for top, _, _ in kept)
+    below = _subsets(width)
+    kept: list = []  # (down-closure, menu), latest menu first
+    for menu in reversed(menus):
+        reach = 0
+        for b in menu:
+            reach |= below[b ^ flip]
+        for k, _ in kept:
+            if not k & ~reach and k != reach:
+                break  # a kept menu strictly beats this one for Alice
+        else:
+            # drop the kept menus this one beats or equals
+            kept = [(k, m) for k, m in kept if reach & ~k]
+            kept.append((reach, menu))
+    return tuple(top for top, _, _ in _menu_tops([menu for _, menu in reversed(kept)], flip, below))
 
 
 def _menu_tops(menus: tuple, flip: int, below: tuple) -> list:
@@ -405,7 +393,7 @@ def walk_positions(game: GameSpec, player: str, choose: Callable) -> Strategy:
                 for b in menus[move] if alice else move:
                     nxt[covered | b] = None
         masks = nxt
-    return Strategy(player=player, table=table)
+    return Strategy(player, table)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +532,19 @@ def _minimal_members(menus: tuple) -> tuple:
 
 
 def _markov_bob_cover(game: GameSpec) -> Optional[list]:
-    """Markov Bob for a cover target, in closed form.
+    """Markov Bob for a cover target, in closed form (`_good_split`)."""
+    menus = game.menus.menus
+    groups = _good_split(menus, game.full)
+    if groups is None or len(groups) > game.horizon:
+        return None
+    # round i picks, from each menu, its first member containing G_i
+    groups += (0,) * (game.horizon - len(groups))
+    return [tuple(next(b for b in menu if b & g == g) for menu in menus) for g in groups]
+
+
+@lru_cache(maxsize=None)
+def _good_split(menus: tuple, full: int) -> Optional[tuple]:
+    """The fewest good groups G_i that partition `full`, or None.
 
     Against a table b, Alice keeps a point x uncovered iff in every round
     some menu's pick misses x. So Bob wins iff the groups G_i = the
@@ -553,8 +553,6 @@ def _markov_bob_cover(game: GameSpec) -> Optional[list]:
     cover the space give a table. Good sets are closed under subsets, so
     Bob wins at horizon k iff the points split into at most k good groups.
     """
-    menus = game.menus.menus
-    full = game.full
     # bitsets over masks: bit g of below[b] is set iff g is a subset of b,
     # and bit g of good iff every menu has a member containing g
     below = _subsets(full.bit_length())
@@ -586,12 +584,7 @@ def _markov_bob_cover(game: GameSpec) -> Optional[list]:
             memo[mask] = best
         return memo[mask]
 
-    groups = split(full)
-    if groups is None or len(groups) > game.horizon:
-        return None
-    # round i picks, from each menu, its first member containing G_i
-    groups += (0,) * (game.horizon - len(groups))
-    return [tuple(next(b for b in menu if b & g == g) for menu in menus) for g in groups]
+    return split(full)
 
 
 # ---------------------------------------------------------------------------

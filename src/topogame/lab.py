@@ -138,11 +138,7 @@ def _translate(direction: str, s: Strategy, pc: GameSpec, qc: GameSpec, part: Pa
     input_winning = verify_winning(src_game, s)
     output_winning = verify_winning(tgt_game, out)
     return TranslationReport(
-        direction=direction,
-        output=out,
-        input_winning=input_winning,
-        output_winning=output_winning,
-        preserved=output_winning if input_winning else True,
+        direction, out, input_winning, output_winning, output_winning if input_winning else True
     )
 
 

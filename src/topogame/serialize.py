@@ -26,6 +26,7 @@ tested with `type(x) is int`.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Any
 
 from .errors import FormatError
@@ -68,7 +69,7 @@ def load_space(path: str) -> FiniteSpace:
 def strategy_to_json(s: Strategy) -> dict:
     """A positional strategy as a strategy file."""
     table = s.table
-    contexts = sorted(table, key=lambda ctx: (-ctx[1], ctx[0]))
+    contexts = sorted(sorted(table), key=itemgetter(1), reverse=True)
     masks = {covered for covered, _ in contexts}
     if s.player == ALICE:
         pts = {m: points_of(m) for m in masks}

@@ -59,22 +59,25 @@ class FiniteSpace:
 
     n: int
     opens: tuple[int, ...]
-    # the mask of all points, set once per space: solvers and verifiers
-    # read it per node. It takes no part in equality, hashing or repr.
+    # set once per space, and no part of equality or repr: the mask of all
+    # points, which solvers and verifiers read per node, and the hash of
+    # (n, opens), which every per-space cache lookup reads
     full: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "full", full_mask(self.n))
+        object.__setattr__(self, "_hash", hash((self.n, self.opens)))
+
+    def __hash__(self):
+        return self._hash
 
     def is_open(self, mask: int) -> bool:
-        return mask in self._open_set()
+        return mask in _open_lookup(self)
 
     def is_clopen(self, mask: int) -> bool:
-        opens = self._open_set()
+        opens = _open_lookup(self)
         return mask in opens and (self.full & ~mask) in opens
-
-    def _open_set(self) -> frozenset[int]:
-        return _open_lookup(self)
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,9 @@ game tree, memoized on (covered mask, round), where `verify_winning`
 walks a frontier round by round. `reference_least_move` finds the
 winner's least winning move at a position by its own recursion over the
 children, to check the moves the solver stores.
+`reference_dominant_menus` is the dominant-menu cut by its definition,
+comparing every pair of menus as sets of points, where
+`_dominant_menus` scans bitset down-closures once from the last menu.
 Every strategy of the package is a positional table; the tests keep a
 full-history table (`HistoryTable`) as the old form of every witness.
 `unfold` builds one over every line of play, up to HISTORY_CAP entries,
@@ -535,6 +538,34 @@ def selection_principle(game: GameSpec) -> bool:
         any(game.bob_wins(_union(picks)) for picks in itertools.product(*(menus[mi] for mi in seq)))
         for seq in itertools.product(range(len(menus)), repeat=game.horizon)
     )
+
+
+def reference_dominant_menus(menus: tuple, negated: bool) -> tuple:
+    """The dominant-menu cut by its definition, over point sets.
+
+    Member a is no better for Bob than member b when a is a subset of b (a
+    superset, when negated). Menu A is at least as good for Alice as menu
+    B when each member of A is no better for Bob than some member of B.
+    Menu i is kept iff no menu is strictly better for Alice and no earlier
+    menu is equally good; a kept menu keeps the members that no other
+    member of it is strictly better than, in menu order. Quadratic in the
+    menus, with no bitsets."""
+    sets = [[frozenset(points_of(b)) for b in menu] for menu in menus]
+
+    def no_better(a: frozenset, b: frozenset) -> bool:
+        return a >= b if negated else a <= b
+
+    def at_least(i: int, j: int) -> bool:
+        return all(any(no_better(a, b) for b in sets[j]) for a in sets[i])
+
+    out = []
+    for i, menu in enumerate(menus):
+        if any(at_least(j, i) and (j < i or not at_least(i, j)) for j in range(len(menus)) if j != i):
+            continue
+        out.append(tuple(
+            b for b, a in zip(menu, sets[i]) if not any(a != c and no_better(a, c) for c in sets[i])
+        ))
+    return tuple(out)
 
 
 def _antichain(masks, keep_max: bool) -> list:

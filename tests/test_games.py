@@ -22,6 +22,7 @@ from oracles import (
     playout,
     random_alexandrov,
     reference_committed_search,
+    reference_dominant_menus,
     reference_least_move,
     reference_move,
     reference_verify,
@@ -466,6 +467,61 @@ class TestDominantMenus:
             assert _dominant_menus(make_quasi_component_clopen(sp, 1).menus.menus, True) == tuple(
                 (b,) for b in blocks
             ), name
+
+    @staticmethod
+    def _against_reference(families) -> int:
+        for menus, negated in families:
+            assert _dominant_menus.__wrapped__(menus, negated) == reference_dominant_menus(menus, negated), (
+                menus,
+                negated,
+            )
+        return len(families)
+
+    def test_matches_reference_n4(self, corpus3, corpus4):
+        families = [
+            (game.menus.menus, game.negated)
+            for _, sp in corpus3 + corpus4
+            for game in (make(sp, 1) for make in ALL_GAMES)
+        ]
+        assert self._against_reference(families) == 389 * 5
+
+    def test_matches_reference_random5(self):
+        families = [
+            (game.menus.menus, game.negated)
+            for sp in _distinct_random5(60)
+            for game in (make(sp, 1) for make in ALL_GAMES)
+        ]
+        assert self._against_reference(families) == 60 * 5
+
+    def test_matches_reference_abstract(self):
+        # families on 3-5 points with a repeated menu, and for each target a
+        # menu with another's down-closure but one member more, each put
+        # anywhere in menu order. Equal menus cut to equal members, so the
+        # tie rule shows only in the order of the menus kept: `ties` counts
+        # the families where keeping the last of equal menus would differ.
+        rng = random.Random(2323)
+        families = []
+        ties = 0
+        for _ in range(200):
+            full = (1 << rng.randint(3, 5)) - 1
+            menus = [
+                tuple(sorted(rng.sample(range(1, full + 1), rng.randint(1, 4))))
+                for _ in range(rng.randint(1, 5))
+            ]
+            src = rng.choice(menus)
+            b = rng.choice(src)
+            below = [g for g in range(1, b) if g | b == b and g not in src]
+            above = [g for g in range(b + 1, full + 1) if g | b == g and g not in src]
+            extra = [src] + [tuple(sorted(src + (rng.choice(more),))) for more in (below, above) if more]
+            for menu in extra:
+                menus.insert(rng.randrange(len(menus) + 1), menu)
+            menus = tuple(menus)
+            for negated in (False, True):
+                families.append((menus, negated))
+                last = reference_dominant_menus(menus[::-1], negated)[::-1]
+                ties += reference_dominant_menus(menus, negated) != last
+        assert self._against_reference(families) == 400
+        assert ties >= 60
 
     def test_keeps_first_of_equal_menus(self):
         menus = ((0b011, 0b100), (0b001, 0b110), (0b011, 0b100))

@@ -1,3 +1,6 @@
+import json
+import random
+
 import pytest
 
 from oracles import (
@@ -7,6 +10,7 @@ from oracles import (
     topologies_via_preorders,
     zero_dimensional_by_definition,
 )
+from topogame.covers import cover_menu_family, point_base_family
 from topogame.errors import (
     CapExceeded,
     EmptySpace,
@@ -15,7 +19,9 @@ from topogame.errors import (
     NotClosedUnderUnion,
     PointOutOfRange,
 )
+from topogame.serialize import space_from_json, space_to_json
 from topogame.topology import (
+    FiniteSpace,
     clopen_algebra,
     components,
     enumerate_topologies,
@@ -60,6 +66,48 @@ class TestValidateTopology:
     def test_empty_space_valid(self):
         sp = validate_topology([0], 0)
         assert sp.n == 0 and sp.opens == (0,)
+
+
+class TestStoredHash:
+    """A space's hash is computed once, when it is built, as hash((n, opens));
+    equal spaces built any way share every per-space cache entry."""
+
+    def test_equal_spaces_hash_and_cache_alike(self):
+        rng = random.Random(5)
+        checked = 0
+        for n in range(5):
+            for a in enumerate_topologies(n):
+                shuffled = list(a.opens)
+                rng.shuffle(shuffled)
+                b = validate_topology(shuffled, n)
+                c = space_from_json(json.loads(json.dumps(space_to_json(a))))
+                for s in (a, b, c):
+                    assert s == a and hash(s) == hash((n, a.opens))
+                    assert repr(s) == f"FiniteSpace(n={n}, opens={a.opens!r})"
+                assert b is not a and c is not a
+                assert clopen_algebra(a) is clopen_algebra(b) is clopen_algebra(c)
+                assert cover_menu_family(a, "open") is cover_menu_family(b, "open") is cover_menu_family(c, "open")
+                if n:
+                    assert point_base_family(a, "clopen") is point_base_family(c, "clopen")
+                checked += 1
+        assert checked == 1 + 1 + 4 + 29 + 355
+
+    def test_is_computed_once(self):
+        hashed = []
+
+        class Opens(tuple):
+            def __hash__(self):
+                hashed.append(self)
+                return tuple.__hash__(self)
+
+        sp = FiniteSpace(2, Opens((0, 1, 3)))
+        for _ in range(3):
+            assert hash(sp) == hash((2, (0, 1, 3)))
+            clopen_algebra(sp)
+        assert len(hashed) == 1
+
+    def test_repr_leaves_out_derived_fields(self):
+        assert repr(validate_topology([0, 0b01, 0b11], 2)) == "FiniteSpace(n=2, opens=(0, 1, 3))"
 
 
 class TestMinimalNbhd:
