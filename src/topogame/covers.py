@@ -8,8 +8,17 @@ x}, x a point. `_minimal_transversals` enumerates them over any pool and
 ground mask by MMCS (Murakami & Uno, Discrete Appl. Math. 2014): branch
 on the holders of the uncovered point with the fewest candidate holders,
 drop each holder from the candidates once its branch is done (so each
-cover is found once), and prune as soon as a chosen member has no private
-point left. Covers and menu families, both immutable, are cached per space.
+cover is found once), prune as soon as a chosen member has no private
+point left, and record a cover at the member that completes it.
+
+The open covers are searched over the opens. A clopen set is a union of
+quasi-component blocks, so the clopen covers of a space with b blocks are
+the covers of the discrete b-point space, searched once per b
+(`_block_covers`), with each member mapped to its union of blocks.
+
+Covers and menu families are cached per space and never change once
+built, apart from a family's cache of its dominant cut per target, which
+the winner-only solves fill in (`games._cut_solver`).
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import CapExceeded, EmptySpace
-from .topology import FiniteSpace, clopen_algebra, points_of, quasi_components
+from .topology import FiniteSpace, clopen_algebra, quasi_components
 
 DEFAULT_CAP = 10**6
 
@@ -37,9 +46,12 @@ class MenuFamily:
     """Alice's legal moves: each round she picks any one menu of the family."""
 
     menus: tuple[Menu, ...]
-    # the union of every member, set once per family: a game checks it
-    # against its ground mask. It takes no part in equality, hashing or repr.
+    # set once per family, and no part of equality, hashing or repr: the
+    # union of every member, which a game checks against its ground mask,
+    # and the family's dominant cut per target (negated or not), which the
+    # winner-only solves fill in and read (`games._cut_solver`)
     union: int = field(init=False, repr=False, compare=False)
+    cuts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not all(self.menus):
@@ -51,6 +63,7 @@ class MenuFamily:
             for b in menu:
                 union |= b
         object.__setattr__(self, "union", union)
+        object.__setattr__(self, "cuts", {})
 
 
 def _kind_sets(space: FiniteSpace, kind: str) -> list[int]:
@@ -67,29 +80,33 @@ def _minimal_transversals(pool: list, full: int) -> list[tuple[int, ...]]:
     """Each minimal subfamily of `pool` (distinct nonzero masks) whose
     union is `full`, as its sorted member tuple, by MMCS; CapExceeded past
     DEFAULT_CAP of them."""
-    points = points_of(full)
+    if not full:
+        return [()]
     holders = [0] * full.bit_length()  # holders[x]: bitset of the pool indices whose member holds x
     for i, m in enumerate(pool):
-        for x in points:
-            if m >> x & 1:
-                holders[x] |= 1 << i
+        rest = m & full
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            holders[low.bit_length() - 1] |= 1 << i
     found: list[tuple[int, ...]] = []
     cap = DEFAULT_CAP
 
     def grow(chosen: list, private: list, covered: int, cand: int) -> None:
         # private[j]: the points chosen[j] alone covers; cand: pool indices
-        # still allowed below this node
-        if covered == full:
-            found.append(tuple(sorted(chosen)))
-            if len(found) > cap:
-                raise CapExceeded(f"more than {cap} irredundant covers")
-            return
-        branch = None
-        for x in points:
-            if not covered >> x & 1:
-                here = holders[x] & cand
-                if branch is None or here.bit_count() < branch.bit_count():
-                    branch = here
+        # still allowed below this node. Branch on the uncovered point with
+        # the fewest candidate holders, the least such point on a tie.
+        rest = full & ~covered
+        branch, least = 0, len(pool) + 1
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            here = holders[low.bit_length() - 1] & cand
+            if not here:
+                return  # a point no candidate can cover
+            count = here.bit_count()
+            if count < least:
+                branch, least = here, count
         while branch:
             low = branch & -branch
             branch ^= low
@@ -97,9 +114,16 @@ def _minimal_transversals(pool: list, full: int) -> list[tuple[int, ...]]:
             # branches must not: each cover is generated exactly once
             cand ^= low
             m = pool[low.bit_length() - 1]
-            left = [p & ~m for p in private]
-            if all(left):
-                grow(chosen + [m], left + [m & ~covered], covered | m, cand)
+            for p in private:
+                if not p & ~m:
+                    break  # m would take the last private point of p's member
+            else:
+                if covered | m == full:
+                    found.append(tuple(sorted(chosen + [m])))
+                    if len(found) > cap:
+                        raise CapExceeded(f"more than {cap} irredundant covers")
+                else:
+                    grow(chosen + [m], [p & ~m for p in private] + [m & ~covered], covered | m, cand)
 
     grow([], [], 0, (1 << len(pool)) - 1)
     return found
@@ -107,10 +131,25 @@ def _minimal_transversals(pool: list, full: int) -> list[tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _reduced_covers_cached(space: FiniteSpace, kind: str) -> tuple[Cover, ...]:
-    found = _minimal_transversals(sorted(_kind_sets(space, kind)), space.full)
+    if kind == "clopen" and space.n:
+        # a clopen set is a union of quasi-component blocks, so the clopen
+        # covers are those of the discrete space on the blocks
+        blocks = quasi_components(space).blocks
+        unions = [0]
+        for block in blocks:
+            unions += [u | block for u in unions]  # unions[s]: the blocks in bitset s
+        found = [tuple(sorted(map(unions.__getitem__, c))) for c in _block_covers(len(blocks))]
+    else:
+        found = _minimal_transversals(sorted(_kind_sets(space, kind)), space.full)
     found.sort()
     found.sort(key=len)  # stable: by size, then lexicographically
     return tuple(map(Cover, found))
+
+
+@lru_cache(maxsize=None)
+def _block_covers(b: int) -> tuple[tuple[int, ...], ...]:
+    """The irredundant covers of the discrete space on b points."""
+    return tuple(_minimal_transversals(list(range(1, 1 << b)), (1 << b) - 1))
 
 
 def reduced_covers(space: FiniteSpace, kind: str) -> list[Cover]:

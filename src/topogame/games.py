@@ -24,10 +24,10 @@ partition, and each point menu to its least member. Witnesses, `play`,
 the restricted searches and `verify_winning` move in the full family, so
 move indices and witness tables are those of the full family. The
 winner-only solves and `play`'s child values share one solver per
-dominant menus, full mask and target (`_cut_solver`), so every horizon,
-caller and space with the same cut family reads one memo; the
-point-clopen and quasi-component games of a finite space cut to the same
-menus.
+dominant menus, full mask and target (`_cut_solver`, which keeps each
+target's cut on the menu family), so every horizon, caller and space
+with the same cut family reads one memo; the point-clopen and
+quasi-component games of a finite space cut to the same menus.
 
 A witness is positional: the winner's least optimal move at each
 (covered mask, rounds left) the winner's play can reach against every
@@ -284,8 +284,18 @@ def winners(game: GameSpec) -> list[str]:
 
 def _cut_solver(game: GameSpec) -> Solver:
     """The solver that every winner-only solve of the game's dominant menus,
-    full mask and target shares, whatever its horizon or caller."""
-    return _winner_solver(_dominant_menus(game.menus.menus, game.negated), game.full, game.negated)
+    full mask and target shares, whatever its horizon or caller.
+
+    The cut is kept on the menu family, one per target, so a family's menus
+    are cut, and hashed for the `_dominant_menus` cache, only once. Only
+    the cut is kept there, so `_winner_solver.cache_clear()` still gives a
+    cold solver."""
+    negated = game.negated
+    cuts = game.menus.cuts
+    cut = cuts.get(negated)
+    if cut is None:
+        cut = cuts[negated] = _dominant_menus(game.menus.menus, negated)
+    return _winner_solver(cut, game.full, negated)
 
 
 @lru_cache(maxsize=None)

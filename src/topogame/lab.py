@@ -114,7 +114,7 @@ def _translate(direction: str, s: Strategy, pc: GameSpec, qc: GameSpec, part: Pa
     game's map names.
     """
     into_qc = part.index_of
-    into_pc = [points_of(block)[0] for block in part.blocks].__getitem__
+    into_pc = [(block & -block).bit_length() - 1 for block in part.blocks].__getitem__
     if direction.endswith("pc-to-qc"):
         src_game, into_src, tgt_game, into_tgt = pc, into_pc, qc, into_qc
     else:

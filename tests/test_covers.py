@@ -17,9 +17,12 @@ from oracles import (
     random_alexandrov,
 )
 from topogame.covers import (
+    Cover,
     MenuFamily,
+    _block_covers,
     _minimal_transversals,
     _reduced_covers_cached,
+    cover_menu_family,
     point_base_family,
     quasi_component_family,
     reduced_covers,
@@ -60,6 +63,45 @@ class TestReducedCovers:
                         acc |= m
                     assert acc == sp.full
                     assert len(set(cover.members)) == len(cover.members)
+
+    def test_clopen_covers_are_the_all_clopen_open_covers(self, corpus3, corpus4):
+        # the clopen covers come from the quasi-component blocks, the open
+        # ones from the opens; a subfamily of a clopen family is clopen, so
+        # both searches must agree on the covers all of whose members are
+        # clopen, in order
+        spaces = [sp for _, sp in corpus3 + corpus4] + [discrete_space(5)]
+        spaces += [random_alexandrov(random.Random(seed), 5) for seed in range(24)]
+        for sp in spaces:
+            opens = reduced_covers(sp, "open")
+            assert reduced_covers(sp, "clopen") == [
+                c for c in opens if all(map(sp.is_clopen, c.members))
+            ], sp
+
+    def test_empty_space(self):
+        sp = validate_topology([0], 0)
+        for kind in ("open", "clopen"):
+            assert reduced_covers(sp, kind) == [Cover(())]
+            assert cover_menu_family(sp, kind).menus == ()
+
+    @pytest.mark.parametrize("kind", ["open", "clopen"])
+    def test_cap_boundary(self, monkeypatch, kind):
+        # discrete-3 has 8 irredundant covers of either kind; the clopen ones
+        # come from the per-block-count search, whose cache is cleared too
+        def clear():
+            _reduced_covers_cached.cache_clear()
+            _block_covers.cache_clear()
+
+        sp = discrete_space(3)
+        try:
+            clear()
+            monkeypatch.setattr("topogame.covers.DEFAULT_CAP", 8)
+            assert len(reduced_covers(sp, kind)) == 8
+            clear()
+            monkeypatch.setattr("topogame.covers.DEFAULT_CAP", 7)
+            with pytest.raises(CapExceeded, match="^more than 7 irredundant covers$"):
+                reduced_covers(sp, kind)
+        finally:
+            clear()
 
     def test_cap(self, monkeypatch):
         _reduced_covers_cached.cache_clear()

@@ -523,6 +523,29 @@ class TestDominantMenus:
         assert self._against_reference(families) == 400
         assert ties >= 60
 
+    def test_the_cut_is_kept_on_its_family(self, fresh_caches):
+        # one abstract family under both targets: each target's cut is stored
+        # once, on the family, and the solver is not
+        fam = MenuFamily(menus=(
+            (0b011, 0b100), (0b001, 0b110), (0b011, 0b100), (0b001, 0b011, 0b111), (0b010, 0b101),
+        ))
+        assert fam.cuts == {}
+        for negated in (False, True):
+            game = GameSpec(0b111, fam, negated, 2)
+            solver = _cut_solver(game)
+            cut = fam.cuts[negated]
+            assert cut == reference_dominant_menus(fam.menus, negated)
+            assert solver.menus is cut
+            assert _cut_solver(game) is solver
+            solve(game, want_witness=False)
+            assert solver.memo
+            _winner_solver.cache_clear()
+            fresh = _cut_solver(game)
+            assert fresh is not solver and fresh.memo == {}
+            assert fam.cuts[negated] is cut
+        assert fam.cuts[False] != fam.cuts[True]
+        assert fam.cuts[True] != fam.menus
+
     def test_keeps_first_of_equal_menus(self):
         menus = ((0b011, 0b100), (0b001, 0b110), (0b011, 0b100))
         assert _dominant_menus(menus, False) == ((0b011, 0b100), (0b001, 0b110))
