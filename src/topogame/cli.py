@@ -2,8 +2,10 @@
 
 Subcommands: analyze, solve, check, play, translate. Space arguments take
 either a JSON file path or an enumerator spec "enum:n=3:i=7" (the space of
-index 7 among the labeled topologies on 3 points). `check` runs over every
-space with 1 <= n <= --nmax.
+index 7 among the labeled topologies on 3 points), n and i once each.
+`check` writes the rows of a `lab.SUITES` suite (`lab.suite_rows`), or of
+all in turn, over every space with 1 <= n <= --nmax: one JSON line each,
+flushed as its space finishes.
 
 Exit codes: 0 success / all checks pass, 1 check failures, 2 usage or
 format errors, 3 cap exceeded.
@@ -58,30 +60,22 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_EOF = 130
 
-# `check all` runs the suites in this order
-_SUITE_CHECKS = {
-    "duality": lab.check_duality,
-    "zerodim": lab.check_zero_dim_equivalence,
-    "b1": lab.check_b1_translations,
-    "b3": lab.check_b3,
-    "extraction": lab.check_extraction,
-    "th314": lab.check_th314,
-    "minhorizon": lab.check_min_horizon_law,
-    "pc-qc": lab.check_pc_qc_equivalence,
-}
-SUITES = (*_SUITE_CHECKS, "all")
+SUITES = (*lab.SUITES, "all")
 
 
 def _single_space(source: str) -> FiniteSpace:
     """The space in a JSON file, or the one an enumerator spec enum:n=..:i=.. names."""
     if not source.startswith("enum:"):
         return load_space(source)
-    parts = dict(kv.split("=", 1) for kv in source[len("enum:") :].split(":") if "=" in kv)
+    bad = FormatError(f"bad enumerator spec {source!r}; expected enum:n=..:i=..")
+    parts = [part.partition("=") for part in source[len("enum:") :].split(":")]
+    spec = {key: value for key, eq, value in parts if eq}
+    if len(spec) != len(parts) or sorted(spec) != ["i", "n"]:
+        raise bad  # a part without "=", a repeated key, or a key other than n and i
     try:
-        n = int(parts["n"])
-        i = int(parts["i"])
-    except (KeyError, ValueError):
-        raise FormatError(f"bad enumerator spec {source!r}; expected enum:n=..:i=..") from None
+        n, i = int(spec["n"]), int(spec["i"])
+    except ValueError:
+        raise bad from None
     if n < 0:
         raise FormatError(f"enumerator spec {source!r} needs n >= 0")
     spaces = list(enumerate_topologies(n))
@@ -121,36 +115,16 @@ def _corpus(n_max: int) -> Iterable[tuple[str, FiniteSpace]]:
 
 
 def cmd_check(args) -> int:
-    suites = list(_SUITE_CHECKS) if args.suite == "all" else [args.suite]
+    suites = list(lab.SUITES) if args.suite == "all" else [args.suite]
     spaces = list(_corpus(args.nmax))
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     all_pass = True
     try:
         for suite in suites:
-            check = _SUITE_CHECKS[suite]
-            witnessed = False
-            for space_id, space in spaces:
-                # each row goes out as its space finishes, so a slow space shows by name
-                try:
-                    report = {"space_id": space_id, **check(space)}
-                except CapExceeded as exc:
-                    raise CapExceeded(f"check {suite} on {space_id}: {exc}") from exc
-                all_pass = all_pass and report["pass"]
-                out.write(dumps_stable(report) + "\n")
+            for row in lab.suite_rows(suite, spaces):
+                all_pass = all_pass and row["pass"]
+                out.write(dumps_stable(row) + "\n")
                 out.flush()
-                if suite == "zerodim":
-                    facts = report["facts"]
-                    witnessed = witnessed or (facts["diverged"] and not facts["zero_dimensional"])
-            if suite == "zerodim":
-                summary = {
-                    "space_id": "corpus",
-                    "check": "zerodim-witness",
-                    "horizon": args.nmax,
-                    "facts": {"divergence_witness_found": witnessed},
-                    "pass": witnessed,
-                }
-                all_pass = all_pass and witnessed
-                out.write(dumps_stable(summary) + "\n")
     finally:
         if args.out:
             out.close()

@@ -59,18 +59,19 @@ or Bob's pick from each menu), or None when the class has no win:
     at horizon k iff the points split into at most k groups, each inside a
     member of every menu.
   Markov Bob, negated target: the same knowledge-set search over choice
-    vectors (one member per menu), with each menu first cut to its
-    subset-minimal members.
+    vectors (one member per menu).
 There is one knowledge-set search per menu family, target and player
 (`_committed_search`, cached). It is memoized on (knowledge set, rounds
 left), so it answers every horizon, and every check that asks about the
-same family shares it. Before it runs, Alice's menus lose each menu that
-an earlier menu beats or equals for her, and each member that another
-member of its menu beats for Bob. That keeps her first winning move: the
-earlier menu is tried first at every knowledge set, so where it wins the
-later one is never reached, and where it loses the later one loses too.
-Her witnesses are therefore those of the full family. The dominant-menu
-cut would not keep them, since it can drop an earlier menu for a later.
+same family shares it. Before it runs, one `_menu_tops` pass cuts each
+menu to the members no other member of it beats for Bob: his choice
+vectors, capped at DEFAULT_CAP per round before anything is cached, are
+drawn from those. Alice's menus also lose each menu that an earlier menu
+beats or equals for her. That keeps her first winning move: the earlier
+menu is tried first at every knowledge set, so where it wins the later
+one is never reached, and where it loses the later one loses too. Her
+witnesses are therefore those of the full family. The dominant-menu cut
+would not keep them, since it can drop an earlier menu for a later.
 Verification is one round-by-round frontier walk that keeps one node
 per covered mask.
 """
@@ -419,9 +420,9 @@ def _committed_search(
     information. Returns a function from a horizon to the winning move of
     each round, or to None when there is no winning commitment.
 
-    Alice's moves are menu indices; Bob's are choice vectors, one minimal
-    member of every menu (`_minimal_members`). A knowledge set is the bitset
-    of the covered masks the opponent can reach, and the player wins when
+    Alice's moves are menu indices; Bob's are choice vectors, one best
+    member of every menu; more than DEFAULT_CAP of them raise CapExceeded
+    before a memo exists. A knowledge set is the bitset of the covered masks the opponent can reach, and the player wins when
     every final mask is a win for them. `wins` is memoized on (knowledge
     set, rounds left), so one search answers every horizon, and every
     caller that asks about the same menu family shares it.
@@ -439,19 +440,21 @@ def _committed_search(
     for x in range(full + 1):
         if ((x == full) != negated) != goal:
             bad |= bit[x]
+    # each menu's members that no other member of it beats for Bob: the
+    # maximal ones, or the minimal ones when negated
+    tops = _menu_tops(menus, full if negated else 0, _subsets(n))
     if alice:
-        # Drop each menu an earlier menu beats or equals for Alice, and each
-        # member another member of its menu beats for Bob. The earlier menu
-        # is tried first at every knowledge set: where it wins the later one
-        # is never reached, and where it loses the later one loses too. So
-        # the first winning move is that of the full family.
+        # drop each menu an earlier menu beats or equals for Alice; her first
+        # winning move stays that of the full family
         kept: list = []  # (menu index, members kept, their bitset)
-        for mi, (top, bits, reach) in enumerate(_menu_tops(menus, flip, _subsets(n))):
+        for mi, (top, bits, reach) in enumerate(tops):
             if all(k_bits & ~reach for _, _, k_bits in kept):
                 kept.append((mi, top, bits))
         moves = tuple((mi, top) for mi, top, _ in kept)
     else:
-        minimal = _minimal_members(menus)
+        best = [top for top, _, _ in tops]
+        if math.prod(map(len, best)) > DEFAULT_CAP:
+            raise CapExceeded(f"more than {DEFAULT_CAP} Markov choice vectors per round")
     name = "predetermined-Alice" if alice else "Markov-Bob"
     memo: dict = {}
 
@@ -467,7 +470,7 @@ def _committed_search(
             masks.append((low.bit_length() - 1) ^ flip)
             rest ^= low
         result = None
-        for move, members in moves if alice else ((v, v) for v in itertools.product(*minimal)):
+        for move, members in moves if alice else ((v, v) for v in itertools.product(*best)):
             reach = strict = 0
             for s in masks:
                 for b in members:
@@ -520,30 +523,12 @@ def markov_bob_search(game: GameSpec) -> Optional[list]:
     """Bob's winning pick from each menu, in menu order, for each round, or
     None when he has none: his move looks only at Alice's current menu and
     the round. Alice plays with full information against the committed
-    picks."""
-    if game.horizon == 0 or not game.menus.menus:
-        return [] if game.bob_wins(0) else None
-    if not game.negated:
-        return _markov_bob_cover(game)
-    vectors = math.prod(len(menu) for menu in _minimal_members(game.menus.menus))
-    if vectors > DEFAULT_CAP:
-        raise CapExceeded(f"more than {DEFAULT_CAP} Markov choice vectors per round")
-    # a round's move is a choice vector: one member of every menu
-    return _committed_search(game.menus.menus, game.full, True, BOB)(game.horizon)
-
-
-@lru_cache(maxsize=None)
-def _minimal_members(menus: tuple) -> tuple:
-    """Each menu cut to its subset-minimal members, in menu order. Bob wants
-    to avoid covering, and a smaller selection never helps Alice, so only
-    these are worth committing to."""
-    width = max(map(max, menus), default=0).bit_length()
-    return tuple(top for top, _, _ in _menu_tops(menus, (1 << width) - 1, _subsets(width)))
-
-
-def _markov_bob_cover(game: GameSpec) -> Optional[list]:
-    """Markov Bob for a cover target, in closed form (`_good_split`)."""
+    picks. A cover target is decided in closed form (`_good_split`)."""
     menus = game.menus.menus
+    if game.horizon == 0 or not menus:
+        return [] if game.bob_wins(0) else None
+    if game.negated:
+        return _committed_search(menus, game.full, True, BOB)(game.horizon)
     groups = _good_split(menus, game.full)
     if groups is None or len(groups) > game.horizon:
         return None

@@ -1,17 +1,18 @@
 """Strategy translations between the point-clopen and quasi-component-clopen
 games, the quasi-component Markov strategy for the clopen cover game, the
 indexed-tree extraction from a winning Alice strategy, and the empirical
-theorem checks run over the enumerated corpus. Every strategy is a
-positional table; the checks only ask the restricted searches whether a
-class wins, and the strategies made here from per-round moves are walked
-into tables (`walk_positions`)."""
+theorem checks run over the enumerated corpus, as the suites of `SUITES`
+(rows from `suite_rows`). Every strategy is a positional table; the
+checks only ask the restricted searches whether a class wins, and the
+strategies made here from per-round moves are walked into tables
+(`walk_positions`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
-from .errors import DepthCapExceeded, IllegalSourceStrategy
+from .errors import CapExceeded, DepthCapExceeded, IllegalSourceStrategy
 from .games import (
     ALICE,
     BOB,
@@ -477,3 +478,42 @@ def _replay_is_losing(game: GameSpec, phi: Strategy, transcript: Transcript, y: 
             return False
         union |= v
     return not union & (1 << y) and transcript.outcome == BOB
+
+
+# `check all` runs the suites in this order
+SUITES = {
+    "duality": check_duality,
+    "zerodim": check_zero_dim_equivalence,
+    "b1": check_b1_translations,
+    "b3": check_b3,
+    "extraction": check_extraction,
+    "th314": check_th314,
+    "minhorizon": check_min_horizon_law,
+    "pc-qc": check_pc_qc_equivalence,
+}
+
+
+def suite_rows(suite: str, corpus: Iterable[tuple[str, FiniteSpace]]) -> Iterator[dict]:
+    """One suite's rows over (space id, space) pairs, each as its space
+    finishes; a cap hit is raised again naming the suite and the space.
+    `zerodim` ends with the corpus row, at the largest n as its horizon:
+    whether a space that is not zero-dimensional parts open and clopen."""
+    check = SUITES[suite]
+    horizon, witnessed = 0, False
+    for space_id, space in corpus:
+        try:
+            row = {"space_id": space_id, **check(space)}
+        except CapExceeded as exc:
+            raise CapExceeded(f"check {suite} on {space_id}: {exc}") from exc
+        horizon = max(horizon, space.n)
+        facts = row["facts"]
+        witnessed |= suite == "zerodim" and facts["diverged"] and not facts["zero_dimensional"]
+        yield row
+    if suite == "zerodim":
+        yield {
+            "space_id": "corpus",
+            "check": "zerodim-witness",
+            "horizon": horizon,
+            "facts": {"divergence_witness_found": witnessed},
+            "pass": witnessed,
+        }

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from oracles import discrete_space, dump_space, restricted_to_json
-from topogame import cli
+from topogame import lab
 from topogame.cli import main
 from topogame.errors import CapExceeded
 from topogame.lab import check_b3, check_pc_qc_equivalence
@@ -91,9 +91,17 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error: ")
 
-    def test_bad_enum_spec(self, capsys):
-        code, _, err = run(capsys, "analyze", "enum:k=3")
+    # an unknown key, a part without "=", a repeated key
+    @pytest.mark.parametrize("spec", ["enum:k=3", "enum:n=3:i=2:k=9", "enum:n=3:i=2:junk", "enum:n=3:i=2:i=5"])
+    def test_bad_enum_spec(self, capsys, spec):
+        code, out, err = run(capsys, "analyze", spec)
         assert code == 2
+        assert out == "" and err.startswith(f"error: bad enumerator spec {spec!r}")
+
+    def test_enum_keys_in_either_order(self, capsys):
+        code, out, _ = run(capsys, "analyze", "enum:i=2:n=3")
+        assert code == 0
+        assert json.loads(out)["space"] == json.loads(run(capsys, "analyze", "enum:n=3:i=2")[1])["space"]
 
     def test_non_integer_enum_index(self, capsys):
         code, _, err = run(capsys, "analyze", "enum:n=3:i=x")
@@ -281,7 +289,7 @@ class TestCheck:
                 raise CapExceeded(f"verification cap {STATE_CAP} exceeded")
             return check_b3(space)
 
-        monkeypatch.setitem(cli._SUITE_CHECKS, "b3", capped)
+        monkeypatch.setitem(lab.SUITES, "b3", capped)
         code, out, err = run(capsys, "check", "b3", "--nmax", "2")
         assert code == 3
         # the row of the first space is already out

@@ -200,10 +200,15 @@ class TestRestrictedClasses:
         pairs = tuple(m for m in range(16) if bin(m).count("1") == 2)
         menus = MenuFamily(menus=(pairs,) * 8)
         assert len(pairs) ** 8 > DEFAULT_CAP
-        # the guard runs before the cached search, so on every call
-        for _ in range(2):
-            with pytest.raises(CapExceeded):
-                markov_bob_search(GameSpec(d4.full, menus, True, 1))
+        # the empty play decides horizon 0 before the search is asked
+        assert markov_bob_search(GameSpec(d4.full, menus, True, 0)) == []
+        # the search raises before anything is cached, so on every call
+        cached = _committed_search.cache_info().currsize
+        for horizon in (1, 2, 1, 2):
+            with pytest.raises(CapExceeded) as exc:
+                markov_bob_search(GameSpec(d4.full, menus, True, horizon))
+            assert str(exc.value) == f"more than {DEFAULT_CAP} Markov choice vectors per round"
+        assert _committed_search.cache_info().currsize == cached
 
 
 class TestClassGaps:

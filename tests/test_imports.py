@@ -5,7 +5,8 @@ but the dunder ones, is reached from the package itself, and every
 dataclass field is read there as an attribute, and every defaulted
 parameter is passed by some call there, so no code in `src/` exists
 only for the tests. And in `games.py` only the game builders read
-a finite space."""
+a finite space, and in `src/` only `lab.py` names a check or a row's
+facts."""
 
 import ast
 from pathlib import Path
@@ -96,6 +97,39 @@ def test_only_the_builders_read_a_space():
 )
 def test_space_reader_scanner(source, readers):
     assert space_readers(source) == readers
+
+
+def suite_names(source: str) -> list[str]:
+    """The `check_*` names a module defines, imports or reads, and the row
+    key "facts" wherever it is a string constant."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and node.value == "facts":
+            found.add("facts")
+        name = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+        if isinstance(name, str) and name.startswith("check_"):
+            found.add(name)
+    return sorted(found)
+
+
+def test_only_lab_names_the_suites():
+    # lab owns the check suites and their rows; the CLI only writes rows out
+    namers = [path.name for path in SRC if suite_names(path.read_text(encoding="utf-8"))]
+    assert namers == ["lab.py"]
+
+
+@pytest.mark.parametrize(
+    "source, names",
+    [
+        ("from .lab import check_b3\nSUITES = {'b3': check_b3}\n", ["check_b3"]),
+        ("from . import lab\ndef f(row):\n    return lab.check_th314, row['facts']\n", ["check_th314", "facts"]),
+        ("def check_x():\n    return {'facts': 1}\n", ["check_x", "facts"]),
+        # a keyword argument, a plain name and an attribute called facts are no row key
+        ("json.JSONEncoder(check_circular=False)\nfacts = row.facts\n", []),
+    ],
+)
+def test_suite_name_scanner(source, names):
+    assert suite_names(source) == names
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
