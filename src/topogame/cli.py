@@ -67,17 +67,14 @@ def _single_space(source: str) -> FiniteSpace:
     """The space in a JSON file, or the one an enumerator spec enum:n=..:i=.. names."""
     if not source.startswith("enum:"):
         return load_space(source)
-    bad = FormatError(f"bad enumerator spec {source!r}; expected enum:n=..:i=..")
     parts = [part.partition("=") for part in source[len("enum:") :].split(":")]
     spec = {key: value for key, eq, value in parts if eq}
-    if len(spec) != len(parts) or sorted(spec) != ["i", "n"]:
-        raise bad  # a part without "=", a repeated key, or a key other than n and i
-    try:
-        n, i = int(spec["n"]), int(spec["i"])
-    except ValueError:
-        raise bad from None
-    if n < 0:
-        raise FormatError(f"enumerator spec {source!r} needs n >= 0")
+    # refuse a part without "=", a repeated key, a key other than n and i,
+    # and a value other than ASCII digits (no sign, space or underscore)
+    digits = all(value.isascii() and value.isdigit() for value in spec.values())
+    if len(spec) != len(parts) or sorted(spec) != ["i", "n"] or not digits:
+        raise FormatError(f"bad enumerator spec {source!r}; expected enum:n=..:i=..")
+    n, i = int(spec["n"]), int(spec["i"])
     spaces = list(enumerate_topologies(n))
     if not 0 <= i < len(spaces):
         raise FormatError(f"index {i} out of range for n={n}")

@@ -18,7 +18,7 @@ the covers of the discrete b-point space, searched once per b
 
 Covers and menu families are cached per space and never change once
 built, apart from a family's cache of its dominant cut per target, which
-the winner-only solves fill in (`games._cut_solver`).
+every solve fills in (`games._cut_solver`).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class MenuFamily:
     # set once per family, and no part of equality, hashing or repr: the
     # union of every member, which a game checks against its ground mask,
     # and the family's dominant cut per target (negated or not), which the
-    # winner-only solves fill in and read (`games._cut_solver`)
+    # solves fill in and read (`games._cut_solver`)
     union: int = field(init=False, repr=False, compare=False)
     cuts: dict = field(init=False, repr=False, compare=False)
 

@@ -6,37 +6,34 @@ its index), Bob a member of it (his move is its bitmask). After `horizon`
 rounds Bob wins iff his selections cover `full` (fail to, when `negated`).
 
 The state of a play is the mask of points Bob's selections have covered.
-The main solver does backward induction on (covered mask, rounds left). A
+The solver does backward induction on (covered mask, rounds left). A
 position's value does not depend on the horizon, so one solver answers
 every horizon of a game (`winners`).
 
-A solve that reports only the winner (`winners`, and `solve` without a
-witness) searches the dominant menus (`_dominant_menus`). Bob's goal is
-monotone in the covered mask (antitone when negated), and so, by induction
-on the rounds left, is the value of every position. A member inside
-another member of its menu (containing it, when negated) is therefore
-never a better reply for Bob at any position, and a menu whose members
-each lie inside (contain) a member of another menu is never a worse move
-for Alice. Cutting both leaves the value of every position unchanged.
-This is the finite form of refinement: on a finite space O cuts to the
-cover by the maximal minimal neighbourhoods, C_O to the quasi-component
-partition, and each point menu to its least member. Witnesses, `play`,
-the restricted searches and `verify_winning` move in the full family, so
-move indices and witness tables are those of the full family. The
-winner-only solves and `play`'s child values share one solver per
-dominant menus, full mask and target (`_cut_solver`, which keeps each
-target's cut on the menu family), so every horizon, caller and space
-with the same cut family reads one memo; the point-clopen and
-quasi-component games of a finite space cut to the same menus.
+Every solve (`solve`, `winners`, and `play`'s moves) reads one solver
+per dominant menus, full mask and target (`_dominant_menus`,
+`_cut_solver`, which keeps each target's cut on the menu family), so
+every horizon, caller and space with the same cut family reads one memo;
+the point-clopen and quasi-component games of a finite space cut to the
+same menus. The memo holds whether Bob wins each position it finished.
+Bob's goal is monotone in the covered mask (antitone when negated), and
+so, by induction on the rounds left, is the value of every position. A
+member inside another member of its menu (containing it, when negated)
+is therefore never a better reply for Bob at any position, and a menu
+whose members each lie inside (contain) a member of another menu is
+never a worse move for Alice. Cutting both leaves the value of every
+position unchanged. This is the finite form of refinement: on a finite
+space O cuts to the cover by the maximal minimal neighbourhoods, C_O to
+the quasi-component partition, and each point menu to its least member.
 
-A witness is positional: the winner's least optimal move at each
-(covered mask, rounds left) the winner's play can reach against every
-line of the loser. Alice's move there is a menu index; Bob's is his pick
-from each menu, in menu order. An n-point game of horizon k has at most
-2^n * k such positions, so no witness is ever skipped. The value search
-stores that move at every position it finishes, and extraction reads it
-from the memo, so extraction adds no memo entry and `stats` counts the
-positions the value search explored.
+Moves are named in the full family, by one least-move rule
+(`_least_move`) over the shared solver's child values: Alice's first
+menu all of whose children she wins, else 0; Bob's first member of each
+menu whose child he wins, else the menu's first member. A witness is
+positional: that move at each (covered mask, rounds left) the winner's
+play can reach against every line of the loser. An n-point game of
+horizon k has at most 2^n * k such positions, so no witness is ever
+skipped. `play` asks the same rule for one move.
 
 Every strategy is such a positional table, keyed on (covered mask,
 rounds left), so no table grows with the number of lines of play. A
@@ -81,7 +78,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 from .covers import (
@@ -148,9 +145,8 @@ class Verdict:
     winner: str
     witness: Optional[Strategy]  # positional; None only from solve(..., want_witness=False)
     horizon: int
-    # the positions this call added to its solver's memo: all those a witness
-    # solve explored; for a solve without one, those the shared solver of
-    # the dominant menus did not hold yet (0 when its memo answers)
+    # the positions this call added to the shared solver's memo (0 when the
+    # memo already held all it read)
     stats: int
 
 
@@ -210,10 +206,8 @@ class Solver:
 
     The value does not depend on the game's horizon, only on its menus, its
     full mask and its target, so one solver answers every horizon. The memo
-    holds the winner's least winning move at each finished position, never
-    more than STATE_CAP of them, so a CapExceeded leaves the solver correct:
-    Alice's first menu all of whose children she wins (an int), or Bob's
-    first winning pick from each menu, in menu order (a tuple).
+    holds whether Bob wins at each finished position, never more than
+    STATE_CAP of them, so a CapExceeded leaves the solver correct.
     """
 
     def __init__(self, menus: tuple, full: int, negated: bool):
@@ -233,47 +227,68 @@ class Solver:
             return self.short_winner
         memo = self.memo
         key = (covered, left)
-        move = memo.get(key)
-        if move is None:
+        bob = memo.get(key)
+        if bob is None:
             value = self.value
             left -= 1
             # children that are finished plays are decided here, without a call
             full_bob = self.full_winner == BOB
             last_bob = not full_bob if left <= 0 else None
-            picks = []
-            for mi, menu in enumerate(self.menus):
+            bob = True  # until Alice has a menu all of whose children she wins
+            for menu in self.menus:
                 for b in menu:
                     child = covered | b
                     if child == full:
-                        bob = full_bob
+                        won = full_bob
                     elif last_bob is not None:
-                        bob = last_bob
+                        won = last_bob
                     else:
                         hit = memo.get((child, left))
-                        bob = value(child, left) == BOB if hit is None else type(hit) is tuple
-                    if bob:
-                        picks.append(b)
+                        won = value(child, left) == BOB if hit is None else hit
+                    if won:
                         break
                 else:
-                    move = mi
+                    bob = False
                     break
-            else:
-                move = tuple(picks)
             if len(memo) >= STATE_CAP:
                 raise CapExceeded(f"solver state cap {STATE_CAP} exceeded")
-            memo[key] = move
-        return BOB if type(move) is tuple else ALICE
+            memo[key] = bob
+        return BOB if bob else ALICE
 
 
 def solve(game: GameSpec, want_witness: bool = True) -> Verdict:
     """Exact game value under optimal play, with the winner's positional
-    witness strategy. Without a witness the shared solver of the dominant
-    menus answers (`_cut_solver`)."""
-    solver = Solver(game.menus.menus, game.full, game.negated) if want_witness else _cut_solver(game)
+    witness strategy: the least move of `_least_move` at every node the
+    winner's play reaches. The shared solver of the dominant menus
+    (`_cut_solver`) gives the winner and every child value."""
+    solver = _cut_solver(game)
     before = len(solver.memo)
     winner = solver.value(0, game.horizon)
-    witness = _extract_witness(game, solver, winner) if want_witness else None
+    witness = None
+    if want_witness:
+        witness = walk_positions(game, winner, partial(_least_move, solver.value, game.menus.menus, winner == ALICE))
     return Verdict(winner, witness, game.horizon, len(solver.memo) - before)
+
+
+def _least_move(value: Callable, menus: tuple, alice: bool, covered: int, left: int):
+    """The least winning move with `covered` covered and `left` rounds left,
+    this one included, where value(covered, left) names each child's winner:
+    Alice's first menu all of whose children she wins, else 0; or Bob's
+    first member of each menu whose child he wins, else the menu's first
+    member, in menu order. At a full mask that is the first move."""
+    left -= 1
+    picks = []
+    for mi, menu in enumerate(menus):
+        for b in menu:
+            if value(covered | b, left) == BOB:
+                picks.append(b)
+                break
+        else:
+            # no child of this menu is Bob's: it is Alice's winning move
+            if alice:
+                return mi
+            picks.append(menu[0])
+    return 0 if alice else tuple(picks)
 
 
 def winners(game: GameSpec) -> list[str]:
@@ -284,8 +299,8 @@ def winners(game: GameSpec) -> list[str]:
 
 
 def _cut_solver(game: GameSpec) -> Solver:
-    """The solver that every winner-only solve of the game's dominant menus,
-    full mask and target shares, whatever its horizon or caller.
+    """The solver that every solve of the game's dominant menus, full mask
+    and target shares, whatever its horizon or caller.
 
     The cut is kept on the menu family, one per target, so a family's menus
     are cut, and hashed for the `_dominant_menus` cache, only once. Only
@@ -318,7 +333,7 @@ def _subsets(width: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _dominant_menus(menus: tuple, negated: bool) -> tuple:
-    """The menus a winner-only solve needs, in menu order.
+    """The menus a solve's values need, in menu order.
 
     A menu is dropped when another beats it strictly for Alice: when the
     down-closure of its members (of their complements, when negated)
@@ -371,16 +386,6 @@ def _menu_tops(menus: tuple, flip: int, below: tuple) -> list:
     return out
 
 
-def _extract_witness(game: GameSpec, solver: Solver, winner: str) -> Strategy:
-    """Positional table for the winner: the least winning move at every
-    (covered mask, rounds left) reached round by round over every legal
-    line of the loser, as the value search stored it; at a full mask, which
-    decides the play and is never stored, the first move."""
-    memo, full = solver.memo, solver.full
-    first = 0 if winner == ALICE else tuple(menu[0] for menu in game.menus.menus)
-    return walk_positions(game, winner, lambda covered, left: first if covered == full else memo[(covered, left)])
-
-
 def walk_positions(game: GameSpec, player: str, choose: Callable) -> Strategy:
     """The positional table of `player`, built round by round over the
     covered masks the opponent can reach, one node per mask.
@@ -422,10 +427,11 @@ def _committed_search(
 
     Alice's moves are menu indices; Bob's are choice vectors, one best
     member of every menu; more than DEFAULT_CAP of them raise CapExceeded
-    before a memo exists. A knowledge set is the bitset of the covered masks the opponent can reach, and the player wins when
-    every final mask is a win for them. `wins` is memoized on (knowledge
-    set, rounds left), so one search answers every horizon, and every
-    caller that asks about the same menu family shares it.
+    before a memo exists. A knowledge set is the bitset of the covered
+    masks the opponent can reach, and the player wins when every final
+    mask is a win for them. `wins` is memoized on (knowledge set, rounds
+    left), so one search answers every horizon, and every caller that asks
+    about the same menu family shares it.
     """
     alice = player == ALICE
     goal = not alice  # the committing player wins when bob_wins(final) == goal
@@ -642,13 +648,9 @@ def verify_winning(game: GameSpec, s: Strategy) -> bool:
 def optimal_move(game: GameSpec, covered: int, left: int, menu_index: Optional[int] = None):
     """Alice's least winning menu index, or with menu_index set Bob's least
     winning member of that menu, in the full family; the least legal move
-    when none wins. Child values come from the shared solver (`_cut_solver`):
-    the dominant menus give every position the full family's value."""
+    when none wins. The rule and the child values are those of a witness
+    (`_least_move` over the shared solver, `_cut_solver`)."""
     value = _cut_solver(game).value
-    menus = game.menus.menus
-    left -= 1
     if menu_index is None:
-        wins = (mi for mi, menu in enumerate(menus) if all(value(covered | b, left) == ALICE for b in menu))
-        return next(wins, 0)
-    menu = menus[menu_index]
-    return next((b for b in menu if value(covered | b, left) == BOB), menu[0])
+        return _least_move(value, game.menus.menus, True, covered, left)
+    return _least_move(value, (game.menus.menus[menu_index],), False, covered, left)[0]

@@ -29,8 +29,8 @@ def pseudocircle() -> FiniteSpace:
 
 @pytest.fixture
 def fresh_caches():
-    """Cold knowledge-set searches and winner-only solvers, before and after
-    the test."""
+    """Cold knowledge-set searches and shared solvers, before and after the
+    test."""
 
     def clear():
         _committed_search.cache_clear()

@@ -13,7 +13,7 @@ searches' knowledge-set search over frozensets, with no move cut.
 game tree, memoized on (covered mask, round), where `verify_winning`
 walks a frontier round by round. `reference_least_move` finds the
 winner's least winning move at a position by its own recursion over the
-children, to check the moves the solver stores.
+children, to check the moves of every witness.
 `reference_dominant_menus` is the dominant-menu cut by its definition,
 comparing every pair of menus as sets of points, where
 `_dominant_menus` scans bitset down-closures once from the last menu.

@@ -91,8 +91,12 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error: ")
 
-    # an unknown key, a part without "=", a repeated key
-    @pytest.mark.parametrize("spec", ["enum:k=3", "enum:n=3:i=2:k=9", "enum:n=3:i=2:junk", "enum:n=3:i=2:i=5"])
+    # an unknown key, a part without "=", a repeated key, and values that
+    # int() reads but that are not ASCII digits alone
+    @pytest.mark.parametrize("spec", [
+        "enum:k=3", "enum:n=3:i=2:k=9", "enum:n=3:i=2:junk", "enum:n=3:i=2:i=5",
+        "enum:n=3:i=1_0", "enum:n=3:i= 2", "enum:n=+3:i=0", "enum:n=3:i=\u0663",
+    ])
     def test_bad_enum_spec(self, capsys, spec):
         code, out, err = run(capsys, "analyze", spec)
         assert code == 2

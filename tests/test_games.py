@@ -120,7 +120,7 @@ class TestSolveConventions:
             GameSpec(0b111, MenuFamily(((0b1111,),)), False, 1)
         assert solve(GameSpec(0b111, MenuFamily(((0b111,),)), False, 1)).winner == BOB
 
-    def test_witness_for_two_block(self, two_block3):
+    def test_witness_for_two_block(self, two_block3, fresh_caches):
         v = solve(make_mildly_rothberger(two_block3, 2))
         assert v.winner == BOB
         assert v.witness is not None and v.witness.player == BOB
@@ -412,8 +412,8 @@ def _distinct_random5(count: int) -> list:
 
 
 class TestDominantMenus:
-    """The winner-only solves search the dominant menus; every other path
-    searches the full family."""
+    """Every solve searches the dominant menus for its values; moves, the
+    restricted searches and verification keep the full family."""
 
     @staticmethod
     def _cross_check(spaces) -> int:
@@ -560,8 +560,8 @@ class TestDominantMenus:
 
 
 class TestWinnerSolver:
-    """Every winner-only solve reads the one shared solver of its dominant
-    menus, whatever the order of horizons, games and callers."""
+    """Every solve reads the one shared solver of its dominant menus,
+    whatever the order of horizons, games and callers."""
 
     def test_any_horizon_order_n4(self, corpus3, corpus4, fresh_caches):
         spaces = [sp for _, sp in corpus3 + corpus4]
@@ -633,11 +633,11 @@ class TestWinnerSolver:
             solve(game, want_witness=False)
         monkeypatch.undo()
         assert _cut_solver(game) is solver and len(solver.memo) == 2
-        # each stored move is the one a fresh solver stores at that key
+        # each stored value is the one a fresh solver stores at that key
         fresh = Solver(solver.menus, solver.full, False)
-        for key, move in solver.memo.items():
+        for key, bob in solver.memo.items():
             fresh.value(*key)
-            assert fresh.memo[key] == move, key
+            assert fresh.memo[key] is bob, key
         for k in range(5):
             game = make_mildly_rothberger(discrete_space(4), k)
             expected = Solver(game.menus.menus, game.full, False).value(0, k)
@@ -645,31 +645,55 @@ class TestWinnerSolver:
         assert winners(game) == [ALICE] * 4 + [BOB]
 
 
-class TestStoredMoves:
-    """The value search stores the winner's least winning move at every
-    position it finishes, which is what witnesses are read from."""
+class TestLeastMoves:
+    """A witness holds the winner's least move at every node it reaches,
+    full masks included, and the shared solver's memo holds whether Bob
+    wins at every position it finished."""
 
-    def test_every_stored_move_is_the_least_winning_move_n3(self, corpus3, fresh_caches):
-        witness_entries = cut_entries = 0
+    def test_witness_entries_and_memo_values_match_the_oracle_n3(self, corpus3, fresh_caches):
+        entries = values = 0
         for name, sp in corpus3:
             for make in ALL_GAMES:
-                # the solver of each witness solve
                 for k in range(sp.n + 2):
                     game = make(sp, k)
-                    solver = Solver(game.menus.menus, game.full, game.negated)
-                    solver.value(0, k)
-                    for key, move in solver.memo.items():
+                    v = solve(game)
+                    for key, move in v.witness.table.items():
                         assert move == reference_least_move(game, *key), (name, make.__name__, k, key)
-                    witness_entries += len(solver.memo)
-                # the shared solver of the dominant menus, read against them
-                game = make(sp, sp.n + 1)
-                winners(game)
-                solver = _cut_solver(game)
-                cut = dataclasses.replace(game, menus=MenuFamily(solver.menus))
-                for key, move in solver.memo.items():
-                    assert move == reference_least_move(cut, *key), (name, make.__name__, key)
-                cut_entries += len(solver.memo)
-        assert (witness_entries, cut_entries) == (1228, 843)
+                    entries += len(v.witness.table)
+                # the oracle's winner is the player whose least move it names;
+                # a position's value is the same in the full family and the cut
+                for key, bob in _cut_solver(game).memo.items():
+                    assert bob is isinstance(reference_least_move(game, *key), tuple), (name, make.__name__, key)
+                values += len(_cut_solver(game).memo)
+        assert (entries, values) == (2129, 1528)
+
+
+class TestWitnessOrder:
+    """A witness is the same whatever the shared solver held before."""
+
+    def test_warm_and_cold_solvers_give_one_witness(self, corpus3, corpus4, fresh_caches):
+        # the point-clopen and quasi-component games share a cut, so each
+        # warms the other's solver
+        partner = {"point-clopen": "quasi-component-clopen", "quasi-component-clopen": "point-clopen"}
+        solves = 0
+        for _, sp in corpus3 + corpus4[:20]:
+            for name, make in sorted(GAME_BUILDERS.items()):
+                for k in range(sp.n + 2):
+                    _winner_solver.cache_clear()
+                    cold = solve(make(sp, k))
+                    _winner_solver.cache_clear()
+                    winners(make(sp, sp.n + 1))
+                    for j in range(sp.n + 2):
+                        solve(make(sp, j), want_witness=False)
+                    if name in partner:
+                        other = GAME_BUILDERS[partner[name]]
+                        winners(other(sp, sp.n + 1))
+                        solve(other(sp, k))
+                    warm = solve(make(sp, k))
+                    assert warm.winner == cold.winner, (sp, name, k)
+                    assert warm.witness == cold.witness, (sp, name, k)
+                    solves += 1
+        assert solves == 1420
 
 
 class TestMinWinHorizon:
@@ -751,11 +775,11 @@ class TestSaturation:
                 assert solve(make(sp, kstar + 2), want_witness=False).winner == w
 
 
-def _verdict_lines(space, horizons) -> tuple[list[str], list[str]]:
+def _verdict_lines(space, horizons) -> tuple[list[str], list[str], list[str]]:
     """The JSON line of each witness solve, once with the witness as its
-    history view (null when the view passes HISTORY_CAP entries) and once
-    as it is, positional."""
-    views, positional = [], []
+    history view (null when the view passes HISTORY_CAP entries), once as
+    it is, positional, and once positional without `stats`."""
+    views, positional, bare = [], [], []
     for name in sorted(GAME_BUILDERS):
         for k in horizons:
             try:
@@ -764,13 +788,16 @@ def _verdict_lines(space, horizons) -> tuple[list[str], list[str]]:
                 continue
             v = solve(game)
             positional.append(dumps_stable(verdict_to_json(v)) + "\n")
+            obj = verdict_to_json(v)
+            del obj["stats"]
+            bare.append(dumps_stable(obj) + "\n")
             obj = verdict_to_json(dataclasses.replace(v, witness=None))
             try:
                 obj["witness"] = history_to_json(history_view(game, v.witness))
             except CapExceeded:
                 pass
             views.append(dumps_stable(obj) + "\n")
-    return views, positional
+    return views, positional, bare
 
 
 def _sha256(lines: list[str]) -> str:
@@ -778,47 +805,56 @@ def _sha256(lines: list[str]) -> str:
 
 
 class TestPinnedVerdicts:
-    """Winners, state counts and witness tables, byte for byte: any change
-    to the solver's traversal or to witness extraction shows here. The
-    history-view hashes are those of the full-history witnesses solve
-    returned before its witnesses were positional, as the package wrote
-    full-history files, so the two forms agree."""
+    """Winners, state counts and witness tables, byte for byte, from cold
+    shared solvers: any change to the solver's traversal or to the witness
+    rule shows here. The hash of the lines without `stats` pins winners
+    and tables alone; witness solves that ran a full-family solver of
+    their own gave the same. Apart from `stats`, the history views are the
+    full-history witnesses solve returned before its witnesses were
+    positional, so the two forms agree."""
 
-    def test_every_game_and_horizon_n3(self):
-        views, positional = [], []
+    def test_every_game_and_horizon_n3(self, fresh_caches):
+        views, positional, bare = [], [], []
         for n in range(4):
             for sp in enumerate_topologies(n):
-                v, p = _verdict_lines(sp, range(n + 1))
+                v, p, b = _verdict_lines(sp, range(n + 1))
                 views += v
                 positional += p
-        assert len(views) == len(positional) == 652
-        assert _sha256(views) == "220ca824e982aa0fea28b53672fddd42afcfe9d1a99f103717ec9028838a5d6d"
-        assert _sha256(positional) == "65b87df76d77e63284f831e02b23fade92a4c797b822d133d3567ece7ca797cc"
+                bare += b
+        assert len(views) == len(positional) == len(bare) == 652
+        assert _sha256(bare) == "89571ba947fc96fe251faba9e9f270ed63fa07dc1ccbc5b84eb0837f93a585fc"
+        assert _sha256(views) == "a3dc898402e07fb4250f8b01d184ee7ad9e1b0f2f2939613f406f84fbd884226"
+        assert _sha256(positional) == "07ad39ee688ddc6bb0aff0c00ae83e822b764ff05c0fe12b1e15b4972e356029"
 
-    def test_first_two_n4_spaces_at_horizon_4(self, corpus4):
-        views, positional = _verdict_lines(corpus4[0][1], [4])
+    def test_first_two_n4_spaces_at_horizon_4(self, corpus4, fresh_caches):
+        views, positional, bare = _verdict_lines(corpus4[0][1], [4])
         more = _verdict_lines(corpus4[1][1], [4])
         views += more[0]
         positional += more[1]
-        assert len(views) == len(positional) == 10
-        assert _sha256(views) == "9b99a9ef56a81686e3843c507fa4ca10d658567c75899fa276892363c819a4d8"
-        assert _sha256(positional) == "8d784ae8cd75f660c350b55f20fe6aa713839b38bce8215b8547c473e7f51f8f"
+        bare += more[2]
+        assert len(views) == len(positional) == len(bare) == 10
+        assert _sha256(bare) == "2cf231dafe43e6f34f7db64dbd6891502f32f3ebbcf8ea1571727b68a7a83f4e"
+        assert _sha256(views) == "97394f9db29ca613670f4d091a3e2a6bd4a93c422dd21bc04a1604dca36d245f"
+        assert _sha256(positional) == "3d171a39523aa994252ace2d4bddf5abc1a7c7809aaf093929d2dd181a5a0680"
 
-    def test_every_n4_space_at_horizon_4(self):
+    def test_every_n4_space_at_horizon_4(self, fresh_caches):
         # about 54 MB of history-view JSON, hashed line by line; under 1 MB
         # of positional JSON
-        views, positional = hashlib.sha256(), hashlib.sha256()
+        views, positional, bare = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
         count = 0
         for sp in enumerate_topologies(4):
-            v, p = _verdict_lines(sp, [4])
+            v, p, b = _verdict_lines(sp, [4])
             for line in v:
                 views.update(line.encode())
             for line in p:
                 positional.update(line.encode())
+            for line in b:
+                bare.update(line.encode())
             count += len(p)
         assert count == 1775
-        assert views.hexdigest() == "c74b3ae0772acad3142a51f0c72b4c79ef73c5f2c32a863afe650d74b9020908"
-        assert positional.hexdigest() == "f1c3ab3f5b8792f5a7c43794dcd2e336e0aeed32fda451def93190d5a828511d"
+        assert bare.hexdigest() == "66ec918f6c686bd7424f6b5568b5dbf4f3d8215fdd27901ea136acfd553164ec"
+        assert views.hexdigest() == "d9a42d6cc8457656026c3bdb1d0fe59730d823974897ea8c564dd0673d41f0b3"
+        assert positional.hexdigest() == "1626e32f2bad0b2ebd97415787acdff7af8783c91f25577fc27499968e67cee1"
 
     def test_restricted_witnesses_n4(self, corpus3, corpus4):
         # the predetermined-Alice, then the Markov-Bob witness of each game

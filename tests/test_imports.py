@@ -5,8 +5,8 @@ but the dunder ones, is reached from the package itself, and every
 dataclass field is read there as an attribute, and every defaulted
 parameter is passed by some call there, so no code in `src/` exists
 only for the tests. And in `games.py` only the game builders read
-a finite space, and in `src/` only `lab.py` names a check or a row's
-facts."""
+a finite space, in `src/` only `lab.py` names a check or a row's
+facts, and only `games._winner_solver` builds a `Solver`."""
 
 import ast
 from pathlib import Path
@@ -97,6 +97,43 @@ def test_only_the_builders_read_a_space():
 )
 def test_space_reader_scanner(source, readers):
     assert space_readers(source) == readers
+
+
+def solver_builders(source: str) -> list[str]:
+    """The functions, nested ones and methods included, that call `Solver`
+    by name or as an attribute; "<module>" for a call outside every
+    function."""
+    builders = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Solver":
+            builders.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(builders)
+
+
+def test_only_the_winner_solver_builds_a_solver():
+    # every solve, witness or not, reads the shared solver of its dominant
+    # menus, and play's moves come from it too
+    builders = [(path.name, name) for path in SRC for name in solver_builders(path.read_text(encoding="utf-8"))]
+    assert builders == [("games.py", "_winner_solver")]
+
+
+@pytest.mark.parametrize(
+    "source, builders",
+    [
+        ("@lru_cache\ndef _w(m):\n    return Solver(m, 1, False)\nclass Solver:\n    pass\n", ["_w"]),
+        ("def solve(g):\n    def f():\n        return games.Solver(g)\n    return f\n", ["f"]),
+        ("s = Solver((), 0, False)\nclass C:\n    def m(self):\n        return Solver\n", ["<module>"]),
+    ],
+)
+def test_solver_builder_scanner(source, builders):
+    assert solver_builders(source) == builders
 
 
 def suite_names(source: str) -> list[str]:
