@@ -33,7 +33,9 @@ menu whose child he wins, else the menu's first member. A witness is
 positional: that move at each (covered mask, rounds left) the winner's
 play can reach against every line of the loser. An n-point game of
 horizon k has at most 2^n * k such positions, so no witness is ever
-skipped. `play` asks the same rule for one move.
+skipped. The shared solver keeps each witness it builds, per full-family
+menus and horizon, so a game's table is walked once and then shared by
+every solve of it. `play` asks the same rule for one move.
 
 Every strategy is such a positional table, keyed on (covered mask,
 rounds left), so no table grows with the number of lines of play. A
@@ -69,6 +71,7 @@ menu is tried first at every knowledge set, so where it wins the later
 one is never reached, and where it loses the later one loses too. Her
 witnesses are therefore those of the full family. The dominant-menu cut
 would not keep them, since it can drop an earlier menu for a later.
+Each search caches its answer per horizon.
 Verification is one round-by-round frontier walk that keeps one node
 per covered mask.
 """
@@ -122,7 +125,8 @@ class Strategy:
     """A positional decision table, keyed on (covered mask, rounds left),
     this round included. Moves: Alice -> menu index, Bob -> a tuple with his
     member mask for each menu, in menu order. Readers ask for the whole move
-    at a game-tree node with `move_at`.
+    at a game-tree node with `move_at`. A witness table is shared by every
+    solve of its game (`solve`): read it, never mutate it.
     """
 
     player: str
@@ -208,10 +212,12 @@ class Solver:
     full mask and its target, so one solver answers every horizon. The memo
     holds whether Bob wins at each finished position, never more than
     STATE_CAP of them, so a CapExceeded leaves the solver correct.
+    `witnesses` holds each finished witness walk of a game that cuts to it.
     """
 
     def __init__(self, menus: tuple, full: int, negated: bool):
         self.memo: dict = {}
+        self.witnesses: dict = {}  # (full-family menus, horizon) -> Strategy
         self.menus = menus
         self.full = full
         # the winner of a play whose covered mask is full, and of a
@@ -260,13 +266,19 @@ def solve(game: GameSpec, want_witness: bool = True) -> Verdict:
     """Exact game value under optimal play, with the winner's positional
     witness strategy: the least move of `_least_move` at every node the
     winner's play reaches. The shared solver of the dominant menus
-    (`_cut_solver`) gives the winner and every child value."""
+    (`_cut_solver`) gives the winner and every child value, and keeps the
+    witness once its walk finishes; a later solve of the game returns
+    that same table, and adds nothing to the memo."""
     solver = _cut_solver(game)
     before = len(solver.memo)
     winner = solver.value(0, game.horizon)
     witness = None
     if want_witness:
-        witness = walk_positions(game, winner, partial(_least_move, solver.value, game.menus.menus, winner == ALICE))
+        key = (game.menus.menus, game.horizon)
+        witness = solver.witnesses.get(key)
+        if witness is None:
+            choose = partial(_least_move, solver.value, game.menus.menus, winner == ALICE)
+            witness = solver.witnesses[key] = walk_positions(game, winner, choose)
     return Verdict(winner, witness, game.horizon, len(solver.memo) - before)
 
 
@@ -431,7 +443,8 @@ def _committed_search(
     masks the opponent can reach, and the player wins when every final
     mask is a win for them. `wins` is memoized on (knowledge set, rounds
     left), so one search answers every horizon, and every caller that asks
-    about the same menu family shares it.
+    about the same menu family shares it. `commit` is cached per horizon,
+    so it returns one list per horizon, and a raised cap caches nothing.
     """
     alice = player == ALICE
     goal = not alice  # the committing player wins when bob_wins(final) == goal
@@ -492,6 +505,7 @@ def _committed_search(
         memo[key] = result
         return result
 
+    @lru_cache(maxsize=None)
     def commit(horizon: int) -> Optional[list]:
         if horizon == 0 or not menus:
             return None if bad & bit[0] else []

@@ -54,7 +54,7 @@ from topogame.games import (
     verify_winning,
     winners,
 )
-from topogame.lab import saturating_horizon
+from topogame.lab import SUITES, saturating_horizon, suite_rows
 from topogame.serialize import dumps_stable, strategy_from_json, strategy_to_json, verdict_to_json
 from topogame.topology import (
     enumerate_topologies,
@@ -694,6 +694,90 @@ class TestWitnessOrder:
                     assert warm.witness == cold.witness, (sp, name, k)
                     solves += 1
         assert solves == 1420
+
+
+def _cold(game) -> tuple:
+    """The witness verdict and the two restricted answers, each from
+    cleared caches."""
+    _winner_solver.cache_clear()
+    _committed_search.cache_clear()
+    verdict = solve(game)
+    _committed_search.cache_clear()
+    pre = predetermined_alice_search(game)
+    _committed_search.cache_clear()
+    return verdict, pre, markov_bob_search(game)
+
+
+class TestStores:
+    """Each witness table is built once per (full-family menus, horizon) on
+    its shared solver, and each restricted answer once per horizon on its
+    knowledge-set search; a stored one equals a cold one."""
+
+    def test_stored_answers_are_the_cold_ones(self, corpus3, corpus4, fresh_caches):
+        instances = [
+            (sp, name, k)
+            for _, sp in corpus3 + corpus4[:20]
+            for name in sorted(GAME_BUILDERS)
+            for k in range(sp.n + 2)
+        ]
+        cold = {key: _cold(GAME_BUILDERS[key[1]](key[0], key[2])) for key in instances}
+        _winner_solver.cache_clear()
+        _committed_search.cache_clear()
+        for order in (instances, instances[::-1]):
+            for sp, name, k in order:
+                game = GAME_BUILDERS[name](sp, k)
+                verdict, pre, markov = cold[sp, name, k]
+                v = solve(game)
+                assert (v.winner, v.witness) == (verdict.winner, verdict.witness), (sp, name, k)
+                again = solve(game)
+                assert again.witness is v.witness and again.stats == 0, (sp, name, k)
+                assert predetermined_alice_search(game) == pre, (sp, name, k)
+                assert markov_bob_search(game) == markov, (sp, name, k)
+        assert len(instances) == 1420
+
+    def test_the_suites_leave_every_stored_witness_cold(self, corpus3, fresh_caches):
+        # a caller that edits a shared table would leave it unequal to a
+        # fresh walk
+        for suite in SUITES:
+            assert all(row["pass"] for row in suite_rows(suite, corpus3)), suite
+        games = [make(sp, 0) for _, sp in corpus3 for make in ALL_GAMES]
+        solvers = {_cut_solver(game): game for game in games}
+        stored = [
+            (GameSpec(game.full, MenuFamily(menus), game.negated, k), witness)
+            for solver, game in solvers.items()
+            for (menus, k), witness in solver.witnesses.items()
+        ]
+        for game, witness in stored:
+            _winner_solver.cache_clear()
+            assert solve(game).witness == witness, game
+        assert len(stored) == 47
+
+    def test_a_cap_hit_stores_no_witness(self, monkeypatch, fresh_caches):
+        game = make_rothberger(discrete_space(3), 2)
+        cold = solve(game).witness
+        _winner_solver.cache_clear()
+        solver = _cut_solver(game)
+        solver.value(0, 2)
+        monkeypatch.setattr("topogame.games.STATE_CAP", len(solver.memo) + 1)
+        with pytest.raises(CapExceeded, match="^solver state cap"):
+            solve(game)
+        assert solver.witnesses == {}
+        monkeypatch.undo()
+        assert solve(game).witness == cold
+        assert list(solver.witnesses.values()) == [cold]
+
+    def test_a_cap_hit_stores_no_answer(self, monkeypatch, fresh_caches):
+        game = make_mildly_rothberger(discrete_space(3), 3)
+        cold = predetermined_alice_search(game)
+        _committed_search.cache_clear()
+        commit = _committed_search(game.menus.menus, game.full, game.negated, ALICE)
+        monkeypatch.setattr("topogame.games.STATE_CAP", 2)
+        with pytest.raises(CapExceeded, match="^predetermined-Alice knowledge-set search state cap 2"):
+            predetermined_alice_search(game)
+        assert commit.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert predetermined_alice_search(game) == cold
+        assert commit.cache_info().currsize == 1 and commit(3) is predetermined_alice_search(game)
 
 
 class TestMinWinHorizon:
