@@ -16,8 +16,9 @@ quasi-component blocks, so the clopen covers of a space with b blocks are
 the covers of the discrete b-point space, searched once per b
 (`_block_covers`), with each member mapped to its union of blocks.
 
-Covers and menu families are cached per space and never change once
-built, apart from a family's cache of its dominant cut per target, which
+A menu family carries its ground mask and checks, once, that each menu is
+nonempty and inside it. Covers and families are cached per space and never
+change once built, apart from a family's dominant cut per target, which
 every solve fills in (`games._cut_solver`).
 """
 
@@ -31,7 +32,7 @@ from .topology import FiniteSpace, clopen_algebra, quasi_components
 
 DEFAULT_CAP = 10**6
 
-Menu = tuple[int, ...]  # nonempty family of distinct point sets, sorted ascending
+Menu = tuple[int, ...]  # nonempty family of point sets
 
 
 @dataclass(frozen=True)
@@ -43,26 +44,23 @@ class Cover:
 
 @dataclass(frozen=True)
 class MenuFamily:
-    """Alice's legal moves: each round she picks any one menu of the family."""
+    """Alice's legal moves: each round she picks any one menu, a nonempty
+    family of subsets of the ground mask `full`."""
 
     menus: tuple[Menu, ...]
+    full: int
     # set once per family, and no part of equality, hashing or repr: the
-    # union of every member, which a game checks against its ground mask,
-    # and the family's dominant cut per target (negated or not), which the
-    # solves fill in and read (`games._cut_solver`)
-    union: int = field(init=False, repr=False, compare=False)
+    # family's dominant cut per target (negated or not), which the solves
+    # fill in and read (`games._cut_solver`)
     cuts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not all(self.menus):
             raise ValueError("every menu must be nonempty")
-        union = 0
         for menu in self.menus:
-            if len(set(menu)) < len(menu):
-                raise ValueError("no menu may list a member twice")
             for b in menu:
-                union |= b
-        object.__setattr__(self, "union", union)
+                if b & ~self.full:
+                    raise ValueError("every menu member must lie inside the ground mask")
         object.__setattr__(self, "cuts", {})
 
 
@@ -163,7 +161,7 @@ def cover_menu_family(space: FiniteSpace, kind: str) -> MenuFamily:
     """Irredundant covers packaged as menus; the empty-space cover is dropped
     (Alice then has no move and the game ends immediately)."""
     menus = tuple(c.members for c in reduced_covers(space, kind) if c.members)
-    return MenuFamily(menus=menus)
+    return MenuFamily(menus, space.full)
 
 
 @lru_cache(maxsize=None)
@@ -176,7 +174,7 @@ def point_base_family(space: FiniteSpace, kind: str) -> MenuFamily:
     for x in range(space.n):
         bit = 1 << x
         menus.append(tuple(m for m in pool if m & bit))
-    return MenuFamily(menus=tuple(menus))
+    return MenuFamily(tuple(menus), space.full)
 
 
 @lru_cache(maxsize=None)
@@ -185,5 +183,5 @@ def quasi_component_family(space: FiniteSpace) -> MenuFamily:
     is, the clopen sets holding its least point."""
     blocks = quasi_components(space).blocks
     bases = point_base_family(space, "clopen").menus
-    return MenuFamily(menus=tuple(bases[(block & -block).bit_length() - 1] for block in blocks))
+    return MenuFamily(tuple(bases[(block & -block).bit_length() - 1] for block in blocks), space.full)
 

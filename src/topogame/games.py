@@ -1,7 +1,7 @@
 """Bounded-horizon selection games and their exact solvers.
 
-A game is a ground mask `full` (points 0..n-1), any family of its subsets
-as menus, a target and a horizon. A round: Alice picks a menu (her move is
+A game is a menu family (menus of subsets of its ground mask `full`, points
+0..n-1), a target and a horizon. A round: Alice picks a menu (her move is
 its index), Bob a member of it (his move is its bitmask). After `horizon`
 rounds Bob wins iff his selections cover `full` (fail to, when `negated`).
 
@@ -98,13 +98,13 @@ ALICE = "alice"
 BOB = "bob"
 
 STATE_CAP = 10**7
+SUBSET_WIDTH_CAP = 13  # the most points a subset table spans; it holds about 4**width / 2 bits
 
 
 @dataclass(frozen=True)
 class GameSpec:
     """A selection game; only the builders (`make_*`) read a finite space."""
 
-    full: int
     menus: MenuFamily
     negated: bool
     horizon: int
@@ -112,12 +112,10 @@ class GameSpec:
     def __post_init__(self):
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
-        if self.menus.union & ~self.full:
-            raise ValueError("every menu member must lie inside the ground mask")
 
     def bob_wins(self, covered: int) -> bool:
         """Outcome of a finished play whose selections cover `covered`."""
-        return (covered == self.full) != self.negated
+        return (covered == self.menus.full) != self.negated
 
 
 @dataclass(frozen=True)
@@ -166,30 +164,30 @@ class Transcript:
 
 def make_rothberger(space: FiniteSpace, horizon: int) -> GameSpec:
     """Alice plays open covers, Bob selects members, Bob wins iff they cover."""
-    return GameSpec(space.full, cover_menu_family(space, "open"), False, horizon)
+    return GameSpec(cover_menu_family(space, "open"), False, horizon)
 
 
 def make_mildly_rothberger(space: FiniteSpace, horizon: int) -> GameSpec:
     """Clopen-cover variant of the Rothberger game."""
-    return GameSpec(space.full, cover_menu_family(space, "clopen"), False, horizon)
+    return GameSpec(cover_menu_family(space, "clopen"), False, horizon)
 
 
 def make_point_open(space: FiniteSpace, horizon: int) -> GameSpec:
     """Alice names points, Bob answers open neighborhoods; Alice wins iff
     the answers cover."""
-    return GameSpec(space.full, point_base_family(space, "open"), True, horizon)
+    return GameSpec(point_base_family(space, "open"), True, horizon)
 
 
 def make_point_clopen(space: FiniteSpace, horizon: int) -> GameSpec:
     """Alice names points, Bob answers clopen neighborhoods; Alice wins iff
     the answers cover."""
-    return GameSpec(space.full, point_base_family(space, "clopen"), True, horizon)
+    return GameSpec(point_base_family(space, "clopen"), True, horizon)
 
 
 def make_quasi_component_clopen(space: FiniteSpace, horizon: int) -> GameSpec:
     """Alice names quasi-components, Bob answers clopen supersets; Alice
     wins iff the answers cover."""
-    return GameSpec(space.full, quasi_component_family(space), True, horizon)
+    return GameSpec(quasi_component_family(space), True, horizon)
 
 
 GAME_BUILDERS: dict[str, Callable[[FiniteSpace, int], GameSpec]] = {
@@ -323,7 +321,7 @@ def _cut_solver(game: GameSpec) -> Solver:
     cut = cuts.get(negated)
     if cut is None:
         cut = cuts[negated] = _dominant_menus(game.menus.menus, negated)
-    return _winner_solver(cut, game.full, negated)
+    return _winner_solver(cut, game.menus.full, negated)
 
 
 @lru_cache(maxsize=None)
@@ -334,7 +332,10 @@ def _winner_solver(menus: tuple, full: int, negated: bool) -> Solver:
 @lru_cache(maxsize=None)
 def _subsets(width: int) -> tuple:
     """Bit g of _subsets(width)[b] is set iff g is a subset of b, for every
-    mask b of `width` bits."""
+    mask b of `width` bits; CapExceeded, before anything is built, past
+    SUBSET_WIDTH_CAP bits."""
+    if width > SUBSET_WIDTH_CAP:
+        raise CapExceeded(f"subset table width {width} exceeds the cap of {SUBSET_WIDTH_CAP} points")
     below = [1]
     for b in range(1, 1 << width):
         low = b & -b
@@ -454,14 +455,17 @@ def _committed_search(
     # maximal ones, or the minimal ones, which are maximal once complemented.
     # A knowledge set holds each mask XOR flip.
     flip = 0 if goal == negated else full
-    bit, under = _flipped(n, flip)
+    below = _subsets(n)
+    # bit[x]: the bitset holding x ^ flip; under[x]: those strictly inside x ^ flip
+    bit = [1 << (x ^ flip) for x in range(1 << n)]
+    under = [below[x ^ flip] ^ bit[x] for x in range(1 << n)]
     bad = 0  # the final masks the committing player loses
     for x in range(full + 1):
         if ((x == full) != negated) != goal:
             bad |= bit[x]
     # each menu's members that no other member of it beats for Bob: the
     # maximal ones, or the minimal ones when negated
-    tops = _menu_tops(menus, full if negated else 0, _subsets(n))
+    tops = _menu_tops(menus, full if negated else 0, below)
     if alice:
         # drop each menu an earlier menu beats or equals for Alice; her first
         # winning move stays that of the full family
@@ -523,20 +527,11 @@ def _committed_search(
     return commit
 
 
-@lru_cache(maxsize=None)
-def _flipped(n: int, flip: int) -> tuple:
-    """For each n-bit mask x: the bitset holding x ^ flip, and the bitset of
-    the masks strictly inside x ^ flip."""
-    below = _subsets(n)
-    bit = tuple(1 << (x ^ flip) for x in range(1 << n))
-    return bit, tuple(below[x ^ flip] ^ bit[x] for x in range(1 << n))
-
-
 def predetermined_alice_search(game: GameSpec) -> Optional[list]:
     """Alice's winning menu index for each round, committed to in advance,
     or None when she has none. Bob plays with full information against the
     fixed menu list."""
-    return _committed_search(game.menus.menus, game.full, game.negated, ALICE)(game.horizon)
+    return _committed_search(game.menus.menus, game.menus.full, game.negated, ALICE)(game.horizon)
 
 
 def markov_bob_search(game: GameSpec) -> Optional[list]:
@@ -548,8 +543,8 @@ def markov_bob_search(game: GameSpec) -> Optional[list]:
     if game.horizon == 0 or not menus:
         return [] if game.bob_wins(0) else None
     if game.negated:
-        return _committed_search(menus, game.full, True, BOB)(game.horizon)
-    groups = _good_split(menus, game.full)
+        return _committed_search(menus, game.menus.full, True, BOB)(game.horizon)
+    groups = _good_split(menus, game.menus.full)
     if groups is None or len(groups) > game.horizon:
         return None
     # round i picks, from each menu, its first member containing G_i
@@ -618,7 +613,7 @@ def verify_winning(game: GameSpec, s: Strategy) -> bool:
     STATE_CAP nodes are visited.
     """
     menus = game.menus.menus
-    full = game.full
+    full = game.menus.full
     table = s.table
     alice = s.player == ALICE
     # s wins a play that reaches a full mask iff this holds, and a finished

@@ -34,6 +34,7 @@ from .games import (
 from .topology import (
     FiniteSpace,
     Partition,
+    clopen_algebra,
     is_zero_dimensional,
     points_of,
     quasi_components,
@@ -193,7 +194,7 @@ def extract_qs_tree(
             raise ValueError(f"clopen_seqs has no sequence for block {bi} of {len(blocks)} blocks")
         acc = space.full
         for v in clopen_seqs[bi]:
-            if not space.is_clopen(v) or v & block != block:
+            if v not in clopen_algebra(space).sets or v & block != block:
                 raise ValueError(f"sequence entry {v:#x} is not a clopen superset of block {bi}")
             acc &= v
         if acc != block:

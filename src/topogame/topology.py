@@ -1,13 +1,15 @@
 """Finite topological spaces over points {0..n-1}, stored as bitmask families.
 
 A point set is an int whose bit i is set iff point i belongs to the set.
-A space is the full family of its open sets; everything else (clopen
-algebra, components, quasi-components, zero-dimensionality) is derived.
+A space is the full family of its open sets. Everything else is derived
+from its definition: the minimal open neighbourhood U_x and the
+quasi-component Q[x] are the intersections of the opens, and of the
+clopen sets, that hold x.
 
 A finite topology is the same thing as a preorder (Alexandroff 1937): it is
-fixed by each point's minimal open neighbourhood U_x, and its opens are the
-unions of the U_x. The enumerator builds topologies that way, one U_x per
-point. In a finite space the components are the quasi-components.
+fixed by its U_x, and its opens are the unions of the U_x. The enumerator
+builds topologies that way, one U_x per point. In a finite space the
+components are the quasi-components.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class FiniteSpace:
     n: int
     opens: tuple[int, ...]
     # set once per space, and no part of equality or repr: the mask of all
-    # points, which solvers and verifiers read per node, and the hash of
+    # points, which the builders give each menu family, and the hash of
     # (n, opens), which every per-space cache lookup reads
     full: int = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
@@ -71,18 +73,6 @@ class FiniteSpace:
 
     def __hash__(self):
         return self._hash
-
-    def is_open(self, mask: int) -> bool:
-        return mask in _open_lookup(self)
-
-    def is_clopen(self, mask: int) -> bool:
-        opens = _open_lookup(self)
-        return mask in opens and (self.full & ~mask) in opens
-
-
-@lru_cache(maxsize=None)
-def _open_lookup(space: FiniteSpace) -> frozenset[int]:
-    return frozenset(space.opens)
 
 
 @dataclass(frozen=True)
@@ -124,50 +114,40 @@ def validate_topology(candidate: Iterable[int], n: int) -> FiniteSpace:
     return FiniteSpace(n=n, opens=tuple(members))
 
 
+def _holder_meets(space: FiniteSpace, family: Iterable[int]) -> list[int]:
+    """For each point x, the intersection of the members of `family` that hold x."""
+    meets = []
+    for x in range(space.n):
+        acc = space.full
+        for u in family:
+            if u >> x & 1:
+                acc &= u
+        meets.append(acc)
+    return meets
+
+
 def minimal_open_nbhd(space: FiniteSpace, x: int) -> int:
-    """Intersection of all open sets containing x (itself open at finite size)."""
+    """U_x: the intersection of all open sets containing x (itself open)."""
     if not 0 <= x < space.n:
         raise PointOutOfRange(f"point {x} outside 0..{space.n - 1}")
-    return _minimal_nbhds(space)[x]
-
-
-@lru_cache(maxsize=None)
-def _minimal_nbhds(space: FiniteSpace) -> tuple[int, ...]:
-    out = []
-    for x in range(space.n):
-        bit = 1 << x
-        acc = space.full
-        for u in space.opens:
-            if u & bit:
-                acc &= u
-        out.append(acc)
-    return tuple(out)
+    return _holder_meets(space, space.opens)[x]
 
 
 @lru_cache(maxsize=None)
 def clopen_algebra(space: FiniteSpace) -> ClopenAlgebra:
     """All open sets whose complement is also open."""
-    sets = tuple(u for u in space.opens if space.is_open(space.full & ~u))
-    return ClopenAlgebra(sets=sets)
+    opens = set(space.opens)
+    return ClopenAlgebra(sets=tuple(u for u in space.opens if space.full ^ u in opens))
 
 
 @lru_cache(maxsize=None)
 def quasi_components(space: FiniteSpace) -> Partition:
-    """Blocks Q[x] = intersection of all clopen sets containing x.
-
-    Computed as classes of "every clopen set contains both x and y or
-    neither", which are exactly the atoms of the clopen algebra.
-    """
+    """Blocks Q[x] = the intersection of all clopen sets containing x,
+    ordered by least point."""
     if space.n == 0:
         raise EmptySpace("no quasi-components on the empty space")
-    clopens = clopen_algebra(space).sets
-    # signature of x = which clopens contain it; equal signature <=> same block
-    sigs: dict[tuple[bool, ...], int] = {}
-    for x in range(space.n):
-        sig = tuple(bool(c & (1 << x)) for c in clopens)
-        sigs[sig] = sigs.get(sig, 0) | (1 << x)
-    blocks = sorted(sigs.values(), key=lambda b: (b & -b))
-    return Partition(blocks=tuple(blocks))
+    blocks = set(_holder_meets(space, clopen_algebra(space).sets))
+    return Partition(blocks=tuple(sorted(blocks, key=lambda b: b & -b)))
 
 
 @lru_cache(maxsize=None)
@@ -188,11 +168,11 @@ def components(space: FiniteSpace) -> Partition:
 def is_zero_dimensional(space: FiniteSpace) -> bool:
     """True iff the clopen sets form a base.
 
-    Finite shortcut: it is enough that every minimal open neighborhood is
-    clopen, since any open set is the union of the minimal neighborhoods
-    of its points.
+    In a finite space that holds iff every open set is clopen: an open set
+    is then a finite union of clopen sets, and so is itself clopen; the
+    converse is plain.
     """
-    return all(space.is_clopen(u) for u in _minimal_nbhds(space))
+    return len(clopen_algebra(space).sets) == len(space.opens)
 
 
 def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:

@@ -3,8 +3,13 @@
 Each oracle deliberately takes a different computational route than the
 production code. Production builds a topology from one minimal open
 neighbourhood per point, pruned as it goes; the oracle brute-forces every
-reflexive transitive relation and reads off its up-sets. Components come
-from definitional split search rather than from quasi-components, and the
+reflexive transitive relation and reads off its up-sets. The clopen sets
+are the opens that are also complements of opens (`clopen_sets`), found
+without `clopen_algebra`; the quasi-components are their atoms
+(`clopen_atoms`), and U_x is the least open set holding x
+(`smallest_open_holding`), where production intersects the members of a
+family that hold each point. Components come from definitional split
+search rather than from quasi-components, and the
 game value from an unabstracted history tree, and `playout` replays two
 positional tables by its own keying (`reference_move`), not by
 `Strategy.move_at`. `reference_committed_search` is the restricted
@@ -54,7 +59,6 @@ from topogame.lab import ExtractionResult
 from topogame.serialize import space_to_json
 from topogame.topology import (
     FiniteSpace,
-    clopen_algebra,
     full_mask,
     points_of,
     quasi_components,
@@ -158,16 +162,29 @@ def components_by_split_search(space: FiniteSpace) -> list[int]:
     return sorted(blocks, key=lambda b: b & -b)
 
 
+def clopen_sets(space: FiniteSpace) -> set[int]:
+    """The open sets that are also closed, that is, complements of open sets."""
+    return set(space.opens) & {space.full & ~u for u in space.opens}
+
+
+def smallest_open_holding(space: FiniteSpace, x: int) -> int:
+    """The open set holding x that lies inside every open set holding x."""
+    holding = [u for u in space.opens if u >> x & 1]
+    least = min(holding, key=int.bit_count)
+    assert all(least & u == least for u in holding)
+    return least
+
+
 def clopen_atoms(space: FiniteSpace) -> list[int]:
-    """Minimal nonzero elements of the clopen algebra."""
-    sets = [c for c in clopen_algebra(space).sets if c]
+    """Minimal nonzero clopen sets."""
+    sets = [c for c in clopen_sets(space) if c]
     atoms = [c for c in sets if not any(o and o != c and o & c == o for o in sets)]
     return sorted(atoms, key=lambda b: b & -b)
 
 
 def zero_dimensional_by_definition(space: FiniteSpace) -> bool:
     """Every open set is a union of clopen sets."""
-    clopens = clopen_algebra(space).sets
+    clopens = clopen_sets(space)
     for u in space.opens:
         acc = 0
         for c in clopens:
@@ -179,7 +196,7 @@ def zero_dimensional_by_definition(space: FiniteSpace) -> bool:
 
 
 def _cover_pool(space: FiniteSpace, kind: str) -> list[int]:
-    sets = space.opens if kind == "open" else clopen_algebra(space).sets
+    sets = space.opens if kind == "open" else clopen_sets(space)
     return sorted(m for m in sets if m)
 
 
@@ -267,7 +284,7 @@ def reversed_game(game: GameSpec) -> GameSpec:
     """The same game with the menus, and the members of each menu, in
     reverse order, so a solver tries every move in the opposite order."""
     menus = tuple(menu[::-1] for menu in game.menus.menus[::-1])
-    return dataclasses.replace(game, menus=MenuFamily(menus=menus))
+    return dataclasses.replace(game, menus=MenuFamily(menus, game.menus.full))
 
 
 def reference_move(s: Strategy, alice_moves: tuple, covered: int, rnd: int, horizon: int):
@@ -456,7 +473,7 @@ def reference_verify(game: GameSpec, s: Strategy) -> bool:
     for Bob. A missing entry or an illegal move loses.
     """
     menus = game.menus.menus
-    full = game.full
+    full = game.menus.full
     horizon = game.horizon
     alice = s.player == "alice"
     # s wins a finished play iff its mask is full, or iff it is not
@@ -497,7 +514,7 @@ def history_tree_winner(game: GameSpec) -> str:
 
     def value(selections: tuple, rnd: int) -> str:
         if rnd >= game.horizon or not menus:
-            covers = _union(selections) == game.full
+            covers = _union(selections) == game.menus.full
             return "bob" if covers != game.negated else "alice"
         for menu in menus:
             if all(value(selections + (b,), rnd + 1) == "alice" for b in menu):
@@ -518,7 +535,7 @@ def reference_least_move(game: GameSpec, covered: int, left: int):
 
     def bob_wins(c: int, rounds: int) -> bool:
         # a full mask stays full, so it decides the play at once
-        if c == game.full or rounds == 0 or not menus:
+        if c == game.menus.full or rounds == 0 or not menus:
             return game.bob_wins(c)
         if (c, rounds) not in memo:
             memo[c, rounds] = all(any(bob_wins(c | b, rounds - 1) for b in menu) for menu in menus)
@@ -658,7 +675,7 @@ def markov_bob_oracle(game: GameSpec):
     round), with None in place of lost moves.
     """
     menus = game.menus.menus
-    full = game.full
+    full = game.menus.full
 
     def bob_wins(covered: int) -> bool:
         return (covered == full) != game.negated

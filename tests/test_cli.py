@@ -19,7 +19,9 @@ from topogame.games import (
     BOB,
     GAME_BUILDERS,
     STATE_CAP,
+    SUBSET_WIDTH_CAP,
     Solver,
+    _subsets,
     make_point_clopen,
     markov_bob_search,
     predetermined_alice_search,
@@ -177,6 +179,20 @@ class TestSolve:
         with pytest.raises(SystemExit) as exc:
             main(["solve", space_file, "--game", "rothberger", "--horizon", "-1"])
         assert exc.value.code == 2
+
+    def test_a_subset_table_past_its_cap_is_refused(self, capsys, tmp_path):
+        # one cover with one member, yet the cut's subset table would hold
+        # about 4**18 / 2 bits: it is refused before anything is built
+        path = tmp_path / "indiscrete.json"
+        path.write_text(json.dumps({"n": 18, "opens": [[], list(range(18))]}))
+        cached = _subsets.cache_info().currsize
+        code, out, err = run(capsys, "solve", str(path), "--game", "rothberger", "--horizon", "1")
+        assert (code, out) == (3, "")
+        assert err == f"error: subset table width 18 exceeds the cap of {SUBSET_WIDTH_CAP} points\n"
+        assert _subsets.cache_info().currsize == cached
+        path.write_text(json.dumps({"n": 12, "opens": [[], list(range(12))]}))
+        code, out, _ = run(capsys, "solve", str(path), "--game", "rothberger", "--horizon", "1")
+        assert code == 0 and json.loads(out)["winner"] == BOB
 
     def test_output_deterministic(self, capsys, space_file):
         argv = ["solve", space_file, "--game", "point-clopen", "--horizon", "2"]
@@ -640,7 +656,7 @@ class TestPlay:
         for k in (1, 2):
             spec = GAME_BUILDERS[game](two_block3, k)
             menus = spec.menus.menus
-            solver = Solver(menus, spec.full, spec.negated)
+            solver = Solver(menus, spec.menus.full, spec.negated)
             human = solver.value(0, k)
             width = max(len(menus), *map(len, menus))
             for rounds in self.human_lines(capsys, monkeypatch, tmp_path, space_file, game, human, k, width):
@@ -668,7 +684,7 @@ class TestPlay:
         spec = GAME_BUILDERS["mildly-rothberger"](d3, k)
         menus = spec.menus.menus
         assert len(menus) == 8
-        solver = Solver(menus, spec.full, spec.negated)
+        solver = Solver(menus, spec.menus.full, spec.negated)
         lines = won = 0
         for rounds in self.human_lines(capsys, monkeypatch, tmp_path, str(path), "mildly-rothberger",
                                        ALICE, k, len(menus)):

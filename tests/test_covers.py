@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     all_covers,
     choice_ranges,
+    clopen_sets,
     irredundant_covers_by_scan,
     irredundant_covers_by_subset_test,
     is_reflection,
@@ -28,6 +29,7 @@ from topogame.covers import (
     reduced_covers,
 )
 from topogame.errors import CapExceeded, EmptySpace
+from topogame.games import ALICE, BOB, GameSpec, markov_bob_search, predetermined_alice_search, solve, verify_winning
 from topogame.topology import validate_topology
 
 
@@ -57,9 +59,9 @@ class TestReducedCovers:
                 for cover in reduced_covers(sp, kind):
                     acc = 0
                     for m in cover.members:
-                        assert sp.is_open(m)
+                        assert m in sp.opens
                         if kind == "clopen":
-                            assert sp.is_clopen(m)
+                            assert m in clopen_sets(sp)
                         acc |= m
                     assert acc == sp.full
                     assert len(set(cover.members)) == len(cover.members)
@@ -74,7 +76,7 @@ class TestReducedCovers:
         for sp in spaces:
             opens = reduced_covers(sp, "open")
             assert reduced_covers(sp, "clopen") == [
-                c for c in opens if all(map(sp.is_clopen, c.members))
+                c for c in opens if clopen_sets(sp).issuperset(c.members)
             ], sp
 
     def test_empty_space(self):
@@ -177,12 +179,42 @@ class TestPointBases:
         assert fam.menus == ((0b001, 0b111), (0b110, 0b111))
 
     def test_empty_menu_rejected(self):
-        with pytest.raises(ValueError):
-            MenuFamily(menus=((),))
+        with pytest.raises(ValueError, match="^every menu must be nonempty$"):
+            MenuFamily(((0b01,), ()), 0b11)
 
-    def test_repeated_member_rejected(self):
-        with pytest.raises(ValueError):
-            MenuFamily(menus=((0b01, 0b11), (0b01, 0b01)))
+    def test_menu_members_lie_inside_the_ground_mask(self):
+        # Bob's only pick holds every point, and a point outside the ground
+        # mask: the solver would name Alice the winner
+        with pytest.raises(ValueError, match="^every menu member must lie inside the ground mask$"):
+            MenuFamily(((0b1111,),), 0b111)
+        assert solve(GameSpec(MenuFamily(((0b111,),), 0b111), False, 1)).winner == BOB
+
+    def test_a_repeated_member_changes_no_answer(self, fresh_caches):
+        # a copy of a member anywhere after it keeps the order of each menu's
+        # first members: the winner, the witness table and both restricted
+        # answers stay those of the family without the copies
+        rng = random.Random(2828)
+        outcomes = set()
+        for _ in range(200):
+            full = (1 << rng.randint(2, 4)) - 1
+            menus = [tuple(rng.sample(range(1, full + 1), rng.randint(1, 3))) for _ in range(rng.randint(1, 4))]
+            repeated = []
+            for menu in menus:
+                i = rng.randrange(len(menu))
+                j = rng.randint(i + 1, len(menu))
+                repeated.append(menu[:j] + (menu[i],) + menu[j:])
+            plain, doubled = MenuFamily(tuple(menus), full), MenuFamily(tuple(repeated), full)
+            for negated in (False, True):
+                for k in range(4):
+                    a, b = GameSpec(plain, negated, k), GameSpec(doubled, negated, k)
+                    va, vb = solve(a), solve(b)
+                    assert (va.winner, va.witness.table) == (vb.winner, vb.witness.table), (menus, negated, k)
+                    assert verify_winning(b, vb.witness)
+                    alice, bob = predetermined_alice_search(a), markov_bob_search(a)
+                    assert (alice, bob) == (predetermined_alice_search(b), markov_bob_search(b)), (menus, negated, k)
+                    outcomes.add((va.winner, alice is None, bob is None))
+        # each full winner occurs, with its class winning and with neither class winning
+        assert outcomes == {(ALICE, False, True), (ALICE, True, True), (BOB, True, False), (BOB, True, True)}
 
 
 class TestSelectionBasis:
@@ -244,7 +276,7 @@ class TestReflection:
             for r in ranges:
                 acc = 0
                 for m in r:
-                    assert sp.is_clopen(m)
+                    assert m in clopen_sets(sp)
                     acc |= m
                 assert acc == sp.full
 

@@ -113,13 +113,6 @@ class TestSolveConventions:
         assert solve(make_mildly_rothberger(sierpinski, 0)).winner == ALICE
         assert solve(make_point_clopen(sierpinski, 0)).winner == BOB
 
-    def test_menu_members_lie_inside_the_ground_mask(self):
-        # Bob's only pick holds every point, and a point outside the ground
-        # mask: the solver would name Alice the winner
-        with pytest.raises(ValueError, match="^every menu member must lie inside the ground mask$"):
-            GameSpec(0b111, MenuFamily(((0b1111,),)), False, 1)
-        assert solve(GameSpec(0b111, MenuFamily(((0b111,),)), False, 1)).winner == BOB
-
     def test_witness_for_two_block(self, two_block3, fresh_caches):
         v = solve(make_mildly_rothberger(two_block3, 2))
         assert v.winner == BOB
@@ -198,15 +191,15 @@ class TestRestrictedClasses:
         # every two-point set is minimal, so pruning keeps all 6 per menu
         d4 = discrete_space(4)
         pairs = tuple(m for m in range(16) if bin(m).count("1") == 2)
-        menus = MenuFamily(menus=(pairs,) * 8)
+        menus = MenuFamily((pairs,) * 8, d4.full)
         assert len(pairs) ** 8 > DEFAULT_CAP
         # the empty play decides horizon 0 before the search is asked
-        assert markov_bob_search(GameSpec(d4.full, menus, True, 0)) == []
+        assert markov_bob_search(GameSpec(menus, True, 0)) == []
         # the search raises before anything is cached, so on every call
         cached = _committed_search.cache_info().currsize
         for horizon in (1, 2, 1, 2):
             with pytest.raises(CapExceeded) as exc:
-                markov_bob_search(GameSpec(d4.full, menus, True, horizon))
+                markov_bob_search(GameSpec(menus, True, horizon))
             assert str(exc.value) == f"more than {DEFAULT_CAP} Markov choice vectors per round"
         assert _committed_search.cache_info().currsize == cached
 
@@ -241,7 +234,7 @@ class TestClassGaps:
     )
     def test_pinned(self, menus, negated, full_winners, alice_moves, bob_moves):
         for k in range(4):
-            game = GameSpec(0b111, MenuFamily(menus), negated, k)
+            game = GameSpec(MenuFamily(menus, 0b111), negated, k)
             verdict = solve(game)
             assert verdict.winner == full_winners[k] == history_tree_winner(game), k
             assert verify_winning(game, verdict.witness) and reference_verify(game, verdict.witness), k
@@ -329,10 +322,10 @@ class TestKnowledgeSearch:
         # of menu 0, which has another member. At horizon 1 both win and
         # menu 0 is returned; at horizon 2 only menu 1 wins.
         d2 = discrete_space(2)
-        menus = MenuFamily(menus=((0b01, 0b10), (0b01,)))
+        menus = MenuFamily(((0b01, 0b10), (0b01,)), d2.full)
         assert _dominant_menus(menus.menus, False) == ((0b01,),)
         for k, moves in ((1, [0]), (2, [1, 1])):
-            game = GameSpec(d2.full, menus, False, k)
+            game = GameSpec(menus, False, k)
             assert predetermined_alice_search(game) == moves
             assert reference_committed_search(game, ALICE)(k) == moves
 
@@ -342,9 +335,9 @@ class TestKnowledgeSearch:
         with pytest.raises(CapExceeded, match=message.format("predetermined-Alice")):
             predetermined_alice_search(make_mildly_rothberger(discrete_space(3), 3))
         # Bob commits a 2-set per menu, and Alice covers with two of them
-        menus = MenuFamily(menus=((0b011, 0b110), (0b110, 0b101), (0b101, 0b011)))
+        menus = MenuFamily(((0b011, 0b110), (0b110, 0b101), (0b101, 0b011)), 0b111)
         with pytest.raises(CapExceeded, match=message.format("Markov-Bob")):
-            markov_bob_search(GameSpec(discrete_space(3).full, menus, True, 2))
+            markov_bob_search(GameSpec(menus, True, 2))
 
 
 class TestMenuBasisInvariance:
@@ -353,15 +346,15 @@ class TestMenuBasisInvariance:
             if sp.n > 2:
                 continue
             for kind in ("open", "clopen"):
-                full_fam = MenuFamily(menus=tuple(c.members for c in all_covers(sp, kind)))
-                red_fam = MenuFamily(menus=tuple(c.members for c in reduced_covers(sp, kind)))
+                full_fam = MenuFamily(tuple(c.members for c in all_covers(sp, kind)), sp.full)
+                red_fam = MenuFamily(tuple(c.members for c in reduced_covers(sp, kind)), sp.full)
                 assert is_selection_basis(
                     [frozenset(m) for m in red_fam.menus],
                     [frozenset(m) for m in full_fam.menus],
                 )
                 for k in range(sp.n + 1):
-                    g_full = GameSpec(sp.full, full_fam, False, k)
-                    g_red = GameSpec(sp.full, red_fam, False, k)
+                    g_full = GameSpec(full_fam, False, k)
+                    g_red = GameSpec(red_fam, False, k)
                     assert (
                         solve(g_full, want_witness=False).winner
                         == solve(g_red, want_witness=False).winner
@@ -392,7 +385,7 @@ class TestWinners:
                 expected = []
                 for k in range(sp.n + 3):
                     game = make(sp, k)
-                    expected.append(Solver(game.menus.menus, game.full, game.negated).value(0, k))
+                    expected.append(Solver(game.menus.menus, game.menus.full, game.negated).value(0, k))
                 assert winners(make(sp, sp.n + 2)) == expected, (sp, make.__name__)
 
     def test_empty_space(self):
@@ -421,7 +414,7 @@ class TestDominantMenus:
         for sp in spaces:
             for make in ALL_GAMES:
                 game = make(sp, sp.n + 1)
-                full = Solver(game.menus.menus, game.full, game.negated)
+                full = Solver(game.menus.menus, game.menus.full, game.negated)
                 expected = [full.value(0, k) for k in range(sp.n + 2)]
                 assert winners(game) == expected, (sp, make.__name__)
                 cut = [solve(make(sp, k), want_witness=False).winner for k in range(sp.n + 2)]
@@ -531,12 +524,12 @@ class TestDominantMenus:
     def test_the_cut_is_kept_on_its_family(self, fresh_caches):
         # one abstract family under both targets: each target's cut is stored
         # once, on the family, and the solver is not
-        fam = MenuFamily(menus=(
+        fam = MenuFamily((
             (0b011, 0b100), (0b001, 0b110), (0b011, 0b100), (0b001, 0b011, 0b111), (0b010, 0b101),
-        ))
+        ), 0b111)
         assert fam.cuts == {}
         for negated in (False, True):
-            game = GameSpec(0b111, fam, negated, 2)
+            game = GameSpec(fam, negated, 2)
             solver = _cut_solver(game)
             cut = fam.cuts[negated]
             assert cut == reference_dominant_menus(fam.menus, negated)
@@ -573,7 +566,7 @@ class TestWinnerSolver:
             for name in names:
                 for k in range(sp.n + 2):
                     game = GAME_BUILDERS[name](sp, k)
-                    winner = Solver(game.menus.menus, game.full, game.negated).value(0, k)
+                    winner = Solver(game.menus.menus, game.menus.full, game.negated).value(0, k)
                     assert winner == closed_form_verdict(sp, name, k)[0], (sp, name, k)
                     expected[i, name, k] = winner
         assert len(expected) == 11470
@@ -640,7 +633,7 @@ class TestWinnerSolver:
             assert fresh.memo[key] is bob, key
         for k in range(5):
             game = make_mildly_rothberger(discrete_space(4), k)
-            expected = Solver(game.menus.menus, game.full, False).value(0, k)
+            expected = Solver(game.menus.menus, game.menus.full, False).value(0, k)
             assert solve(game, want_witness=False).winner == expected
         assert winners(game) == [ALICE] * 4 + [BOB]
 
@@ -743,7 +736,7 @@ class TestStores:
         games = [make(sp, 0) for _, sp in corpus3 for make in ALL_GAMES]
         solvers = {_cut_solver(game): game for game in games}
         stored = [
-            (GameSpec(game.full, MenuFamily(menus), game.negated, k), witness)
+            (GameSpec(MenuFamily(menus, game.menus.full), game.negated, k), witness)
             for solver, game in solvers.items()
             for (menus, k), witness in solver.witnesses.items()
         ]
@@ -770,7 +763,7 @@ class TestStores:
         game = make_mildly_rothberger(discrete_space(3), 3)
         cold = predetermined_alice_search(game)
         _committed_search.cache_clear()
-        commit = _committed_search(game.menus.menus, game.full, game.negated, ALICE)
+        commit = _committed_search(game.menus.menus, game.menus.full, game.negated, ALICE)
         monkeypatch.setattr("topogame.games.STATE_CAP", 2)
         with pytest.raises(CapExceeded, match="^predetermined-Alice knowledge-set search state cap 2"):
             predetermined_alice_search(game)

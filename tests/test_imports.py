@@ -6,7 +6,8 @@ dataclass field is read there as an attribute, and every defaulted
 parameter is passed by some call there, so no code in `src/` exists
 only for the tests. And in `games.py` only the game builders read
 a finite space, in `src/` only `lab.py` names a check or a row's
-facts, and only `games._winner_solver` builds a `Solver`."""
+facts, only `games._winner_solver` builds a `Solver`, and only the
+`covers` builders build a `MenuFamily`."""
 
 import ast
 from pathlib import Path
@@ -83,7 +84,7 @@ def space_readers(source: str) -> list[str]:
 
 
 def test_only_the_builders_read_a_space():
-    # a game is its ground mask and menus: only the builders look at a space
+    # a game is its menu family, target and horizon: only the builders look at a space
     source = (ROOT / "src" / "topogame" / "games.py").read_text(encoding="utf-8")
     assert space_readers(source) == sorted(build.__name__ for build in GAME_BUILDERS.values())
 
@@ -99,29 +100,29 @@ def test_space_reader_scanner(source, readers):
     assert space_readers(source) == readers
 
 
-def solver_builders(source: str) -> list[str]:
-    """The functions, nested ones and methods included, that call `Solver`
+def callers_of(source: str, cls: str) -> list[str]:
+    """The functions, nested ones and methods included, that call `cls`
     by name or as an attribute; "<module>" for a call outside every
     function."""
-    builders = set()
+    found = set()
 
     def visit(node: ast.AST, owner: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Solver":
-            builders.add(owner)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == cls:
+            found.add(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     visit(ast.parse(source), "<module>")
-    return sorted(builders)
+    return sorted(found)
 
 
 def test_only_the_winner_solver_builds_a_solver():
     # every solve, witness or not, reads the shared solver of its dominant
     # menus, and play's moves come from it too
-    builders = [(path.name, name) for path in SRC for name in solver_builders(path.read_text(encoding="utf-8"))]
-    assert builders == [("games.py", "_winner_solver")]
+    found = [(path.name, name) for path in SRC for name in callers_of(path.read_text(encoding="utf-8"), "Solver")]
+    assert found == [("games.py", "_winner_solver")]
 
 
 @pytest.mark.parametrize(
@@ -133,7 +134,31 @@ def test_only_the_winner_solver_builds_a_solver():
     ],
 )
 def test_solver_builder_scanner(source, builders):
-    assert solver_builders(source) == builders
+    assert callers_of(source, "Solver") == builders
+
+
+def test_only_covers_builds_a_menu_family():
+    # every family the program builds is a space's, with its ground mask
+    found = [
+        (path.name, name) for path in SRC for name in callers_of(path.read_text(encoding="utf-8"), "MenuFamily")
+    ]
+    assert found == [
+        ("covers.py", "cover_menu_family"),
+        ("covers.py", "point_base_family"),
+        ("covers.py", "quasi_component_family"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "source, builders",
+    [
+        ("def f(game):\n    return dataclasses.replace(game, menus=covers.MenuFamily((), 0))\n", ["f"]),
+        ("class MenuFamily:\n    pass\ndef g(m: MenuFamily) -> MenuFamily:\n    return m\n", []),
+        ("FAMILY = MenuFamily(((1,),), 1)\ndef h():\n    return [MenuFamily(m, 1) for m in ()]\n", ["<module>", "h"]),
+    ],
+)
+def test_menu_family_builder_scanner(source, builders):
+    assert callers_of(source, "MenuFamily") == builders
 
 
 def suite_names(source: str) -> list[str]:

@@ -5,8 +5,11 @@ import pytest
 
 from oracles import (
     clopen_atoms,
+    clopen_sets,
     components_by_split_search,
     discrete_space,
+    random_alexandrov,
+    smallest_open_holding,
     topologies_via_preorders,
     zero_dimensional_by_definition,
 )
@@ -176,9 +179,21 @@ class TestZeroDimensional:
     def test_two_block(self, two_block3):
         assert is_zero_dimensional(two_block3)
 
-    def test_shortcut_matches_definition(self, corpus3):
-        for _, sp in corpus3:
-            assert is_zero_dimensional(sp) == zero_dimensional_by_definition(sp)
+    def test_shortcut_matches_definition(self):
+        # every n <= 4 space and seeded 5-point ones, against oracles that
+        # find the clopen sets themselves; the quasi-components and U_x too
+        spaces = [sp for n in range(5) for sp in enumerate_topologies(n)]
+        spaces += [random_alexandrov(random.Random(seed), 5) for seed in range(300)]
+        zero_dim = 0
+        for sp in spaces:
+            assert is_zero_dimensional(sp) == zero_dimensional_by_definition(sp), sp
+            zero_dim += is_zero_dimensional(sp)
+            assert set(clopen_algebra(sp).sets) == clopen_sets(sp), sp
+            if sp.n:
+                assert list(quasi_components(sp).blocks) == clopen_atoms(sp), sp
+            for x in range(sp.n):
+                assert minimal_open_nbhd(sp, x) == smallest_open_holding(sp, x), (sp, x)
+        assert (zero_dim, len(spaces)) == (102, 690)
 
 
 class TestEnumeration:
@@ -235,6 +250,6 @@ class TestCorpusInvariants:
             acc = 0
             for b in blocks:
                 assert b and not acc & b
-                assert sp.is_clopen(b)
+                assert b in clopen_sets(sp)
                 acc |= b
             assert acc == sp.full
