@@ -4,6 +4,8 @@ A game is a menu family (menus of subsets of its ground mask `full`, points
 0..n-1), a target and a horizon. A round: Alice picks a menu (her move is
 its index), Bob a member of it (his move is its bitmask). After `horizon`
 rounds Bob wins iff his selections cover `full` (fail to, when `negated`).
+The clopen games are built on a space's clopen topology, so the spaces of
+one quasi-component partition share each clopen family and its cuts.
 
 The state of a play is the mask of points Bob's selections have covered.
 The solver does backward induction on (covered mask, rounds left). A
@@ -92,7 +94,7 @@ from .covers import (
     quasi_component_family,
 )
 from .errors import CapExceeded, IllegalMove
-from .topology import FiniteSpace, points_of
+from .topology import FiniteSpace, clopen_topology, points_of
 
 ALICE = "alice"
 BOB = "bob"
@@ -169,7 +171,7 @@ def make_rothberger(space: FiniteSpace, horizon: int) -> GameSpec:
 
 def make_mildly_rothberger(space: FiniteSpace, horizon: int) -> GameSpec:
     """Clopen-cover variant of the Rothberger game."""
-    return GameSpec(cover_menu_family(space, "clopen"), False, horizon)
+    return GameSpec(cover_menu_family(clopen_topology(space), "clopen"), False, horizon)
 
 
 def make_point_open(space: FiniteSpace, horizon: int) -> GameSpec:
@@ -181,13 +183,13 @@ def make_point_open(space: FiniteSpace, horizon: int) -> GameSpec:
 def make_point_clopen(space: FiniteSpace, horizon: int) -> GameSpec:
     """Alice names points, Bob answers clopen neighborhoods; Alice wins iff
     the answers cover."""
-    return GameSpec(point_base_family(space, "clopen"), True, horizon)
+    return GameSpec(point_base_family(clopen_topology(space), "clopen"), True, horizon)
 
 
 def make_quasi_component_clopen(space: FiniteSpace, horizon: int) -> GameSpec:
     """Alice names quasi-components, Bob answers clopen supersets; Alice
     wins iff the answers cover."""
-    return GameSpec(quasi_component_family(space), True, horizon)
+    return GameSpec(quasi_component_family(clopen_topology(space)), True, horizon)
 
 
 GAME_BUILDERS: dict[str, Callable[[FiniteSpace, int], GameSpec]] = {

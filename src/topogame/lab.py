@@ -5,11 +5,13 @@ theorem checks run over the enumerated corpus, as the suites of `SUITES`
 (rows from `suite_rows`). Every strategy is a positional table; the
 checks only ask the restricted searches whether a class wins, and the
 strategies made here from per-round moves are walked into tables
-(`walk_positions`)."""
+(`walk_positions`). The rows of every check but `zerodim`, the one that reads
+the opens, are memoized per clopen topology (`_per_clopen_topology`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 from typing import Iterable, Iterator, Optional
 
 from .errors import CapExceeded, DepthCapExceeded, IllegalSourceStrategy
@@ -35,6 +37,7 @@ from .topology import (
     FiniteSpace,
     Partition,
     clopen_algebra,
+    clopen_topology,
     is_zero_dimensional,
     points_of,
     quasi_components,
@@ -246,12 +249,22 @@ def extract_qs_tree(
 # corpus checks
 
 
+def _per_clopen_topology(check):
+    """Memoize a clopen-only check on `clopen_topology(space)`; a raised cap is
+    not cached. Each call returns a fresh top-level dict with shared, read-only facts."""
+    rows = lru_cache(maxsize=None)(check)
+    memoized = wraps(check)(lambda space: dict(rows(clopen_topology(space))))
+    memoized.cache_clear = rows.cache_clear
+    return memoized
+
+
 def saturating_horizon(space: FiniteSpace) -> int:
     """Horizon beyond which the winner of a cover game cannot change: a
     cover of an n-point space never needs more than n sets."""
     return space.n
 
 
+@_per_clopen_topology
 def check_duality(space: FiniteSpace) -> dict:
     """Mechanized dual-game check at the saturating horizon: the clopen
     cover game against the point-clopen game, in both the full-strategy
@@ -319,6 +332,7 @@ def check_zero_dim_equivalence(space: FiniteSpace) -> dict:
     return {"check": "zerodim", "horizon": kstar, "facts": facts, "pass": ok}
 
 
+@_per_clopen_topology
 def check_th314(space: FiniteSpace) -> dict:
     """Selection principle iff Alice has no full winning strategy, for the
     clopen cover game at the saturating horizon; sub-saturating horizons
@@ -340,6 +354,7 @@ def check_th314(space: FiniteSpace) -> dict:
     return {"check": "th314", "horizon": kstar, "facts": facts, "pass": s1 == no_full}
 
 
+@_per_clopen_topology
 def check_min_horizon_law(space: FiniteSpace) -> dict:
     """Bob first wins the clopen cover game, and Alice first wins both
     point-style clopen games, exactly at the number of quasi-components."""
@@ -358,6 +373,7 @@ def check_min_horizon_law(space: FiniteSpace) -> dict:
     return {"check": "minhorizon", "horizon": k, "facts": facts, "pass": ok}
 
 
+@_per_clopen_topology
 def check_pc_qc_equivalence(space: FiniteSpace) -> dict:
     """Identical winners of the point-clopen and quasi-component-clopen
     games at every horizon, in all three strategy classes."""
@@ -393,6 +409,7 @@ def check_pc_qc_equivalence(space: FiniteSpace) -> dict:
     }
 
 
+@_per_clopen_topology
 def check_b1_translations(space: FiniteSpace) -> dict:
     """Translate every solver-found winning strategy on the point/block
     clopen games and verify the result wins the other game."""
@@ -427,6 +444,7 @@ def check_b1_translations(space: FiniteSpace) -> dict:
     }
 
 
+@_per_clopen_topology
 def check_b3(space: FiniteSpace) -> dict:
     """The quasi-component Markov strategy wins the clopen cover game at
     horizon = number of quasi-components."""
@@ -441,6 +459,7 @@ def check_b3(space: FiniteSpace) -> dict:
     return {"check": "b3", "horizon": nblocks, "facts": facts, "pass": won and markov}
 
 
+@_per_clopen_topology
 def check_extraction(space: FiniteSpace) -> dict:
     """Unfold the solver's winning Alice strategy for the block game with
     singleton clopen sequences; also exercise the failure branch with the

@@ -9,7 +9,8 @@ clopen sets, that hold x.
 A finite topology is the same thing as a preorder (Alexandroff 1937): it is
 fixed by its U_x, and its opens are the unions of the U_x. The enumerator
 builds topologies that way, one U_x per point. In a finite space the
-components are the quasi-components.
+components are the quasi-components. A space's clopen games are played on
+its clopen topology, which spaces with one quasi-component partition share.
 """
 
 from __future__ import annotations
@@ -138,6 +139,14 @@ def clopen_algebra(space: FiniteSpace) -> ClopenAlgebra:
     """All open sets whose complement is also open."""
     opens = set(space.opens)
     return ClopenAlgebra(sets=tuple(u for u in space.opens if space.full ^ u in opens))
+
+
+@lru_cache(maxsize=None)
+def clopen_topology(space: FiniteSpace) -> FiniteSpace:
+    """The zero-dimensional space whose opens are the clopen sets of `space`,
+    sorted, so equal across one quasi-component partition; its clopen sets,
+    quasi-components, clopen covers and point-clopen bases are those of `space`."""
+    return FiniteSpace(space.n, clopen_algebra(space).sets)
 
 
 @lru_cache(maxsize=None)

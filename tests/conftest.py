@@ -7,6 +7,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from oracles import discrete_space, sierpinski_space
 from topogame.games import _committed_search, _winner_solver
+from topogame.lab import SUITES
 from topogame.topology import FiniteSpace, enumerate_topologies, validate_topology
 
 
@@ -29,12 +30,15 @@ def pseudocircle() -> FiniteSpace:
 
 @pytest.fixture
 def fresh_caches():
-    """Cold knowledge-set searches and shared solvers, before and after the
-    test."""
+    """Cold knowledge-set searches, shared solvers and check-row memos,
+    before and after the test."""
 
     def clear():
         _committed_search.cache_clear()
         _winner_solver.cache_clear()
+        for check in SUITES.values():
+            if hasattr(check, "cache_clear"):
+                check.cache_clear()
 
     clear()
     yield

@@ -30,7 +30,14 @@ from topogame.covers import (
 )
 from topogame.errors import CapExceeded, EmptySpace
 from topogame.games import ALICE, BOB, GameSpec, markov_bob_search, predetermined_alice_search, solve, verify_winning
-from topogame.topology import validate_topology
+from topogame.topology import (
+    clopen_algebra,
+    clopen_topology,
+    enumerate_topologies,
+    is_zero_dimensional,
+    quasi_components,
+    validate_topology,
+)
 
 
 class TestReducedCovers:
@@ -113,6 +120,41 @@ class TestReducedCovers:
                 reduced_covers(discrete_space(3), "open")
         finally:
             _reduced_covers_cached.cache_clear()
+
+
+class TestClopenTopology:
+    """The clopen games are built on `clopen_topology(space)`, not on the
+    space; that is exact only if the clopen structure is the same there."""
+
+    SPACES = [sp for n in range(5) for sp in enumerate_topologies(n)] + [
+        random_alexandrov(random.Random(seed), 5) for seed in range(300)
+    ]
+
+    def test_keeps_the_clopen_structure(self):
+        for sp in self.SPACES:
+            z = clopen_topology(sp)
+            assert is_zero_dimensional(z) and clopen_topology(z) == z, sp
+            assert clopen_algebra(z) == clopen_algebra(sp), sp
+            if sp.n:
+                assert quasi_components(z) == quasi_components(sp), sp
+                assert point_base_family(z, "clopen") == point_base_family(sp, "clopen"), sp
+                assert quasi_component_family(z) == quasi_component_family(sp), sp
+            assert cover_menu_family(z, "clopen") == cover_menu_family(sp, "clopen"), sp
+
+    def test_its_open_families_are_the_clopen_ones(self):
+        # O is C_O on a zero-dimensional space, menu order included
+        for sp in self.SPACES:
+            z = clopen_topology(sp)
+            assert cover_menu_family(z, "open") == cover_menu_family(sp, "clopen"), sp
+            if sp.n:
+                assert point_base_family(z, "open") == point_base_family(sp, "clopen"), sp
+
+    def test_one_per_partition(self):
+        # 389 spaces with 1 <= n <= 4, and the Bell numbers 1 + 2 + 5 + 15 of partitions
+        spaces = [sp for sp in self.SPACES if 1 <= sp.n <= 4]
+        partitions = {(sp.n, quasi_components(sp).blocks) for sp in spaces}
+        assert len({clopen_topology(sp) for sp in spaces}) == len(partitions) == 23
+        assert len(spaces) == 389
 
 
 class TestMinimalTransversals:

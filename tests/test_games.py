@@ -57,6 +57,7 @@ from topogame.games import (
 from topogame.lab import SUITES, saturating_horizon, suite_rows
 from topogame.serialize import dumps_stable, strategy_from_json, strategy_to_json, verdict_to_json
 from topogame.topology import (
+    clopen_topology,
     enumerate_topologies,
     minimal_open_nbhd,
     quasi_components,
@@ -99,6 +100,16 @@ class TestConstructors:
         assert solve(make_quasi_component_clopen(two_block3, 1)).winner == BOB
         assert solve(make_quasi_component_clopen(two_block3, 2)).winner == ALICE
         assert solve(make_quasi_component_clopen(discrete_space(3), 3)).winner == ALICE
+
+    def test_one_partition_shares_the_clopen_families(self, corpus3):
+        # the clopen games are built on the clopen topology, so the spaces of
+        # one quasi-component partition share each family and its cuts
+        for make in (make_mildly_rothberger, make_point_clopen, make_quasi_component_clopen):
+            families = {}
+            for _, sp in corpus3:
+                family = families.setdefault(quasi_components(sp), make(sp, 1).menus)
+                assert make(sp, 2).menus is family, (make.__name__, sp)
+            assert len(families) == 8
 
 
 class TestSolveConventions:
@@ -703,8 +714,9 @@ def _cold(game) -> tuple:
 
 class TestStores:
     """Each witness table is built once per (full-family menus, horizon) on
-    its shared solver, and each restricted answer once per horizon on its
-    knowledge-set search; a stored one equals a cold one."""
+    its shared solver, each restricted answer once per horizon on its
+    knowledge-set search, and each clopen-only check row once per clopen
+    topology; a stored one equals a cold one."""
 
     def test_stored_answers_are_the_cold_ones(self, corpus3, corpus4, fresh_caches):
         instances = [
@@ -744,6 +756,28 @@ class TestStores:
             _winner_solver.cache_clear()
             assert solve(game).witness == witness, game
         assert len(stored) == 47
+
+    def test_every_suite_gives_its_rows_again(self, corpus3, fresh_caches):
+        # the second run reads the row memos, the stored witnesses and the
+        # knowledge-set answers the first run left
+        for suite in SUITES:
+            rows = list(suite_rows(suite, corpus3))
+            assert list(suite_rows(suite, corpus3)) == rows, suite
+
+    def test_an_edited_row_leaves_the_next_one_alone(self, corpus4, fresh_caches):
+        # two spaces with one quasi-component partition share a memoized
+        # row's facts, but each call returns its own top-level dict
+        spaces = [sp for _, sp in corpus4 if len(quasi_components(sp).blocks) == 2]
+        a = spaces[0]
+        b = next(sp for sp in spaces[1:] if clopen_topology(sp) == clopen_topology(a))
+        memoized = {suite: check for suite, check in SUITES.items() if hasattr(check, "cache_clear")}
+        for suite, check in memoized.items():
+            row = check(a)
+            want = dict(row)
+            row["space_id"] = "edited"
+            again = check(b)
+            assert again == want and again["facts"] is row["facts"], suite
+        assert sorted(memoized) == ["b1", "b3", "duality", "extraction", "minhorizon", "pc-qc", "th314"]
 
     def test_a_cap_hit_stores_no_witness(self, monkeypatch, fresh_caches):
         game = make_rothberger(discrete_space(3), 2)

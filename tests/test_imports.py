@@ -6,8 +6,9 @@ dataclass field is read there as an attribute, and every defaulted
 parameter is passed by some call there, so no code in `src/` exists
 only for the tests. And in `games.py` only the game builders read
 a finite space, in `src/` only `lab.py` names a check or a row's
-facts, only `games._winner_solver` builds a `Solver`, and only the
-`covers` builders build a `MenuFamily`."""
+facts, the checks memoized per clopen topology read no open set, only
+`games._winner_solver` builds a `Solver`, and only the `covers`
+builders build a `MenuFamily`."""
 
 import ast
 from pathlib import Path
@@ -98,6 +99,81 @@ def test_only_the_builders_read_a_space():
 )
 def test_space_reader_scanner(source, readers):
     assert space_readers(source) == readers
+
+
+# what a check may not read if its row is shared by every space with one
+# quasi-component partition: the open-set games, the open structure
+OPEN_STRUCTURE = {"make_rothberger", "make_point_open", "is_zero_dimensional", "minimal_open_nbhd", "opens"}
+
+
+def open_structure_reads(source: str) -> dict[str, list[str]]:
+    """For each function decorated `_per_clopen_topology`, the names of
+    OPEN_STRUCTURE that it, or a function of the same module that it calls
+    (at any depth), names or reads as an attribute."""
+    tree = ast.parse(source)
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    mentions = {
+        name: {getattr(sub, "id", getattr(sub, "attr", None)) for sub in ast.walk(node)} - {None}
+        for name, node in functions.items()
+    }
+
+    def reached(name: str) -> set[str]:
+        seen, todo = set(), [name]
+        while todo:
+            here = todo.pop()
+            if here not in seen:
+                seen.add(here)
+                todo += [m for m in mentions[here] if m in functions]
+        return set().union(*(mentions[f] for f in seen)) & OPEN_STRUCTURE
+
+    return {
+        name: sorted(reached(name))
+        for name, node in functions.items()
+        if any(getattr(d, "id", getattr(d, "attr", None)) == "_per_clopen_topology" for d in node.decorator_list)
+    }
+
+
+def test_the_memoized_checks_read_only_clopen_structure():
+    # a row memoized on clopen_topology(space) is shared by every space with
+    # the same quasi-components, so its check may not look at the opens
+    source = (ROOT / "src" / "topogame" / "lab.py").read_text(encoding="utf-8")
+    memoized = [
+        "check_b1_translations",
+        "check_b3",
+        "check_duality",
+        "check_extraction",
+        "check_min_horizon_law",
+        "check_pc_qc_equivalence",
+        "check_th314",
+    ]
+    assert open_structure_reads(source) == {name: [] for name in memoized}
+
+
+@pytest.mark.parametrize(
+    "source, reads",
+    [
+        ("@_per_clopen_topology\ndef check_a(space):\n    return {'n': len(space.opens)}\n", {"check_a": ["opens"]}),
+        (
+            "def helper(space):\n    return is_zero_dimensional(space)\n"
+            "@_per_clopen_topology\ndef check_b(space):\n    return helper(space)\n"
+            "def check_c(space):\n    return make_rothberger(space, 1)\n",
+            {"check_b": ["is_zero_dimensional"]},
+        ),
+        (
+            "@lab._per_clopen_topology\ndef check_d(space):\n"
+            "    return games.make_point_open(space, 1), minimal_open_nbhd(space, 0)\n",
+            {"check_d": ["make_point_open", "minimal_open_nbhd"]},
+        ),
+        # a cycle of calls ends, and a clopen read is no open one
+        (
+            "def f(s):\n    return g(s)\ndef g(s):\n    return f(s), clopen_algebra(s)\n"
+            "@_per_clopen_topology\ndef check_e(s):\n    return f(s)\n",
+            {"check_e": []},
+        ),
+    ],
+)
+def test_open_structure_scanner(source, reads):
+    assert open_structure_reads(source) == reads
 
 
 def callers_of(source: str, cls: str) -> list[str]:

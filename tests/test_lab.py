@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from oracles import (
     history_to_json,
     history_view,
     per_round_table,
+    random_alexandrov,
     reference_extract,
     unfold,
 )
@@ -16,6 +18,8 @@ from topogame.games import (
     ALICE,
     BOB,
     Strategy,
+    _committed_search,
+    _winner_solver,
     make_mildly_rothberger,
     make_point_clopen,
     make_quasi_component_clopen,
@@ -362,6 +366,30 @@ class TestChecks:
         assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
             "624a939474cb6e40c1946e757164031a41bf9299647b5a12ca569effec1b1dbe"
         )
+
+
+class TestRowMemo:
+    def test_warm_rows_are_the_cold_ones(self, corpus3, corpus4, fresh_caches):
+        # a row read from the memo, filled on another space of the same
+        # partition, against the undecorated check on the space itself
+        spaces = [sp for _, sp in corpus3 + corpus4]
+        spaces += [random_alexandrov(random.Random(seed), 5) for seed in range(40)]
+        for check in (
+            check_duality,
+            check_b1_translations,
+            check_b3,
+            check_extraction,
+            check_th314,
+            check_min_horizon_law,
+            check_pc_qc_equivalence,
+        ):
+            for sp in spaces:
+                check(sp)
+            for sp in spaces:
+                warm = check(sp)
+                _winner_solver.cache_clear()
+                _committed_search.cache_clear()
+                assert warm == check.__wrapped__(sp), (check.__name__, sp)
 
 
 class TestPinnedTranslations:
