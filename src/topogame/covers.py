@@ -11,10 +11,12 @@ drop each holder from the candidates once its branch is done (so each
 cover is found once), prune as soon as a chosen member has no private
 point left, and record a cover at the member that completes it.
 
-The open covers are searched over the opens. A clopen set is a union of
-quasi-component blocks, so the clopen covers of a space with b blocks are
-the covers of the discrete b-point space, searched once per b
-(`_block_covers`), with each member mapped to its union of blocks.
+Covers and point bases are those of a space's opens; a clopen game takes
+them on the clopen topology (`topology.clopen_topology`). The opens of a
+zero-dimensional space are the unions of its quasi-component blocks, so
+its covers with b blocks are those of the discrete b-point space,
+searched once per b (`_block_covers`), each member mapped to its union
+of blocks; any other space's covers are searched over its opens.
 
 A menu family carries its ground mask and checks, once, that each menu is
 nonempty and inside it. Covers and families are cached per space and never
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import CapExceeded, EmptySpace
-from .topology import FiniteSpace, clopen_algebra, quasi_components
+from .topology import FiniteSpace, clopen_topology, is_zero_dimensional, quasi_components
 
 DEFAULT_CAP = 10**6
 
@@ -37,7 +39,7 @@ Menu = tuple[int, ...]  # nonempty family of point sets
 
 @dataclass(frozen=True)
 class Cover:
-    """A deduplicated open (or clopen) cover, as a sorted tuple of masks."""
+    """A deduplicated open cover, as a sorted tuple of masks."""
 
     members: tuple[int, ...]
 
@@ -62,16 +64,6 @@ class MenuFamily:
                 if b & ~self.full:
                     raise ValueError("every menu member must lie inside the ground mask")
         object.__setattr__(self, "cuts", {})
-
-
-def _kind_sets(space: FiniteSpace, kind: str) -> list[int]:
-    if kind == "open":
-        pool = space.opens
-    elif kind == "clopen":
-        pool = clopen_algebra(space).sets
-    else:
-        raise ValueError(f"unknown cover kind {kind!r}")
-    return [m for m in pool if m != 0]
 
 
 def _minimal_transversals(pool: list, full: int) -> list[tuple[int, ...]]:
@@ -128,9 +120,9 @@ def _minimal_transversals(pool: list, full: int) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _reduced_covers_cached(space: FiniteSpace, kind: str) -> tuple[Cover, ...]:
-    if kind == "clopen" and space.n:
-        # a clopen set is a union of quasi-component blocks, so the clopen
+def _reduced_covers_cached(space: FiniteSpace) -> tuple[Cover, ...]:
+    if space.n and is_zero_dimensional(space):
+        # the opens are the unions of the quasi-component blocks, so the
         # covers are those of the discrete space on the blocks
         blocks = quasi_components(space).blocks
         unions = [0]
@@ -138,7 +130,7 @@ def _reduced_covers_cached(space: FiniteSpace, kind: str) -> tuple[Cover, ...]:
             unions += [u | block for u in unions]  # unions[s]: the blocks in bitset s
         found = [tuple(sorted(map(unions.__getitem__, c))) for c in _block_covers(len(blocks))]
     else:
-        found = _minimal_transversals(sorted(_kind_sets(space, kind)), space.full)
+        found = _minimal_transversals([m for m in space.opens if m], space.full)
     found.sort()
     found.sort(key=len)  # stable: by size, then lexicographically
     return tuple(map(Cover, found))
@@ -151,25 +143,30 @@ def _block_covers(b: int) -> tuple[tuple[int, ...], ...]:
 
 
 def reduced_covers(space: FiniteSpace, kind: str) -> list[Cover]:
-    """All irredundant covers of the given kind, deterministically ordered;
-    CapExceeded past DEFAULT_CAP of them."""
-    return list(_reduced_covers_cached(space, kind))
+    """All irredundant open ("open") or clopen ("clopen") covers, the
+    latter being the open covers of the clopen topology, deterministically
+    ordered; CapExceeded past DEFAULT_CAP of them."""
+    if kind == "clopen":
+        space = clopen_topology(space)
+    elif kind != "open":
+        raise ValueError(f"unknown cover kind {kind!r}")
+    return list(_reduced_covers_cached(space))
 
 
 @lru_cache(maxsize=None)
-def cover_menu_family(space: FiniteSpace, kind: str) -> MenuFamily:
-    """Irredundant covers packaged as menus; the empty-space cover is dropped
-    (Alice then has no move and the game ends immediately)."""
-    menus = tuple(c.members for c in reduced_covers(space, kind) if c.members)
+def cover_menu_family(space: FiniteSpace) -> MenuFamily:
+    """The irredundant open covers packaged as menus; the empty-space cover
+    is dropped (Alice then has no move and the game ends immediately)."""
+    menus = tuple(c.members for c in reduced_covers(space, "open") if c.members)
     return MenuFamily(menus, space.full)
 
 
 @lru_cache(maxsize=None)
-def point_base_family(space: FiniteSpace, kind: str) -> MenuFamily:
-    """One menu per point: all nonempty opens (or clopens) containing it."""
+def point_base_family(space: FiniteSpace) -> MenuFamily:
+    """One menu per point: all opens containing it, in ascending order."""
     if space.n == 0:
         raise EmptySpace("no point bases on the empty space")
-    pool = sorted(_kind_sets(space, kind))
+    pool = sorted(space.opens)
     menus = []
     for x in range(space.n):
         bit = 1 << x
@@ -182,6 +179,5 @@ def quasi_component_family(space: FiniteSpace) -> MenuFamily:
     """One menu per quasi-component block: all clopen supersets of it, that
     is, the clopen sets holding its least point."""
     blocks = quasi_components(space).blocks
-    bases = point_base_family(space, "clopen").menus
+    bases = point_base_family(clopen_topology(space)).menus
     return MenuFamily(tuple(bases[(block & -block).bit_length() - 1] for block in blocks), space.full)
-

@@ -4,8 +4,9 @@ A game is a menu family (menus of subsets of its ground mask `full`, points
 0..n-1), a target and a horizon. A round: Alice picks a menu (her move is
 its index), Bob a member of it (his move is its bitmask). After `horizon`
 rounds Bob wins iff his selections cover `full` (fail to, when `negated`).
-The clopen games are built on a space's clopen topology, so the spaces of
-one quasi-component partition share each clopen family and its cuts.
+Each clopen game is the open game of the space's clopen topology, so the
+spaces of one quasi-component partition share each clopen family and its
+cuts, and a zero-dimensional space's open and clopen games share one.
 
 The state of a play is the mask of points Bob's selections have covered.
 The solver does backward induction on (covered mask, rounds left). A
@@ -166,24 +167,24 @@ class Transcript:
 
 def make_rothberger(space: FiniteSpace, horizon: int) -> GameSpec:
     """Alice plays open covers, Bob selects members, Bob wins iff they cover."""
-    return GameSpec(cover_menu_family(space, "open"), False, horizon)
+    return GameSpec(cover_menu_family(space), False, horizon)
 
 
 def make_mildly_rothberger(space: FiniteSpace, horizon: int) -> GameSpec:
-    """Clopen-cover variant of the Rothberger game."""
-    return GameSpec(cover_menu_family(clopen_topology(space), "clopen"), False, horizon)
+    """Clopen-cover variant: the Rothberger game of the clopen topology."""
+    return make_rothberger(clopen_topology(space), horizon)
 
 
 def make_point_open(space: FiniteSpace, horizon: int) -> GameSpec:
     """Alice names points, Bob answers open neighborhoods; Alice wins iff
     the answers cover."""
-    return GameSpec(point_base_family(space, "open"), True, horizon)
+    return GameSpec(point_base_family(space), True, horizon)
 
 
 def make_point_clopen(space: FiniteSpace, horizon: int) -> GameSpec:
     """Alice names points, Bob answers clopen neighborhoods; Alice wins iff
-    the answers cover."""
-    return GameSpec(point_base_family(clopen_topology(space), "clopen"), True, horizon)
+    the answers cover: the point-open game of the clopen topology."""
+    return make_point_open(clopen_topology(space), horizon)
 
 
 def make_quasi_component_clopen(space: FiniteSpace, horizon: int) -> GameSpec:

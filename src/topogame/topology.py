@@ -144,8 +144,8 @@ def clopen_algebra(space: FiniteSpace) -> ClopenAlgebra:
 @lru_cache(maxsize=None)
 def clopen_topology(space: FiniteSpace) -> FiniteSpace:
     """The zero-dimensional space whose opens are the clopen sets of `space`,
-    sorted, so equal across one quasi-component partition; its clopen sets,
-    quasi-components, clopen covers and point-clopen bases are those of `space`."""
+    sorted, so equal across one quasi-component partition; it keeps the clopen
+    sets and quasi-components, and its open games are the clopen games."""
     return FiniteSpace(space.n, clopen_algebra(space).sets)
 
 

@@ -40,6 +40,31 @@ from topogame.topology import (
 )
 
 
+def by_size(pool: list, full: int) -> list[tuple[int, ...]]:
+    """The minimal transversals of `pool`, ordered by size, then lexicographically."""
+    return sorted(_minimal_transversals(pool, full), key=lambda c: (len(c), c))
+
+
+def set_partitions(n: int):
+    """Every partition of 0..n-1 into blocks, as lists of masks."""
+    if n == 0:
+        yield []
+        return
+    bit = 1 << n - 1
+    for rest in set_partitions(n - 1):
+        for i in range(len(rest)):
+            yield rest[:i] + [rest[i] | bit] + rest[i + 1 :]
+        yield rest + [bit]
+
+
+def unions(blocks: list) -> list[int]:
+    """Every union of some of the blocks."""
+    out = [0]
+    for block in blocks:
+        out += [u | block for u in out]
+    return out
+
+
 class TestReducedCovers:
     def test_sierpinski_clopen(self, sierpinski):
         assert [c.members for c in reduced_covers(sierpinski, "clopen")] == [(0b11,)]
@@ -90,7 +115,7 @@ class TestReducedCovers:
         sp = validate_topology([0], 0)
         for kind in ("open", "clopen"):
             assert reduced_covers(sp, kind) == [Cover(())]
-            assert cover_menu_family(sp, kind).menus == ()
+        assert cover_menu_family(sp).menus == ()
 
     @pytest.mark.parametrize("kind", ["open", "clopen"])
     def test_cap_boundary(self, monkeypatch, kind):
@@ -114,12 +139,14 @@ class TestReducedCovers:
 
     def test_cap(self, monkeypatch):
         _reduced_covers_cached.cache_clear()
+        _block_covers.cache_clear()
         monkeypatch.setattr("topogame.covers.DEFAULT_CAP", 2)
         try:
             with pytest.raises(CapExceeded):
                 reduced_covers(discrete_space(3), "open")
         finally:
             _reduced_covers_cached.cache_clear()
+            _block_covers.cache_clear()
 
 
 class TestClopenTopology:
@@ -133,21 +160,26 @@ class TestClopenTopology:
     def test_keeps_the_clopen_structure(self):
         for sp in self.SPACES:
             z = clopen_topology(sp)
+            clopens = sorted(clopen_sets(sp))
             assert is_zero_dimensional(z) and clopen_topology(z) == z, sp
             assert clopen_algebra(z) == clopen_algebra(sp), sp
             if sp.n:
                 assert quasi_components(z) == quasi_components(sp), sp
-                assert point_base_family(z, "clopen") == point_base_family(sp, "clopen"), sp
+                bases = tuple(tuple(c for c in clopens if c >> x & 1) for x in range(sp.n))
+                assert point_base_family(z).menus == bases, sp
                 assert quasi_component_family(z) == quasi_component_family(sp), sp
-            assert cover_menu_family(z, "clopen") == cover_menu_family(sp, "clopen"), sp
+            assert [c.members for c in reduced_covers(z, "open")] == by_size(clopens[1:], sp.full), sp
 
-    def test_its_open_families_are_the_clopen_ones(self):
-        # O is C_O on a zero-dimensional space, menu order included
-        for sp in self.SPACES:
-            z = clopen_topology(sp)
-            assert cover_menu_family(z, "open") == cover_menu_family(sp, "clopen"), sp
-            if sp.n:
-                assert point_base_family(z, "open") == point_base_family(sp, "clopen"), sp
+    def test_block_search_matches_both_searches_on_every_partition(self):
+        # the open covers of a zero-dimensional space come from its blocks;
+        # it has the opens of one set partition, and n <= 5 points have
+        # 1 + 1 + 2 + 5 + 15 + 52 partitions
+        spaces = [validate_topology(unions(blocks), n) for n in range(6) for blocks in set_partitions(n)]
+        assert len(spaces) == 76 and all(is_zero_dimensional(sp) for sp in spaces)
+        for sp in spaces:
+            ours = [c.members for c in reduced_covers(sp, "open")]
+            assert ours == irredundant_covers_by_scan(sp, "open"), sp
+            assert ours == by_size([m for m in sp.opens if m], sp.full), sp
 
     def test_one_per_partition(self):
         # 389 spaces with 1 <= n <= 4, and the Bell numbers 1 + 2 + 5 + 15 of partitions
@@ -201,20 +233,20 @@ class TestCoverEnumeration:
 
 class TestPointBases:
     def test_discrete_clopen(self):
-        fam = point_base_family(discrete_space(2), "clopen")
+        fam = point_base_family(clopen_topology(discrete_space(2)))
         assert fam.menus == ((0b01, 0b11), (0b10, 0b11))
 
     def test_sierpinski_clopen(self, sierpinski):
-        fam = point_base_family(sierpinski, "clopen")
+        fam = point_base_family(clopen_topology(sierpinski))
         assert fam.menus == ((0b11,), (0b11,))
 
     def test_sierpinski_open(self, sierpinski):
-        fam = point_base_family(sierpinski, "open")
+        fam = point_base_family(sierpinski)
         assert fam.menus == ((0b01, 0b11), (0b11,))
 
     def test_empty_space(self):
         with pytest.raises(EmptySpace):
-            point_base_family(validate_topology([0], 0), "open")
+            point_base_family(validate_topology([0], 0))
 
     def test_quasi_component_menus(self, two_block3):
         fam = quasi_component_family(two_block3)
@@ -293,22 +325,22 @@ class TestSelectionBasis:
 class TestReflection:
     def test_clopen_point_base_reflects_clopen_covers(self, corpus3, corpus4):
         for _, sp in corpus3 + corpus4:
-            assert is_reflection(point_base_family(sp, "clopen"), all_covers(sp, "clopen"))
+            assert is_reflection(point_base_family(clopen_topology(sp)), all_covers(sp, "clopen"))
 
     def test_open_point_base_reflects_open_covers(self, corpus3, corpus4):
         for _, sp in corpus3 + corpus4:
-            assert is_reflection(point_base_family(sp, "open"), all_covers(sp, "open"))
+            assert is_reflection(point_base_family(sp), all_covers(sp, "open"))
 
     def test_sierpinski_clopen_base_vs_open_covers(self, sierpinski):
         # every open cover of the Sierpinski space contains X, and the
         # single range {X} sits below it
-        fam = point_base_family(sierpinski, "clopen")
+        fam = point_base_family(clopen_topology(sierpinski))
         assert choice_ranges(fam) == {frozenset({0b11})}
         assert is_reflection(fam, all_covers(sierpinski, "open")) is True
 
     def test_ranges_are_one_clopen_per_point_covers(self, corpus3):
         for _, sp in corpus3:
-            fam = point_base_family(sp, "clopen")
+            fam = point_base_family(clopen_topology(sp))
             ranges = choice_ranges(fam)
             direct = {
                 frozenset(pick)
@@ -323,7 +355,7 @@ class TestReflection:
                 assert acc == sp.full
 
     def test_choice_cap(self):
-        fam = point_base_family(discrete_space(3), "open")
+        fam = point_base_family(discrete_space(3))
         with pytest.raises(CapExceeded):
             choice_ranges(fam, cap=3)
 

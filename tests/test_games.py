@@ -59,6 +59,7 @@ from topogame.serialize import dumps_stable, strategy_from_json, strategy_to_jso
 from topogame.topology import (
     clopen_topology,
     enumerate_topologies,
+    is_zero_dimensional,
     minimal_open_nbhd,
     quasi_components,
     validate_topology,
@@ -110,6 +111,16 @@ class TestConstructors:
                 family = families.setdefault(quasi_components(sp), make(sp, 1).menus)
                 assert make(sp, 2).menus is family, (make.__name__, sp)
             assert len(families) == 8
+
+    def test_a_zero_dimensional_space_shares_its_open_and_clopen_families(self, corpus3, corpus4):
+        # there the clopen topology is the space itself, so each clopen game
+        # is the open game: one family, one cut and one solver
+        spaces = [sp for _, sp in corpus3 + corpus4 if is_zero_dimensional(sp)]
+        assert len(spaces) == 23
+        for sp in spaces:
+            for k in range(3):
+                assert make_rothberger(sp, k).menus is make_mildly_rothberger(sp, k).menus, sp
+                assert make_point_open(sp, k).menus is make_point_clopen(sp, k).menus, sp
 
 
 class TestSolveConventions:

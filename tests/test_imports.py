@@ -7,8 +7,10 @@ parameter is passed by some call there, so no code in `src/` exists
 only for the tests. And in `games.py` only the game builders read
 a finite space, in `src/` only `lab.py` names a check or a row's
 facts, the checks memoized per clopen topology read no open set, only
-`games._winner_solver` builds a `Solver`, and only the `covers`
-builders build a `MenuFamily`."""
+`games._winner_solver` builds a `Solver`, only the `covers`
+builders build a `MenuFamily`, and only `covers.reduced_covers` names a
+cover kind ("open" or "clopen"): every other caller asks it for one, and
+each clopen game is an open game on the clopen topology."""
 
 import ast
 from pathlib import Path
@@ -235,6 +237,61 @@ def test_only_covers_builds_a_menu_family():
 )
 def test_menu_family_builder_scanner(source, builders):
     assert callers_of(source, "MenuFamily") == builders
+
+
+def kind_namers(source: str) -> list[str]:
+    """The functions, nested ones and methods included, that hold the
+    string constant "open" or "clopen", other than as an argument of a
+    call to `reduced_covers`; "<module>" for one outside every function."""
+    tree = ast.parse(source)
+    asked = {
+        id(arg)
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", None)) == "reduced_covers"
+        for arg in call.args + [kw.value for kw in call.keywords]
+    }
+    found = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.Constant) and node.value in ("open", "clopen") and id(node) not in asked:
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+def test_only_reduced_covers_names_a_cover_kind():
+    # the clopen topology says which sets a clopen game uses; the cover
+    # layer reads a space's opens and never decides a kind again
+    found = [(path.name, name) for path in SRC for name in kind_namers(path.read_text(encoding="utf-8"))]
+    assert found == [("covers.py", "reduced_covers")]
+
+
+@pytest.mark.parametrize(
+    "source, namers",
+    [
+        (
+            "def make_r(space, h):\n    return GameSpec(cover_menu_family(space, 'open'), False, h)\n"
+            "def make_m(space, h):\n    return GameSpec(cover_menu_family(space, kind='clopen'), False, h)\n",
+            ["make_m", "make_r"],
+        ),
+        ("def _kind_sets(space, kind):\n    if kind == 'clopen':\n        return ()\n", ["_kind_sets"]),
+        # asking reduced_covers for a kind is no second decision
+        (
+            "def reduced_covers(space, kind):\n    return kind == 'clopen'\n"
+            "def f(space):\n    return reduced_covers(space, 'open'), covers.reduced_covers(space, kind='clopen')\n",
+            ["reduced_covers"],
+        ),
+        # other strings are no kind; a key or a module constant is one
+        ("KIND = 'clopen'\ndef g():\n    return open('x'), 'opened', {'open': 1}\n", ["<module>", "g"]),
+    ],
+)
+def test_kind_namer_scanner(source, namers):
+    assert kind_namers(source) == namers
 
 
 def suite_names(source: str) -> list[str]:

@@ -26,6 +26,7 @@ from topogame.serialize import space_from_json, space_to_json
 from topogame.topology import (
     FiniteSpace,
     clopen_algebra,
+    clopen_topology,
     components,
     enumerate_topologies,
     is_zero_dimensional,
@@ -89,9 +90,9 @@ class TestStoredHash:
                     assert repr(s) == f"FiniteSpace(n={n}, opens={a.opens!r})"
                 assert b is not a and c is not a
                 assert clopen_algebra(a) is clopen_algebra(b) is clopen_algebra(c)
-                assert cover_menu_family(a, "open") is cover_menu_family(b, "open") is cover_menu_family(c, "open")
+                assert cover_menu_family(a) is cover_menu_family(b) is cover_menu_family(c)
                 if n:
-                    assert point_base_family(a, "clopen") is point_base_family(c, "clopen")
+                    assert point_base_family(clopen_topology(a)) is point_base_family(clopen_topology(c))
                 checked += 1
         assert checked == 1 + 1 + 4 + 29 + 355
 
